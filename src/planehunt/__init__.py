@@ -11,6 +11,15 @@ strategies are measured against.
 """
 
 from .advice import AdviceString, SectorSpec, decode_sector, encode_advice, sector_index
+from .bounds import (
+    LowerBoundReport,
+    bound_for,
+    lower_bounds,
+    medium_regime_lower_bound,
+    regime_of,
+    sweep_cost_bound,
+    tile_count_bound,
+)
 from .errors import (
     BudgetExceededError,
     DegenerateInputError,
@@ -24,33 +33,22 @@ from .geom import (
     Polyline,
     Radians,
     Length,
-    Segment,
     ccw_angle_from_north,
     direction_of,
-    earliest_detection_on_segment,
     polyline_length,
 )
 from .harness import (
     ExperimentConfig,
     Lcg64,
     SweepRow,
-    bound_for,
     build_stream,
     parse_config,
-    regime_of,
     render_svg,
     rows_to_csv,
     sweep,
     write_csv,
 )
-from .sim import (
-    LowerBoundReport,
-    RunOutcome,
-    adversarial_placement,
-    lower_bounds,
-    medium_regime_lower_bound,
-    run,
-)
+from .sim import RunOutcome, adversarial_placement, run
 from .strategies import (
     DEFAULT_ALPHA,
     DEFAULT_SCALE_STEP,
@@ -76,7 +74,6 @@ from .tiling import (
     count_tiles,
     enumerate_columns,
     region_of_sector,
-    tile_count_bound,
 )
 from .traversal import (
     Block,
@@ -87,7 +84,6 @@ from .traversal import (
     out_and_back_blocks,
     prefix_blocks,
     spiral,
-    sweep_cost_bound,
 )
 
 __version__ = "0.1.0"

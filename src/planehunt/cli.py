@@ -10,21 +10,20 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .advice import encode_advice
+from .advice import decode_sector, encode_advice
+from .bounds import MEDIUM_LB_RADIUS_LIMIT, bound_for, lower_bounds, regime_of
 from .errors import BudgetExceededError, PreconditionError
 from .geom import ORIGIN, Point2, as_point
 from .harness import (
     STRATEGY_NAMES,
-    bound_for,
     build_stream,
     load_config,
-    regime_of,
     render_svg,
     rows_to_csv,
     sweep,
     write_csv,
 )
-from .sim import DEFAULT_CAP_MULTIPLIER, adversarial_placement, lower_bounds, run
+from .sim import DEFAULT_CAP_MULTIPLIER, adversarial_placement, run
 from .strategies import DEFAULT_ALPHA, DEFAULT_SCALE_STEP
 
 
@@ -146,7 +145,7 @@ def _cmd_adversary(args) -> int:
         print(f"medium-regime lower bound {report.medium_bound:.17g}")
         print(f"worst/lower       {cost / report.medium_bound:.17g}")
     else:
-        print(f"trivial lower bound {report.trivial_bound:.17g} (r >= 0.9 D)")
+        print(f"trivial lower bound {report.trivial_bound:.17g} (r >= {MEDIUM_LB_RADIUS_LIMIT} D)")
     return 0
 
 
@@ -163,8 +162,6 @@ def _cmd_render(args) -> int:
     prefix = stream.prefix(args.arc)
     sector = None
     if args.z >= 2 and args.strategy in ("small", "medium", "universal", "basic"):
-        from .advice import decode_sector
-
         sector = decode_sector(w, start)
     render_svg(
         prefix,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,18 +55,6 @@ def as_point(p) -> Point2:
         return p
     x, y = p
     return Point2(float(x), float(y))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Straight segment between two points.  Zero length is permitted."""
-
-    a: Point2
-    b: Point2
-
-    @property
-    def length(self) -> float:
-        return self.a.distance_to(self.b)
 
 
 def direction_of(angle: Radians) -> tuple[float, float]:
@@ -139,73 +127,39 @@ class Polyline:
     def segment_count(self) -> int:
         return int(self.seg_lengths.size)
 
-    def segments(self) -> Iterator[Segment]:
-        v = self.vertices
-        for i in range(v.shape[0] - 1):
-            yield Segment(Point2(v[i, 0], v[i, 1]), Point2(v[i + 1, 0], v[i + 1, 1]))
-
 
 def polyline_length(p: Polyline) -> Length:
     """Total arc length of a polyline (the cached cumulative total)."""
     return p.length
 
 
-def earliest_detection_on_segment(a, b, q, r: float, tol: float = DETECTION_TOL) -> Optional[float]:
-    """Smallest arc length t in [0, |ab|] whose point lies within r of q.
+def detection_lengths(points: np.ndarray, targets: np.ndarray, r: float) -> np.ndarray:
+    """Earliest arc length at which each segment of a chain sees each target.
 
-    Closed comparison (distance <= r, absolute slack ``tol``); returns None when
-    the segment never comes within the radius.  Uses the cancellation-safe
-    quadratic root for grazing approaches.
+    ``points`` is an (m+1, 2) array describing m chained segments and
+    ``targets`` a (k, 2) array.  Returns an (m, k) array whose entry is the
+    smallest t in [0, |ab|] putting segment ab's point at t within r of the
+    target, or NaN when the segment never does.  The comparison is closed
+    (distance <= r, slack DETECTION_TOL); grazing approaches use the
+    cancellation-safe quadratic root.
     """
-    if not r > 0.0:
-        raise PreconditionError("vision radius must be positive")
-    pa = as_point(a)
-    pb = as_point(b)
-    pq = as_point(q)
-    wx = pq.x - pa.x
-    wy = pq.y - pa.y
-    d0 = math.hypot(wx, wy)
-    reach = r + tol
-    if d0 <= reach:
-        return 0.0
-    seg_len = math.hypot(pb.x - pa.x, pb.y - pa.y)
-    if seg_len == 0.0:
-        return None
-    ux = (pb.x - pa.x) / seg_len
-    uy = (pb.y - pa.y) / seg_len
-    proj = wx * ux + wy * uy
-    if proj <= 0.0:
-        return None
-    t_close = min(proj, seg_len)
-    dmin = math.hypot(pa.x + t_close * ux - pq.x, pa.y + t_close * uy - pq.y)
-    if dmin > reach:
-        return None
-    c = d0 * d0 - r * r
-    disc = proj * proj - c
-    if disc > 0.0:
-        t = c / (proj + math.sqrt(disc))
-        if t <= seg_len:
-            return t
-    return t_close
+    ax, ay = points[:-1, 0], points[:-1, 1]
+    bx, by = points[1:, 0], points[1:, 1]
+    if targets.shape[0] == 1:
+        # Scalar coordinates on flat arrays: on short blocks, broadcasting
+        # against a single target costs more than the arithmetic itself.
+        return _first_reach(ax, ay, bx, by, float(targets[0, 0]), float(targets[0, 1]), r)[:, None]
+    return _first_reach(
+        ax[:, None], ay[:, None], bx[:, None], by[:, None], targets[:, 0], targets[:, 1], r
+    )
 
 
-def detection_lengths(points: np.ndarray, q, r: float, tol: float = DETECTION_TOL) -> np.ndarray:
-    """Vector twin of earliest_detection_on_segment over a vertex chain.
-
-    ``points`` is an (m+1, 2) array describing m chained segments.  Returns an
-    (m,) array of earliest in-segment arc lengths, NaN where a segment never
-    enters the radius.
-    """
-    pq = as_point(q)
-    ax = points[:-1, 0]
-    ay = points[:-1, 1]
-    bx = points[1:, 0]
-    by = points[1:, 1]
-    wx = pq.x - ax
-    wy = pq.y - ay
+def _first_reach(ax, ay, bx, by, qx, qy, r: float) -> np.ndarray:
+    wx = qx - ax
+    wy = qy - ay
     d0sq = wx * wx + wy * wy
-    reach = r + tol
-    out = np.full(ax.shape, np.nan)
+    reach = r + DETECTION_TOL
+    out = np.full(d0sq.shape, np.nan)
     close0 = d0sq <= reach * reach
     out[close0] = 0.0
     seg_len = np.hypot(bx - ax, by - ay)
@@ -217,9 +171,7 @@ def detection_lengths(points: np.ndarray, q, r: float, tol: float = DETECTION_TO
     if not active.any():
         return out
     t_close = np.minimum(proj, seg_len)
-    cx = ax + t_close * ux - pq.x
-    cy = ay + t_close * uy - pq.y
-    dmin = np.hypot(cx, cy)
+    dmin = np.hypot(ax + t_close * ux - qx, ay + t_close * uy - qy)
     active &= dmin <= reach
     if not active.any():
         return out

@@ -17,19 +17,19 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .advice import encode_advice
+from .bounds import bound_for
 from .errors import BudgetExceededError, PreconditionError
 from .geom import ORIGIN, Point2, Polyline, as_point, direction_of
 from .sim import DEFAULT_CAP_MULTIPLIER, adversarial_placement, run
 from .strategies import (
     DEFAULT_ALPHA,
     DEFAULT_SCALE_STEP,
-    branch_count,
     large_vision,
     medium_vision,
     small_vision,
     universal,
 )
-from .traversal import TrajectoryStream, basic_traversal, sweep_cost_bound
+from .traversal import TrajectoryStream, basic_traversal
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -38,13 +38,6 @@ _MASK64 = (1 << 64) - 1
 STRATEGY_NAMES = ("small", "medium", "large", "universal", "basic")
 
 CSV_HEADER = "strategy,z,D,r,alpha,s,seed,actual_distance,found,cost,bound,ratio"
-
-# Cost ceiling of the small-radius strategy, used as its sweep bound:
-# 2^20 * (D + D^2/(2^z r) * (log2 D + log2 1/r + 2)).  See the README for the
-# constant's derivation from the strategy's phase accounting.
-SMALL_ENVELOPE_FACTOR = 2.0**20
-
-LARGE_COST_FACTOR = 116.0
 
 MAX_RENDER_SEGMENTS = 10**5
 
@@ -61,32 +54,6 @@ class Lcg64:
 
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
-
-
-def regime_of(D: float, r: float) -> str:
-    if r <= 1.0:
-        return "small"
-    if r < 0.9 * D:
-        return "medium"
-    return "large"
-
-
-def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -> float:
-    """The documented cost ceiling the sweep's ratio column is measured against."""
-    if strategy == "basic":
-        return sweep_cost_bound(z, D, r)
-    if strategy == "small":
-        return SMALL_ENVELOPE_FACTOR * (
-            D + (D * D / (float(1 << z) * r)) * (math.log2(D) + math.log2(1.0 / r) + 2.0)
-        )
-    if strategy == "medium":
-        c = branch_count(alpha)
-        return 2.0 * c * 2.0 ** (7 * s) * sweep_cost_bound(z, D, r) * D**alpha
-    if strategy == "large":
-        return LARGE_COST_FACTOR * (D - r)
-    if strategy == "universal":
-        return 24.0 * bound_for(regime_of(D, r), z, D, r, alpha, s)
-    raise PreconditionError(f"unknown strategy {strategy!r}")
 
 
 def build_stream(strategy: str, z: int, w: str, D: float, r: float, alpha: float, s: int, start=ORIGIN) -> TrajectoryStream:

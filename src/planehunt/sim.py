@@ -1,36 +1,35 @@
-"""Execution engine: run streams against hidden treasures, lower-bound formulas,
-and brute-force adversarial placement search.
+"""Execution engine: run streams against hidden treasures, and brute-force
+adversarial placement search.
 
-``run`` is the single source of truth for cost accounting: it consumes a
-stream's blocks in order, finds the first point within the vision radius, and
-reports the exact arc length walked to that point.  The adversarial search is
-deliberately exhaustive over its candidate set; it is the independent oracle
-for optimality-ratio claims and must not prune.
+One walker does all cost accounting: it consumes a stream's blocks in order,
+finds each target's first point within the vision radius, and reports the
+exact arc length walked to that point.  ``run`` walks it with one treasure,
+``adversarial_placement`` with every candidate of one advice group.  The
+adversarial search is deliberately exhaustive over its candidate set; it is
+the independent oracle for optimality-ratio claims and must not prune.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .advice import encode_advice
+from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
-from .traversal import TrajectoryStream, sweep_cost_bound
+from .traversal import TrajectoryStream
 
 # Default cost cap multiplier: caps are mandatory for infinite streams, and a
 # hit at 1e4 times the applicable ceiling is a hard failure, not noise.
 DEFAULT_CAP_MULTIPLIER = 1e4
 
-MEDIUM_LB_FACTOR = 1.0 / 800.0
-SMALL_LB_FACTOR = 1.0 / 256.0
-MEDIUM_LB_RADIUS_LIMIT = 0.9  # the 1/800 bound needs r < 0.9 D
-
 MAX_CANDIDATES = 10**6
 
+# Targets tested against one block at a time; bounds the (segments, targets) arrays.
 _CAND_SLAB = 256
 
 
@@ -48,6 +47,89 @@ class RunOutcome:
     segments_executed: int
 
 
+class _Walk(NamedTuple):
+    """Per-target results of one walk.
+
+    Unfound targets cost the cap when the walk passed it, and the walked
+    length when the stream ran out.  ``ends`` holds the end points of the
+    detecting segment and ``t`` the arc length along it.
+    """
+
+    cost: np.ndarray
+    found: np.ndarray
+    segments: np.ndarray
+    ends: np.ndarray
+    t: np.ndarray
+
+
+def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -> _Walk:
+    """First detection of each of the (k, 2) ``targets`` along one walk of ``stream``.
+
+    Every block must start where the walk stands.  The walk stops in the
+    block that detects the last target, at the first block ending past the
+    cap, or when the stream runs out.  Within a block a target's first
+    detecting segment counts; a detection past the cap does not.
+    """
+    k = targets.shape[0]
+    start = stream.start
+    cost = np.zeros(k)
+    segments = np.zeros(k, dtype=np.int64)
+    ends = np.empty((k, 2, 2))
+    ends[:] = (start.x, start.y)
+    t_hit = np.zeros(k)
+    found = np.hypot(targets[:, 0] - start.x, targets[:, 1] - start.y) <= r + DETECTION_TOL
+    active = np.flatnonzero(~found)
+    slabs = None
+    walked = 0.0
+    done = 0
+    last = (start.x, start.y)
+    for block in stream.blocks() if active.size else ():
+        pts = block.points
+        if pts[0, 0] != last[0] or pts[0, 1] != last[1]:
+            raise StreamChainError(
+                f"block starts at ({pts[0, 0]}, {pts[0, 1]}) but previous segment ended at {last}"
+            )
+        last = (pts[-1, 0], pts[-1, 1])
+        cs = np.cumsum(block.lengths)
+        if slabs is None:
+            cuts = np.arange(_CAND_SLAB, active.size, _CAND_SLAB)
+            slabs = [(idx, targets[idx]) for idx in np.split(active, cuts)]
+        changed = False
+        for idx, xy in slabs:
+            t = detection_lengths(pts, xy, r)
+            if np.isnan(t).all():
+                continue
+            hit = ~np.isnan(t)
+            col = np.flatnonzero(hit.any(axis=0))
+            seg = hit.argmax(axis=0)[col]
+            tt = t[seg, col]
+            c = walked + np.where(seg > 0, cs[seg - 1], 0.0) + tt
+            ok = c <= cap
+            sel, seg = idx[col[ok]], seg[ok]
+            cost[sel] = c[ok]
+            found[sel] = True
+            segments[sel] = done + seg + 1
+            ends[sel, 0] = pts[seg]
+            ends[sel, 1] = pts[seg + 1]
+            t_hit[sel] = tt[ok]
+            changed |= bool(sel.size)
+        if changed:
+            active = active[~found[active]]
+            slabs = None
+            if not active.size:
+                break
+        total = walked + float(cs[-1]) if cs.size else walked
+        if total > cap:
+            done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
+            walked = cap
+            break
+        walked = total
+        done += cs.size
+    cost[active] = walked
+    segments[active] = done
+    return _Walk(cost, found, segments, ends, t_hit)
+
+
 def run(stream: TrajectoryStream, treasure, r: float, cost_cap: float) -> RunOutcome:
     """Walk the stream until first detection, cap hit, or exhaustion."""
     if not (r > 0.0 and math.isfinite(r)):
@@ -55,80 +137,14 @@ def run(stream: TrajectoryStream, treasure, r: float, cost_cap: float) -> RunOut
     if not (cost_cap > 0.0):
         raise PreconditionError("cost cap must be positive (streams may be infinite)")
     q = as_point(treasure)
-    start = stream.start
-    if start.distance_to(q) <= r + DETECTION_TOL:
-        return RunOutcome(True, 0.0, start, 0)
-    walked = 0.0
-    segments = 0
-    last = (start.x, start.y)
-    for block in stream.blocks():
-        pts = block.points
-        if pts[0, 0] != last[0] or pts[0, 1] != last[1]:
-            raise StreamChainError(
-                f"block starts at ({pts[0, 0]}, {pts[0, 1]}) but previous segment ended at {last}"
-            )
-        t = detection_lengths(pts, q, r)
-        hits = np.flatnonzero(~np.isnan(t))
-        cs = np.cumsum(block.lengths)
-        if hits.size:
-            i = int(hits[0])
-            before = float(cs[i - 1]) if i else 0.0
-            cost = float(walked + before + float(t[i]))
-            if cost <= cost_cap:
-                frac_len = float(block.lengths[i])
-                a = pts[i]
-                b = pts[i + 1]
-                if frac_len > 0.0:
-                    geo = math.hypot(b[0] - a[0], b[1] - a[1])
-                    frac = float(t[i]) / geo if geo > 0.0 else 0.0
-                else:
-                    frac = 0.0
-                point = Point2(
-                    float(a[0] + frac * (b[0] - a[0])), float(a[1] + frac * (b[1] - a[1]))
-                )
-                return RunOutcome(True, cost, point, segments + i + 1)
-        total_after = walked + float(cs[-1]) if cs.size else walked
-        if total_after > cost_cap:
-            over = int(np.searchsorted(cs, cost_cap - walked, side="left"))
-            return RunOutcome(False, cost_cap, None, segments + over + 1)
-        walked = total_after
-        segments += int(block.lengths.size)
-        last = (pts[-1, 0], pts[-1, 1])
-    return RunOutcome(False, walked, None, segments)
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    """The explicit cost floors for advice size z, range D, and vision r.
-
-    ``medium_bound`` is (1/800)(D^2/(2^z r) + D), valid only while
-    r < 0.9 D (``medium_applicable``); ``small_bound`` combines the
-    (1/256)(D^2/(2^z r)) (log2 D + log2 1/r) floor with the trivial D - r.
-    """
-
-    medium_bound: float
-    medium_applicable: bool
-    small_bound: float
-    trivial_bound: float
-
-
-def medium_regime_lower_bound(z: int, D: float, r: float) -> float:
-    return MEDIUM_LB_FACTOR * (D * D / (float(1 << z) * r) + D)
-
-
-def lower_bounds(z: int, D: float, r: float) -> LowerBoundReport:
-    if not (0.0 < r < D):
-        raise PreconditionError("lower bounds need 0 < r < D")
-    if not isinstance(z, int) or z < 0:
-        raise PreconditionError("advice size must be a nonnegative integer")
-    trivial = D - r
-    small = SMALL_LB_FACTOR * (D * D / (float(1 << z) * r)) * (math.log2(D) + math.log2(1.0 / r))
-    return LowerBoundReport(
-        medium_bound=medium_regime_lower_bound(z, D, r),
-        medium_applicable=r < MEDIUM_LB_RADIUS_LIMIT * D,
-        small_bound=max(small, trivial),
-        trivial_bound=trivial,
-    )
+    walk = _walk(stream, np.array([[q.x, q.y]]), r, cost_cap)
+    point = None
+    if walk.found[0]:
+        (ax, ay), (bx, by) = walk.ends[0]
+        geo = math.hypot(bx - ax, by - ay)
+        frac = float(walk.t[0]) / geo if geo > 0.0 else 0.0
+        point = Point2(float(ax + frac * (bx - ax)), float(ay + frac * (by - ay)))
+    return RunOutcome(bool(walk.found[0]), float(walk.cost[0]), point, int(walk.segments[0]))
 
 
 def shaded_tile_candidates(D: float, r: float, start=Point2(0.0, 0.0)) -> np.ndarray:
@@ -206,91 +222,11 @@ def adversarial_placement(
         np.clip(sector, 0, (1 << z) - 1, out=sector)
 
     costs = np.full(cands.shape[0], cap)
-    found = np.zeros(cands.shape[0], dtype=bool)
-    within = np.hypot(dx, dy) <= r + DETECTION_TOL
-    costs[within] = 0.0
-    found[within] = True
-
     for j in np.unique(sector):
-        group = np.flatnonzero((sector == j) & ~found)
-        if group.size == 0:
-            continue
+        group = np.flatnonzero(sector == j)
         w = format(int(j), f"0{z}b") if z else ""
-        stream = strategy_factory(w)
-        _search_group(stream, cands, group, r, cap, costs, found)
+        walk = _walk(strategy_factory(w), cands[group], r, cap)
+        costs[group[walk.found]] = walk.cost[walk.found]
 
     best = int(np.argmax(costs))  # first max: lexicographically smallest winner
     return Point2(float(cands[best, 0]), float(cands[best, 1])), float(costs[best])
-
-
-def _search_group(stream, cands, group, r, cap, costs, found) -> None:
-    """First-detection costs for one advice group, walking the stream once."""
-    active = group.copy()
-    walked = 0.0
-    last: Optional[tuple[float, float]] = None
-    for block in stream.blocks():
-        pts = block.points
-        if last is not None and (pts[0, 0] != last[0] or pts[0, 1] != last[1]):
-            raise StreamChainError("stream blocks do not chain")
-        last = (pts[-1, 0], pts[-1, 1])
-        cs = np.cumsum(block.lengths)
-        before = np.concatenate(([0.0], cs[:-1]))
-        for lo in range(0, active.size, _CAND_SLAB):
-            slab = active[lo : lo + _CAND_SLAB]
-            if slab.size == 0:
-                continue
-            t = _detection_matrix(pts, cands[slab], r)
-            hit_any = ~np.all(np.isnan(t), axis=0)
-            if not hit_any.any():
-                continue
-            first = np.nanargmin(
-                np.where(np.isnan(t), np.inf, before[:, None] + t), axis=0
-            )
-            sel = slab[hit_any]
-            seg = first[hit_any]
-            cost = walked + before[seg] + t[seg, np.arange(t.shape[1])[hit_any]]
-            ok = cost <= cap
-            costs[sel[ok]] = cost[ok]
-            found[sel[ok]] = True
-        active = active[~found[active]]
-        walked += float(cs[-1]) if cs.size else 0.0
-        if active.size == 0 or walked > cap:
-            break
-
-
-def _detection_matrix(points: np.ndarray, targets: np.ndarray, r: float) -> np.ndarray:
-    """detection_lengths for many targets at once: (segments, targets) of t or NaN."""
-    ax = points[:-1, 0][:, None]
-    ay = points[:-1, 1][:, None]
-    bx = points[1:, 0][:, None]
-    by = points[1:, 1][:, None]
-    qx = targets[:, 0][None, :]
-    qy = targets[:, 1][None, :]
-    wx = qx - ax
-    wy = qy - ay
-    d0sq = wx * wx + wy * wy
-    reach = r + DETECTION_TOL
-    seg_len = np.hypot(bx - ax, by - ay)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ux = (bx - ax) / seg_len
-        uy = (by - ay) / seg_len
-    proj = wx * ux + wy * uy
-    out = np.full(d0sq.shape, np.nan)
-    close0 = d0sq <= reach * reach
-    out[close0] = 0.0
-    active = (~close0) & (seg_len > 0.0) & (proj > 0.0)
-    if not active.any():
-        return out
-    t_close = np.minimum(proj, seg_len)
-    cx = ax + t_close * ux - qx
-    cy = ay + t_close * uy - qy
-    active &= np.hypot(cx, cy) <= reach
-    if not active.any():
-        return out
-    c = d0sq - r * r
-    disc = proj * proj - c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = c / (proj + np.sqrt(np.maximum(disc, 0.0)))
-    hit = np.where((disc > 0.0) & (root <= seg_len), root, t_close)
-    out[active] = hit[active]
-    return out

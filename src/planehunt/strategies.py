@@ -23,10 +23,15 @@ from typing import Iterator, List, NamedTuple, Optional
 import numpy as np
 
 from .advice import AdviceString, decode_sector
+from .bounds import (
+    MEDIUM_LB_RADIUS_LIMIT,
+    branch_count,
+    medium_regime_lower_bound,
+    sweep_cost_bound,
+)
 from .errors import BudgetExceededError, PreconditionError
 from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
-    SWEEP_COST_FACTOR,
     Block,
     TrajectoryStream,
     basic_cost,
@@ -42,18 +47,9 @@ DEFAULT_SCALE_STEP = 20
 
 DEFAULT_ALPHA = 0.5
 
-# Budget granted per dot in a phase: twice the sweep cost ceiling of the
-# phase-opening cell.
-DOT_BUDGET_FACTOR = 2.0 * SWEEP_COST_FACTOR
-
 RAY_COUNT = 12
 RAY_SPACING = math.pi / 6.0
 RAY_ANGLES = tuple(i * RAY_SPACING for i in range(RAY_COUNT))
-
-# Cost of one whole round of large-vision probes at distance d is 24*d.
-LARGE_ROUND_COST = 2.0 * RAY_COUNT
-
-UNIVERSAL_OVERHEAD = 24.0
 
 
 class Dot(NamedTuple):
@@ -76,9 +72,8 @@ class FillEvent:
 
 @dataclass(frozen=True)
 class DotSchedule:
-    """Materialized prefix of the dot-filling order.
+    """Materialized prefix of the (infinite) dot-filling order.
 
-    ``truncated`` is always true (the underlying order is infinite);
     ``guard_tripped`` marks schedules cut early because the next fill's exact
     cost would have exceeded the column-count guard.
     """
@@ -89,7 +84,6 @@ class DotSchedule:
     scale_step: int
     max_phases: int
     events: tuple[FillEvent, ...]
-    truncated: bool = True
     guard_tripped: bool = False
 
     def events_in_phase(self, phase: int) -> List[FillEvent]:
@@ -97,13 +91,6 @@ class DotSchedule:
 
     def filled(self) -> List[Dot]:
         return [e.dot for e in self.events]
-
-
-def branch_count(alpha: float) -> int:
-    """ceil(1/alpha), with a tiny slack so representable fractions round true."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise PreconditionError("alpha must be a positive real")
-    return max(1, math.ceil(1.0 / alpha - 1e-9))
 
 
 def first_dot_column(c: int, s: int) -> int:
@@ -122,20 +109,11 @@ def dots_of_column(j: int, c: int, s: int) -> List[Dot]:
     rows = j * s
     if rows < c:
         raise PreconditionError(f"column {j} has {rows} rows, fewer than {c} dots")
-    x = rows // c
-    q = rows % c
-    p = c - q
-    out = []
-    for k in range(1, c + 1):
-        if k <= p:
-            row = (k - 1) * x + 1
-        else:
-            row = p * x + (k - 1 - p) * (x + 1) + 1
-        out.append(Dot(row=row, col=j, thread=k))
-    return out
+    return [Dot(row=_dot_row(j, k, c, s), col=j, thread=k) for k in range(1, c + 1)]
 
 
 def _dot_row(j: int, k: int, c: int, s: int) -> int:
+    """Lowest row of run k (1-based) when column j's j*s rows split into c runs."""
     rows = j * s
     x = rows // c
     q = rows % c
@@ -146,25 +124,23 @@ def _dot_row(j: int, k: int, c: int, s: int) -> int:
 
 
 def dot_budget(z: int, col: int, row: int, s: int) -> float:
-    d = 2.0 ** (col * s)
-    rr = 2.0**row
-    return DOT_BUDGET_FACTOR * (d * d / (float(1 << z) * rr) + d)
+    """Budget granted per dot in a phase: twice the opening cell's sweep ceiling."""
+    return 2.0 * sweep_cost_bound(z, 2.0 ** (col * s), 2.0**row)
 
 
 def _certainly_over_budget(z: int, col: int, row: int, s: int, budget: float) -> bool:
     """True when the proven cost floor alone puts a fill over the budget.
 
-    Any hunt with advice size z costs at least (1/800)(D^2/(2^z r) + D) in the
-    sub-0.9D radius range, so a fill whose floor exceeds the budget can be
+    Where the medium-regime floor applies, any hunt with advice size z costs at
+    least that floor, so a fill whose floor exceeds the budget can be
     rejected without the exact sweep cost.  This never changes a decision; it
     only avoids enumerating columns for hopeless cells far past the frontier.
     """
     d = 2.0 ** (col * s)
     rr = 2.0**row
-    if not rr < 0.9 * d:
+    if not rr < MEDIUM_LB_RADIUS_LIMIT * d:
         return False  # floor hypothesis fails; the cell is cheap to cost exactly
-    floor = (d * d / (float(1 << z) * rr) + d) / 800.0
-    return 2.0 * floor > budget
+    return 2.0 * medium_regime_lower_bound(z, d, rr) > budget
 
 
 def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[FillEvent]:
@@ -229,7 +205,6 @@ def medium_schedule(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP, max_phase
         scale_step=s,
         max_phases=max_phases,
         events=tuple(events),
-        truncated=True,
         guard_tripped=tripped,
     )
 

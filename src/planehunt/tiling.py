@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from .geom import Point2, direction_of
 
 # Hard guard: column enumerations beyond this raise instead of approximating.
 MAX_COLUMNS = 10**7
-
-# Proven ceiling on tiles touched by a wedge of angle 2*pi/2**z:
-# count <= TILE_COUNT_FACTOR * (D^2 / (2^z r^2) + D / r).
-TILE_COUNT_FACTOR = 69.0
 
 _CHUNK = 1 << 18
 
@@ -142,37 +138,33 @@ def column_heights(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi:
     return np.maximum(v, 0)
 
 
-def enumerate_columns(region: WedgeRegion, r: float) -> List[ColumnRange]:
-    """All tile columns meeting the region, contiguous from u = 0."""
-    if region.wedge_angle > math.pi / 2.0:
-        raise PreconditionError("column enumeration needs a wedge angle of at most pi/2")
-    n = column_count(region.radius, r)
+def column_height_chunks(wedge_angle: float, radius: float, r: float) -> Iterator[tuple[int, np.ndarray]]:
+    """(u_lo, column_heights) over all columns of a wedge, in chunks from u = 0.
+
+    Validates eagerly: the wedge angle must be at most pi/2 and the column
+    count within MAX_COLUMNS.
+    """
+    if wedge_angle > math.pi / 2.0:
+        raise PreconditionError("tile columns need a wedge angle of at most pi/2")
+    n = column_count(radius, r)
     if n > MAX_COLUMNS:
         raise BudgetExceededError(f"{n} columns exceed the {MAX_COLUMNS} column guard")
-    out: List[ColumnRange] = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        heights = column_heights(region.wedge_angle, region.radius, r, lo, hi)
-        out.extend(ColumnRange(lo + i, int(v)) for i, v in enumerate(heights))
-    return out
+    return (
+        (lo, column_heights(wedge_angle, radius, r, lo, min(lo + _CHUNK, n)))
+        for lo in range(0, n, _CHUNK)
+    )
+
+
+def enumerate_columns(region: WedgeRegion, r: float) -> List[ColumnRange]:
+    """All tile columns meeting the region, contiguous from u = 0."""
+    return [
+        ColumnRange(lo + i, int(v))
+        for lo, heights in column_height_chunks(region.wedge_angle, region.radius, r)
+        for i, v in enumerate(heights)
+    ]
 
 
 def count_tiles(region: WedgeRegion, r: float) -> int:
     """Number of tiles over all columns: sum of (v_max + 1)."""
-    if region.wedge_angle > math.pi / 2.0:
-        raise PreconditionError("tile counting needs a wedge angle of at most pi/2")
-    n = column_count(region.radius, r)
-    if n > MAX_COLUMNS:
-        raise BudgetExceededError(f"{n} columns exceed the {MAX_COLUMNS} column guard")
-    total = 0
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        heights = column_heights(region.wedge_angle, region.radius, r, lo, hi)
-        total += int(np.sum(heights + 1))
-    return total
-
-
-def tile_count_bound(z: int, radius: float, r: float) -> float:
-    """The proven ceiling 69*(D^2/(2^z r^2) + D/r) for a size-z sector."""
-    scale = float(1 << z)
-    return TILE_COUNT_FACTOR * (radius * radius / (scale * r * r) + radius / r)
+    chunks = column_height_chunks(region.wedge_angle, region.radius, r)
+    return sum(int(np.sum(heights + 1)) for _, heights in chunks)

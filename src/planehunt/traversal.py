@@ -22,12 +22,9 @@ import numpy as np
 
 from .advice import AdviceString, decode_sector
 from .errors import BudgetExceededError, PreconditionError
+from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as traversal.sweep_cost_bound)
 from .geom import ORIGIN, Point2, Polyline, as_point
-from .tiling import MAX_COLUMNS, TileFrame, column_count, column_heights
-
-# Proven ceiling on the one-way sweep length:
-# basic_cost(z, D, r) <= SWEEP_COST_FACTOR * (D^2 / (2^z r) + D).
-SWEEP_COST_FACTOR = 138.0
+from .tiling import TileFrame, column_count, column_height_chunks, column_heights
 
 # Columns (or spiral instructions) emitted per block.
 STREAM_CHUNK = 4096
@@ -330,19 +327,8 @@ def basic_cost(z: int, D: float, r: float) -> float:
             return total
         width = 2.0 * float(k) + 1.0
         return width * width * r
-    n = column_count(D, r)
-    if n > MAX_COLUMNS:
-        raise BudgetExceededError(f"{n} columns exceed the {MAX_COLUMNS} column guard")
-    wedge = math.tau / float(1 << z)
     total = 0.0
-    for lo in range(0, n, 1 << 18):
-        hi = min(lo + (1 << 18), n)
-        heights = column_heights(wedge, D, r, lo, hi)
+    for lo, heights in column_height_chunks(math.tau / float(1 << z), D, r):
         total = _fold(total, _sweep_lengths(heights, r, first=(lo == 0)))
     return total
 
-
-def sweep_cost_bound(z: int, D: float, r: float) -> float:
-    """The proven ceiling 138*(D^2/(2^z r) + D) on basic_cost."""
-    scale = float(1 << z) if z < 1024 else math.inf
-    return SWEEP_COST_FACTOR * (D * D / (scale * r) + D)

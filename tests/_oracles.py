@@ -2,12 +2,18 @@
 
 The tile oracle decides tile-vs-wedge intersection by exact vertex membership
 and boundary-crossing predicates (segment/segment and segment/arc), with no
-shared code or formulas with the library's analytic column heights.
+shared code or formulas with the library's analytic column heights.  The
+detection oracle solves one segment against one treasure in plain scalar
+arithmetic, the twin of the library's vectorized kernel.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
+
+from planehunt.errors import PreconditionError
+from planehunt.geom import DETECTION_TOL
 
 
 def point_in_wedge(x: float, y: float, radius: float, wedge: float) -> bool:
@@ -118,3 +124,42 @@ def oracle_columns(radius: float, tile: float, wedge: float) -> dict[int, list[i
 
 def oracle_tile_count(radius: float, tile: float, wedge: float) -> int:
     return sum(len(rows) for rows in oracle_columns(radius, tile, wedge).values())
+
+
+def earliest_detection_on_segment(a, b, q, r: float) -> Optional[float]:
+    """Smallest arc length t in [0, |ab|] whose point lies within r of q.
+
+    Closed comparison (distance <= r, absolute slack DETECTION_TOL); returns
+    None when the segment never comes within the radius.  Uses the
+    cancellation-safe quadratic root for grazing approaches.
+    """
+    if not r > 0.0:
+        raise PreconditionError("vision radius must be positive")
+    ax, ay = (float(v) for v in a)
+    bx, by = (float(v) for v in b)
+    qx, qy = (float(v) for v in q)
+    wx = qx - ax
+    wy = qy - ay
+    d0 = math.hypot(wx, wy)
+    reach = r + DETECTION_TOL
+    if d0 <= reach:
+        return 0.0
+    seg_len = math.hypot(bx - ax, by - ay)
+    if seg_len == 0.0:
+        return None
+    ux = (bx - ax) / seg_len
+    uy = (by - ay) / seg_len
+    proj = wx * ux + wy * uy
+    if proj <= 0.0:
+        return None
+    t_close = min(proj, seg_len)
+    dmin = math.hypot(ax + t_close * ux - qx, ay + t_close * uy - qy)
+    if dmin > reach:
+        return None
+    c = d0 * d0 - r * r
+    disc = proj * proj - c
+    if disc > 0.0:
+        t = c / (proj + math.sqrt(disc))
+        if t <= seg_len:
+            return t
+    return t_close

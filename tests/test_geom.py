@@ -15,11 +15,12 @@ from planehunt import (
     PreconditionError,
     ccw_angle_from_north,
     direction_of,
-    earliest_detection_on_segment,
     polyline_length,
     spiral,
 )
 from planehunt.geom import detection_lengths
+
+from _oracles import earliest_detection_on_segment
 
 TAU = math.tau
 
@@ -58,19 +59,26 @@ class TestCompassAngle:
             assert 0.0 < theta <= TAU
 
 
+def detect_one(a, b, q, r):
+    """The kernel on one segment and one target: t, or None for NaN."""
+    t = detection_lengths(np.array([a, b], dtype=float), np.array([q], dtype=float), r)
+    assert t.shape == (1, 1)
+    return None if np.isnan(t[0, 0]) else float(t[0, 0])
+
+
 class TestEarliestDetection:
     def test_crossing_segment(self):
-        assert earliest_detection_on_segment((0, 0), (10, 0), (5, 3), 3.0) == 5.0
+        assert detect_one((0, 0), (10, 0), (5, 3), 3.0) == 5.0
 
     def test_miss(self):
-        assert earliest_detection_on_segment((0, 0), (10, 0), (5, 3), 2.0) is None
+        assert detect_one((0, 0), (10, 0), (5, 3), 2.0) is None
 
     def test_start_inside(self):
-        assert earliest_detection_on_segment((0, 0), (10, 0), (0, 0), 1.0) == 0.0
+        assert detect_one((0, 0), (10, 0), (0, 0), 1.0) == 0.0
 
     def test_zero_length_segment(self):
-        assert earliest_detection_on_segment((1, 1), (1, 1), (1, 1.5), 1.0) == 0.0
-        assert earliest_detection_on_segment((1, 1), (1, 1), (9, 9), 1.0) is None
+        assert detect_one((1, 1), (1, 1), (1, 1.5), 1.0) == 0.0
+        assert detect_one((1, 1), (1, 1), (9, 9), 1.0) is None
 
     def test_radius_must_be_positive(self):
         with pytest.raises(PreconditionError):
@@ -81,7 +89,7 @@ class TestEarliestDetection:
         for _ in range(2000):
             a, b, q = rng.uniform(-10, 10, (3, 2))
             r = rng.uniform(0.05, 4.0)
-            t = earliest_detection_on_segment(a, b, q, r)
+            t = detect_one(a, b, q, r)
             if t is None:
                 continue
             seg = math.hypot(b[0] - a[0], b[1] - a[1])
@@ -111,7 +119,7 @@ class TestEarliestDetection:
 
         # spot-check the independent twin against the library on a sample
         for i in range(0, n, 4999):
-            got = earliest_detection_on_segment(a[i], b[i], q[i], r1[i])
+            got = detect_one(a[i], b[i], q[i], r1[i])
             if np.isnan(t1[i]):
                 assert got is None
             else:
@@ -122,13 +130,28 @@ class TestEarliestDetection:
         pts = rng.uniform(-8, 8, (400, 2))
         q = Point2(0.5, -0.25)
         for r in (0.1, 0.7, 2.5):
-            ts = detection_lengths(pts, q, r)
+            ts = detection_lengths(pts, np.array([[q.x, q.y]]), r)[:, 0]
             for i in range(pts.shape[0] - 1):
                 scalar = earliest_detection_on_segment(pts[i], pts[i + 1], q, r)
                 if scalar is None:
                     assert np.isnan(ts[i])
                 else:
                     assert ts[i] == pytest.approx(scalar, abs=1e-12)
+
+    def test_many_targets_match_single_target_columns(self):
+        # Broadcasting over k targets and the flat one-target path are the
+        # same arithmetic: every column agrees bit for bit, NaNs included.
+        rng = np.random.default_rng(41)
+        pts = rng.uniform(-6, 6, (300, 2))
+        targets = np.concatenate([rng.uniform(-6, 6, (40, 2)), pts[[0, 7, 150]]])
+        for r in (0.05, 0.6, 3.0):
+            many = detection_lengths(pts, targets, r)
+            assert many.shape == (299, targets.shape[0])
+            assert 0 < np.isnan(many).sum() < many.size
+            for j in range(targets.shape[0]):
+                one = detection_lengths(pts, targets[j : j + 1], r)
+                assert one.shape == (299, 1)
+                assert many[:, j].tobytes() == one[:, 0].tobytes()
 
 
 class TestPolyline:

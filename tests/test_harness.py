@@ -22,7 +22,8 @@ from planehunt import (
     write_csv,
 )
 from planehunt.cli import main
-from planehunt.harness import CSV_HEADER, SMALL_ENVELOPE_FACTOR, branch_count
+from planehunt.bounds import SMALL_ENVELOPE_FACTOR, branch_count
+from planehunt.harness import CSV_HEADER
 
 GOOD_CONFIG = """
 # three advice sizes against four ranges

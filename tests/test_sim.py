@@ -174,6 +174,19 @@ class TestCandidates:
         assert shaded_tile_candidates(1.0, 1.0).shape[0] == 0
 
 
+def _assert_worst_of_independent_runs(make, z, d, r, step):
+    """The grouped walk over all candidates equals one independent run per
+    candidate, each with its own canonical advice, exactly."""
+    cap = 1e9
+    point, cost = adversarial_placement(lambda w: make(z, w), z, d, r, step, cost_cap=cap)
+    cands = np.concatenate([shaded_tile_candidates(d, r), disc_grid_candidates(d, step)])
+    cands = np.unique(cands[np.hypot(cands[:, 0], cands[:, 1]) > 0.0], axis=0)
+    costs = [run(make(z, encode_advice((0, 0), q, z)), q, r, cap).cost for q in cands]
+    best = int(np.argmax(costs))
+    assert (point.x, point.y) == (cands[best, 0], cands[best, 1])
+    assert cost == costs[best]
+
+
 class TestAdversarialPlacement:
     def test_worst_cost_exceeds_distance_floor(self):
         factory = lambda w: large_vision()
@@ -204,12 +217,19 @@ class TestAdversarialPlacement:
         assert a == b
 
     def test_advice_grouping_matches_per_candidate_runs(self):
-        # Each candidate's recorded cost equals an independent single run
-        # with that candidate's own canonical advice.
-        z, d, r = 2, 6.0, 1.55
-        factory = lambda w: medium_vision(z, w, 0.5, 2)
-        point, cost = adversarial_placement(factory, z, d, r, 1.5)
-        w = encode_advice((0, 0), point, z)
-        solo = run(medium_vision(z, w, 0.5, 2), point, r, 1e9)
-        assert solo.found
-        assert solo.cost == pytest.approx(cost, rel=1e-9)
+        _assert_worst_of_independent_runs(lambda z, w: medium_vision(z, w, 0.5, 2), 2, 6.0, 1.55, 1.5)
+
+    def test_small_vision_grouping_matches_per_candidate_runs(self):
+        _assert_worst_of_independent_runs(lambda z, w: small_vision(z, w), 2, 4.0, 0.5, 0.5)
+
+    def test_first_block_must_start_at_the_start(self):
+        def factory(w):
+            def blocks():
+                yield Block(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0]))
+
+            return TrajectoryStream((0.0, 0.0), blocks)
+
+        with pytest.raises(StreamChainError):
+            run(factory(""), (3.0, 0.0), 1.0, 1e6)
+        with pytest.raises(StreamChainError):
+            adversarial_placement(factory, 0, 4.0, 1.0, 1.0)
