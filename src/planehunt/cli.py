@@ -152,11 +152,11 @@ def _cmd_adversary(args) -> int:
 def _cmd_render(args) -> int:
     start = as_point(args.start)
     treasure = as_point(args.treasure)
-    if start.distance_to(treasure) == 0.0:
+    d = start.distance_to(treasure)
+    if d == 0.0:
         print("error: treasure coincides with the start", file=sys.stderr)
         return 1
     w = encode_advice(start, treasure, args.z)
-    d = start.distance_to(treasure)
     D = args.disc if args.disc is not None else max(d, args.r * 1.0000001)
     stream = build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, start)
     prefix = stream.prefix(args.arc)

@@ -321,11 +321,7 @@ def render_svg(
         rr = vision_radius or 0.0
         xs.append(np.array([q.x - rr, q.x + rr]))
         ys.append(np.array([q.y - rr, q.y + rr]))
-    if sector is not None and disc_radius is not None:
-        for ang in (sector.cw_ray_angle, sector.ccw_ray_angle):
-            ux, uy = direction_of(ang)
-            xs.append(np.array([sector.apex.x, sector.apex.x + disc_radius * ux]))
-            ys.append(np.array([sector.apex.y, sector.apex.y + disc_radius * uy]))
+    if sector is not None and disc_radius is not None:  # the disc's box holds the sector's rays
         xs.append(np.array([sector.apex.x - disc_radius, sector.apex.x + disc_radius]))
         ys.append(np.array([sector.apex.y - disc_radius, sector.apex.y + disc_radius]))
     all_x = np.concatenate(xs)
@@ -349,20 +345,20 @@ def render_svg(
     ]
     if sector is not None and disc_radius is not None:
         a = sector.apex
+        rims = []  # where the cw and ccw boundary rays meet the disc
         for ang in (sector.cw_ray_angle, sector.ccw_ray_angle):
             ux, uy = direction_of(ang)
+            rims.append((a.x + disc_radius * ux, a.y + disc_radius * uy))
             parts.append(
                 f'<line x1="{a.x:.6g}" y1="{-a.y:.6g}" '
-                f'x2="{a.x + disc_radius * ux:.6g}" y2="{-(a.y + disc_radius * uy):.6g}" '
+                f'x2="{rims[-1][0]:.6g}" y2="{-rims[-1][1]:.6g}" '
                 f'stroke="#888" stroke-width="{stroke:.6g}" stroke-dasharray="{4 * stroke:.6g}"/>'
             )
-        ux0, uy0 = direction_of(sector.cw_ray_angle)
-        ux1, uy1 = direction_of(sector.ccw_ray_angle)
         large_arc = 1 if sector.wedge_angle > math.pi else 0
         parts.append(
-            f'<path d="M {pt(a.x + disc_radius * ux0, a.y + disc_radius * uy0)} '
+            f'<path d="M {pt(*rims[0])} '
             f"A {disc_radius:.6g} {disc_radius:.6g} 0 {large_arc} 1 "
-            f'{pt(a.x + disc_radius * ux1, a.y + disc_radius * uy1)}" '
+            f'{pt(*rims[1])}" '
             f'fill="none" stroke="#888" stroke-width="{stroke:.6g}"/>'
         )
         if tile_size is not None and tile_size > 0:

@@ -89,9 +89,6 @@ class DotSchedule:
     def events_in_phase(self, phase: int) -> List[FillEvent]:
         return [e for e in self.events if e.phase == phase]
 
-    def filled(self) -> List[Dot]:
-        return [e.dot for e in self.events]
-
 
 def first_dot_column(c: int, s: int) -> int:
     """Smallest column index whose length (col * s) holds c dots."""

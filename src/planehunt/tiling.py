@@ -97,10 +97,6 @@ class TileFrame:
         out[:, 1] = dx * yx + dy * yy
         return out
 
-    def tile_center(self, u: int, v: int) -> Point2:
-        world = self.to_world(np.array([[(u + 0.5) * self.tile_size, (v + 0.5) * self.tile_size]]))
-        return Point2(world[0, 0], world[0, 1])
-
 
 def _check_tile_size(radius: float, r: float) -> None:
     if not (r > 0.0 and math.isfinite(r)):

@@ -293,11 +293,9 @@ def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -
     """
     if len(w) != z:
         raise PreconditionError(f"advice string length {len(w)} does not match size {z}")
-    p = as_point(start)
-    spiral_turn_count(D, r)  # validate 0 < r <= D eagerly
     if z >= 2:
-        return basic_traversal_with_advice(w, D, r, p)
-    return TrajectoryStream(p, lambda: _spiral_blocks(D, r, p))
+        return basic_traversal_with_advice(w, D, r, start)
+    return spiral(D, r, start)
 
 
 def _fold(carry: float, lengths: np.ndarray) -> float:

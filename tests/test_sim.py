@@ -176,13 +176,17 @@ class TestCandidates:
 
 def _assert_worst_of_independent_runs(make, z, d, r, step):
     """The grouped walk over all candidates equals one independent run per
-    candidate, each with its own canonical advice, exactly."""
+    candidate, each with its own canonical advice, exactly.  The worst
+    placement must be detected below the cap, so every candidate is."""
     cap = 1e9
     point, cost = adversarial_placement(lambda w: make(z, w), z, d, r, step, cost_cap=cap)
     cands = np.concatenate([shaded_tile_candidates(d, r), disc_grid_candidates(d, step)])
     cands = np.unique(cands[np.hypot(cands[:, 0], cands[:, 1]) > 0.0], axis=0)
-    costs = [run(make(z, encode_advice((0, 0), q, z)), q, r, cap).cost for q in cands]
+    solos = [run(make(z, encode_advice((0, 0), q, z)), q, r, cap) for q in cands]
+    costs = [solo.cost for solo in solos]
     best = int(np.argmax(costs))
+    assert solos[best].found
+    assert cost < cap
     assert (point.x, point.y) == (cands[best, 0], cands[best, 1])
     assert cost == costs[best]
 
