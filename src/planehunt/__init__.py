@@ -80,9 +80,9 @@ from .traversal import (
     TrajectoryStream,
     basic_cost,
     basic_traversal,
-    basic_traversal_with_advice,
     out_and_back_blocks,
     prefix_blocks,
+    round_trip_blocks,
     spiral,
 )
 

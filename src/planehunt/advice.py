@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError, PreconditionError
 from .geom import TWO_PI, Point2, as_point, ccw_angle_from_north
 
@@ -41,6 +43,24 @@ def sector_index(p, q, z: int) -> int:
     width = TWO_PI / float(1 << z)
     j = math.ceil(theta / width) - 1
     return min(max(j, 0), (1 << z) - 1)
+
+
+def sector_indices(apex, points: np.ndarray, z: int) -> np.ndarray:
+    """``sector_index(apex, q, z)`` for every row q of the (k, 2) ``points``, none at the apex.
+
+    ``np.arctan2`` can differ from ``math.atan2`` by an ulp, which moves a point
+    on a boundary ray into the next sector, so points near a boundary take
+    ``sector_index`` itself.
+    """
+    _check_size(z)
+    a = as_point(apex)
+    theta = np.arctan2(a.x - points[:, 0], points[:, 1] - a.y) % TWO_PI
+    theta[theta == 0.0] = TWO_PI
+    t = theta / (TWO_PI / float(1 << z))
+    sector = np.ceil(t).astype(np.int64) - 1
+    for i in np.flatnonzero(np.abs(t - np.rint(t)) <= 1e-12 * np.maximum(t, 1.0)):
+        sector[i] = sector_index(a, points[i], z)
+    return np.clip(sector, 0, (1 << z) - 1)
 
 
 def encode_advice(p, q, z: int) -> AdviceString:

@@ -108,7 +108,10 @@ def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -
         )
     if strategy == "medium":
         c = branch_count(alpha)
-        return 2.0 * c * 2.0 ** (7 * s) * sweep_cost_bound(z, D, r) * D**alpha
+        try:  # ldexp scales by 2**(7 s) exactly and raises where the product would reach inf
+            return math.ldexp(2.0 * c * sweep_cost_bound(z, D, r) * D**alpha, 7 * s)
+        except OverflowError:
+            raise PreconditionError(f"the medium ceiling overflows binary64 at scale step {s}") from None
     if strategy == "large":
         return LARGE_COST_FACTOR * (D - r)
     if strategy == "universal":

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .advice import encode_advice
+from .advice import encode_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
@@ -210,17 +210,7 @@ def adversarial_placement(
         raise PreconditionError("no candidate placements (disc too small for the grid)")
     cap = cost_cap if cost_cap is not None else DEFAULT_CAP_MULTIPLIER * 2.0 * sweep_cost_bound(z, D, r)
 
-    dx = cands[:, 0] - start.x
-    dy = cands[:, 1] - start.y
-    theta = np.arctan2(-dx, dy) % math.tau
-    theta[theta == 0.0] = math.tau
-    if z == 0:
-        sector = np.zeros(cands.shape[0], dtype=np.int64)
-    else:
-        width = math.tau / float(1 << z)
-        sector = np.ceil(theta / width).astype(np.int64) - 1
-        np.clip(sector, 0, (1 << z) - 1, out=sector)
-
+    sector = sector_indices(start, cands, z)
     costs = np.full(cands.shape[0], cap)
     for j in np.unique(sector):
         group = np.flatnonzero(sector == j)

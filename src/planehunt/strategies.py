@@ -36,7 +36,7 @@ from .traversal import (
     TrajectoryStream,
     basic_cost,
     out_and_back_blocks,
-    traversal_blocks,
+    round_trip_blocks,
 )
 
 # Column scale exponent: successive range hypotheses in the medium-vision
@@ -238,27 +238,6 @@ def _check_advice(z: int, w: AdviceString) -> None:
         raise PreconditionError(f"advice string length {len(w)} does not match size {z}")
 
 
-def _diagonal_cells(i: int) -> List[tuple[int, int]]:
-    """Cells of the i-th diagonal: rows i down to 1, even columns 2 up to 2i."""
-    return [(i - t, 2 + 2 * t) for t in range(i)]
-
-
-def _hypothesis_sweep_blocks(z: int, w: AdviceString, start: Point2) -> Iterator[Block]:
-    """The infinite diagonal concatenation of out-and-back basic traversals.
-
-    Cell (row, col) runs the basic traversal for range 2**row at resolution
-    2**-col and retraces it, so every prefix returns to the start.
-    """
-    i = 1
-    while True:
-        for row, col in _diagonal_cells(i):
-            d = 2.0**row
-            res = 2.0**-col
-            yield from traversal_blocks(z, w, d, res, start, reverse=False)
-            yield from traversal_blocks(z, w, d, res, start, reverse=True)
-        i += 1
-
-
 def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
     """An endless straight probe along one compass ray, in doubling pieces."""
     ux, uy = direction_of(angle)
@@ -284,10 +263,24 @@ def _phase_blocks(component_factories, start: Point2) -> Iterator[Block]:
 
 
 def hypothesis_sweep(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
-    """The bare diagonal hypothesis sweep (the small-vision workhorse)."""
+    """The bare diagonal hypothesis sweep (the small-vision workhorse).
+
+    An infinite concatenation of out-and-back basic traversals: cell (row, col)
+    runs the basic traversal for range 2**row at resolution 2**-col and
+    retraces it, so every prefix returns to the start.  Diagonal i holds rows
+    i down to 1 with even columns 2 up to 2i.
+    """
     _check_advice(z, w)
     p = as_point(start)
-    return TrajectoryStream(p, lambda: _hypothesis_sweep_blocks(z, w, p))
+
+    def gen() -> Iterator[Block]:
+        i = 1
+        while True:
+            for t in range(i):
+                yield from round_trip_blocks(z, w, 2.0 ** (i - t), 2.0 ** -(2 + 2 * t), p)
+            i += 1
+
+    return TrajectoryStream(p, gen)
 
 
 def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
@@ -301,7 +294,7 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     _check_advice(z, w)
     p = as_point(start)
     if z <= 1:
-        return TrajectoryStream(p, lambda: _hypothesis_sweep_blocks(z, w, p))
+        return hypothesis_sweep(z, w, p)
     sector = decode_sector(w, p)
     components = (
         lambda: hypothesis_sweep(z, w, p),
@@ -321,10 +314,7 @@ def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int 
 
     def gen() -> Iterator[Block]:
         for ev in fill_events(z, alpha, s):
-            d = 2.0 ** (ev.dot.col * s)
-            res = 2.0**ev.dot.row
-            yield from traversal_blocks(z, w, d, res, p, reverse=False)
-            yield from traversal_blocks(z, w, d, res, p, reverse=True)
+            yield from round_trip_blocks(z, w, 2.0 ** (ev.dot.col * s), 2.0**ev.dot.row, p)
 
     return TrajectoryStream(p, gen)
 

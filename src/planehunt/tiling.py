@@ -98,15 +98,12 @@ class TileFrame:
         return out
 
 
-def _check_tile_size(radius: float, r: float) -> None:
-    if not (r > 0.0 and math.isfinite(r)):
-        raise PreconditionError("tile size must be positive and finite")
+def column_count(radius: float, r: float) -> int:
+    """ceil(radius / r): tile columns of a wedge, or spiral turns of a disc."""
+    if not (r > 0.0 and math.isfinite(r) and math.isfinite(radius)):
+        raise PreconditionError("tile size and radius must be positive and finite")
     if r > radius:
         raise PreconditionError(f"tile size {r} exceeds region radius {radius}")
-
-
-def column_count(radius: float, r: float) -> int:
-    _check_tile_size(radius, r)
     return math.ceil(radius / r)
 
 

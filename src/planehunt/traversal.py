@@ -143,20 +143,13 @@ def out_and_back_blocks(stream: TrajectoryStream, arc: float) -> Iterator[Block]
 # E, S, W, N.  For k = ceil(D/r) the spiral runs 4k+1 instructions, ending
 # with the long eastward move of length (2k+1) * r; its total length is
 # (2k+1)^2 * r and it passes within r of every point of the square of side
-# 2kr centered on the start.
+# 2kr centered on the start.  Below, instructions are counted from 0, so
+# instruction i is move n = i + 1.
 
 
-def spiral_turn_count(D: float, r: float) -> int:
-    if not (r > 0.0 and math.isfinite(r) and math.isfinite(D)):
-        raise PreconditionError("spiral needs finite positive radius and range")
-    if r > D:
-        raise PreconditionError(f"tile size {r} exceeds range {D}")
-    return math.ceil(D / r)
-
-
-def _spiral_lengths(n_lo: int, n_hi: int, r: float) -> np.ndarray:
-    n = np.arange(n_lo, n_hi, dtype=np.int64)
-    return ((n + 1) // 2).astype(np.float64) * r
+def _spiral_lengths(lo: int, hi: int, r: float) -> np.ndarray:
+    i = np.arange(lo, hi, dtype=np.int64)
+    return ((i + 2) // 2).astype(np.float64) * r
 
 
 def _spiral_offset(m: int, r: float) -> tuple[float, float]:
@@ -170,10 +163,10 @@ def _spiral_offset(m: int, r: float) -> tuple[float, float]:
     return x, y
 
 
-def _spiral_chunk(start: Point2, r: float, n_lo: int, n_hi: int) -> Block:
-    ox, oy = _spiral_offset(n_lo - 1, r)
-    lengths = _spiral_lengths(n_lo, n_hi, r)
-    idx = (np.arange(n_lo, n_hi, dtype=np.int64) - 1) % 4
+def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> Block:
+    ox, oy = _spiral_offset(lo, r)
+    lengths = _spiral_lengths(lo, hi, r)
+    idx = np.arange(lo, hi, dtype=np.int64) % 4
     dx = _DIR_X[idx] * lengths
     dy = _DIR_Y[idx] * lengths
     m = lengths.size
@@ -183,28 +176,6 @@ def _spiral_chunk(start: Point2, r: float, n_lo: int, n_hi: int) -> Block:
     pts[1:, 0] = (start.x + ox) + np.cumsum(dx)
     pts[1:, 1] = (start.y + oy) + np.cumsum(dy)
     return Block(pts, lengths)
-
-
-def _spiral_blocks(D: float, r: float, start: Point2, reverse: bool = False) -> Iterator[Block]:
-    k = spiral_turn_count(D, r)
-    last = 4 * k + 1
-    if reverse:
-        hi = last
-        while hi >= 1:
-            lo = max(hi - STREAM_CHUNK + 1, 1)
-            yield flip_block(_spiral_chunk(start, r, lo, hi + 1))
-            hi = lo - 1
-    else:
-        for lo in range(1, last + 1, STREAM_CHUNK):
-            hi = min(lo + STREAM_CHUNK - 1, last)
-            yield _spiral_chunk(start, r, lo, hi + 1)
-
-
-def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
-    """The square spiral of pitch r covering the disc of radius D around start."""
-    p = as_point(start)
-    spiral_turn_count(D, r)  # validate eagerly
-    return TrajectoryStream(p, lambda: _spiral_blocks(D, r, p))
 
 
 # ---------------------------------------------------------------------------
@@ -248,54 +219,54 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
     return Block(pts, _sweep_lengths(heights, r, first=(u_lo == 0)))
 
 
-def _sweep_blocks(sector, D: float, r: float, reverse: bool = False) -> Iterator[Block]:
-    frame = TileFrame(sector.apex, sector.cw_ray_angle, r)
-    wedge = sector.wedge_angle
-    n = column_count(D, r)
+# ---------------------------------------------------------------------------
+# The basic traversal: one stream, or one round trip
+# ---------------------------------------------------------------------------
+
+
+def _chunked(n: int, chunk: Callable[[int, int], Block], reverse: bool) -> Iterator[Block]:
+    """``chunk(lo, hi)`` over [0, n) in STREAM_CHUNK pieces from 0, or flipped from n back."""
     if reverse:
         for hi in range(n, 0, -STREAM_CHUNK):
-            lo = max(hi - STREAM_CHUNK, 0)
-            yield flip_block(_sweep_chunk(frame, wedge, D, r, lo, hi))
+            yield flip_block(chunk(max(hi - STREAM_CHUNK, 0), hi))
     else:
         for lo in range(0, n, STREAM_CHUNK):
-            hi = min(lo + STREAM_CHUNK, n)
-            yield _sweep_chunk(frame, wedge, D, r, lo, hi)
+            yield chunk(lo, min(lo + STREAM_CHUNK, n))
 
 
-def basic_traversal_with_advice(w: AdviceString, D: float, r: float, start=ORIGIN) -> TrajectoryStream:
-    """Column sweep of the advice sector truncated to radius D, one-way.
-
-    Needs at least 2 advice bits; shorter advice cannot aim a sector and the
-    caller must take the spiral branch instead.
-    """
-    if len(w) < 2:
-        raise PreconditionError("sector sweep needs an advice string of at least 2 bits")
+def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], Block]]:
+    """Piece count and piece maker: spiral instructions when z <= 1, sweep columns otherwise."""
+    if len(w) != z:
+        raise PreconditionError(f"advice string length {len(w)} does not match size {z}")
+    k = column_count(D, r)
     p = as_point(start)
+    if z <= 1:
+        return 4 * k + 1, lambda lo, hi: _spiral_chunk(p, r, lo, hi)
     sector = decode_sector(w, p)
-    spiral_turn_count(D, r)  # shared D/r validation
-    return TrajectoryStream(p, lambda: _sweep_blocks(sector, D, r))
-
-
-def traversal_blocks(z: int, w: AdviceString, D: float, r: float, start, reverse: bool = False) -> Iterator[Block]:
-    """Forward or exactly-reversed blocks of the size-z basic traversal."""
-    p = as_point(start)
-    if z >= 2:
-        sector = decode_sector(w, p)
-        return _sweep_blocks(sector, D, r, reverse=reverse)
-    return _spiral_blocks(D, r, p, reverse=reverse)
+    frame = TileFrame(sector.apex, sector.cw_ray_angle, r)
+    return k, lambda lo, hi: _sweep_chunk(frame, sector.wedge_angle, D, r, lo, hi)
 
 
 def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -> TrajectoryStream:
     """Aim with the advice sector when z >= 2, otherwise spiral outwards.
 
-    One-way: the stream ends wherever the sweep ends; callers needing a round
-    trip concatenate the exactly-reversed blocks.
+    One-way: the stream ends wherever the sweep ends; ``round_trip_blocks``
+    walks it out and back.
     """
-    if len(w) != z:
-        raise PreconditionError(f"advice string length {len(w)} does not match size {z}")
-    if z >= 2:
-        return basic_traversal_with_advice(w, D, r, start)
-    return spiral(D, r, start)
+    n, chunk = _traversal(z, w, D, r, start)
+    return TrajectoryStream(start, lambda: _chunked(n, chunk, False))
+
+
+def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
+    """The square spiral of pitch r covering the disc of radius D around start."""
+    return basic_traversal(0, "", D, r, start)
+
+
+def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Iterator[Block]:
+    """The size-z basic traversal out, then the same pieces regenerated, flipped and walked back."""
+    n, chunk = _traversal(z, w, D, r, start)
+    yield from _chunked(n, chunk, False)
+    yield from _chunked(n, chunk, True)
 
 
 def _fold(carry: float, lengths: np.ndarray) -> float:
@@ -315,13 +286,12 @@ def basic_cost(z: int, D: float, r: float) -> float:
     if not isinstance(z, int) or z < 0:
         raise PreconditionError("advice size must be a nonnegative integer")
     if z <= 1:
-        k = spiral_turn_count(D, r)
-        if 4 * k + 1 <= SPIRAL_EXACT_SEGMENT_LIMIT:
+        k = column_count(D, r)
+        n = 4 * k + 1
+        if n <= SPIRAL_EXACT_SEGMENT_LIMIT:
             total = 0.0
-            last = 4 * k + 1
-            for lo in range(1, last + 1, 1 << 20):
-                hi = min(lo + (1 << 20) - 1, last)
-                total = _fold(total, _spiral_lengths(lo, hi + 1, r))
+            for lo in range(0, n, 1 << 20):
+                total = _fold(total, _spiral_lengths(lo, min(lo + (1 << 20), n), r))
             return total
         width = 2.0 * float(k) + 1.0
         return width * width * r

@@ -14,6 +14,7 @@ from planehunt import (
     encode_advice,
     sector_index,
 )
+from planehunt.advice import sector_indices
 from planehunt.geom import direction_of
 
 TAU = math.tau
@@ -161,3 +162,16 @@ class TestPartition:
                 if boundary != int(boundary):
                     continue
                 assert sector_index((0, 0), q, z) == int(boundary) - 1, (z, q)
+
+    def test_vector_rule_matches_scalar_rule(self):
+        # Every boundary ray, due North, and random points, around two apexes.
+        rng = np.random.default_rng(37)
+        for apex in ((0.0, 0.0), (1.5, -2.0)):
+            for z in range(0, 9):
+                width = TAU / (1 << z)
+                pts = [point_at(j * width, dist, apex) for j in range(1 << z) for dist in (0.5, 3.0, 70.0)]
+                pts.append((apex[0], apex[1] + 9.0))
+                pts.extend(map(tuple, np.asarray(apex) + rng.normal(size=(200, 2)) * 10))
+                got = sector_indices(apex, np.array(pts), z)
+                want = [sector_index(apex, q, z) for q in pts]
+                assert got.tolist() == want, z

@@ -156,6 +156,14 @@ class TestBounds:
             SMALL_ENVELOPE_FACTOR * (8 + (64 / 0.5) * (3 + 1 + 2))
         )
 
+    def test_medium_ceiling_overflow_is_a_precondition_error(self):
+        # 2**(7 s) leaves binary64 once 7 s >= 1024; at s = 146 the product rounds to inf.
+        for s in (146, 200):
+            with pytest.raises(PreconditionError):
+                bound_for("medium", 2, 5.0, 1.5, 0.5, s)
+        with pytest.raises(PreconditionError):
+            bound_for("universal", 2, 5.0, 1.5, 0.5, 200)
+
 
 class TestSvg:
     def test_contains_scene_elements(self, tmp_path):
@@ -224,6 +232,12 @@ class TestCli:
         assert code == 0
         cost = float(next(l for l in out.splitlines() if l.startswith("cost ")).split()[1])
         assert cost <= 116 * 0.5
+
+    def test_simulate_medium_ceiling_overflow_exits_one(self, capsys):
+        code = main(["simulate", "--strategy", "medium", "--z", "2", "--treasure", "3,4", "--r", "1.5",
+                     "--s", "200"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_strategy_exits_one(self):
         assert main(["simulate", "--strategy", "zigzag", "--z", "0", "--treasure", "1,1", "--r", "1"]) == 1

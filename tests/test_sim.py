@@ -76,6 +76,12 @@ class TestRun:
         with pytest.raises(PreconditionError):
             run(spiral(2.0, 1.0), (1, 1), 0.5, 0.0)
 
+    @pytest.mark.xfail(raises=StreamChainError, strict=True,
+                       reason="spiral pieces restart at the closed-form offset, not where the "
+                       "previous piece's running sum ended (non-dyadic r)")
+    def test_long_non_dyadic_spiral_chains(self):
+        assert run(spiral(1000.0, 0.1), (999.0, 0.5), 0.1, 1e12).found
+
     def test_large_vision_due_north(self):
         out = run(large_vision(), (0.0, 10.0), 9.5, 1e6)
         assert out.found
