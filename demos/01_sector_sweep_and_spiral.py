@@ -28,12 +28,11 @@ sector = ph.decode_sector(w, start)
 print(f"advice for treasure {treasure}: {w!r} -> sector {sector.index} of {1 << z}")
 print(f"sector rays at {sector.cw_ray_angle:.4f} and {sector.ccw_ray_angle:.4f} rad ccw from North")
 
-region = ph.region_of_sector(sector, reach)
-columns = ph.enumerate_columns(region, vision)
+heights = ph.tiling.column_heights(sector.wedge_angle, reach, vision, 0, ph.column_count(reach, vision))
 print(f"tile columns over the truncated sector (tile size {vision}):")
-for col in columns:
-    print(f"  column {col.u}: rows 0..{col.v_max}")
-print(f"tile count {ph.count_tiles(region, vision)}  (ceiling {ph.tile_count_bound(z, reach, vision):.1f})")
+for u, v_max in enumerate(heights):
+    print(f"  column {u}: rows 0..{v_max}")
+print(f"tile count {ph.count_tiles(z, reach, vision)}  (ceiling {ph.tile_count_bound(z, reach, vision):.1f})")
 
 sweep = ph.basic_traversal(z, w, reach, vision, start)
 poly = sweep.materialize()

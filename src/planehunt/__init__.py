@@ -35,7 +35,6 @@ from .geom import (
     Length,
     ccw_angle_from_north,
     direction_of,
-    polyline_length,
 )
 from .harness import (
     ExperimentConfig,
@@ -66,15 +65,7 @@ from .strategies import (
     special_dot,
     universal,
 )
-from .tiling import (
-    ColumnRange,
-    TileFrame,
-    WedgeRegion,
-    column_count,
-    count_tiles,
-    enumerate_columns,
-    region_of_sector,
-)
+from .tiling import TileFrame, column_count, count_tiles
 from .traversal import (
     Block,
     TrajectoryStream,

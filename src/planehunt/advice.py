@@ -26,17 +26,22 @@ MAX_ADVICE_SIZE = 60
 AdviceString = str
 
 
-def _check_size(z: int) -> int:
-    if not isinstance(z, int) or isinstance(z, bool):
-        raise PreconditionError("advice size must be an integer")
-    if z < 0 or z > MAX_ADVICE_SIZE:
-        raise PreconditionError(f"advice size must be in [0, {MAX_ADVICE_SIZE}], got {z}")
+_SIZE_ONLY = object()
+
+
+def check_advice(z: int, w=_SIZE_ONLY) -> int:
+    """The advice rule: z is an int (not a bool) in [0, MAX_ADVICE_SIZE], and w,
+    when given, a str of exactly z '0'/'1' symbols.  Returns z."""
+    if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z <= MAX_ADVICE_SIZE:
+        raise PreconditionError(f"advice size must be an integer in [0, {MAX_ADVICE_SIZE}], got {z!r}")
+    if w is not _SIZE_ONLY and not (isinstance(w, str) and len(w) == z and not w.strip("01")):
+        raise PreconditionError(f"advice must be a string of {z} symbols 0/1, got {w!r}")
     return z
 
 
 def sector_index(p, q, z: int) -> int:
     """Index of the sector with apex p containing q, for advice size z."""
-    _check_size(z)
+    check_advice(z)
     theta = ccw_angle_from_north(p, q)  # raises for coincident points
     if z == 0:
         return 0
@@ -52,7 +57,7 @@ def sector_indices(apex, points: np.ndarray, z: int) -> np.ndarray:
     on a boundary ray into the next sector, so points near a boundary take
     ``sector_index`` itself.
     """
-    _check_size(z)
+    check_advice(z)
     a = as_point(apex)
     theta = np.arctan2(a.x - points[:, 0], points[:, 1] - a.y) % TWO_PI
     theta[theta == 0.0] = TWO_PI
@@ -69,7 +74,7 @@ def encode_advice(p, q, z: int) -> AdviceString:
     z = 0 encodes as the empty string.  Raises DegenerateInputError when p == q
     (the hunt costs nothing there; callers should short-circuit).
     """
-    _check_size(z)
+    check_advice(z)
     pp = as_point(p)
     qq = as_point(q)
     if pp.x == qq.x and pp.y == qq.y:
@@ -107,9 +112,7 @@ class SectorSpec:
 
 def decode_sector(w: AdviceString, apex) -> SectorSpec:
     """Rebuild the sector a bit string denotes, anchored at ``apex``."""
-    if not isinstance(w, str) or any(ch not in "01" for ch in w):
-        raise PreconditionError(f"advice must be a string of 0/1 symbols, got {w!r}")
-    z = _check_size(len(w))
+    z = check_advice(len(w) if isinstance(w, str) else 0, w)
     j = int(w, 2) if w else 0
     width = TWO_PI / float(1 << z)
     return SectorSpec(

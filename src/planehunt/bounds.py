@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .advice import check_advice
 from .errors import PreconditionError
 
 # Tiles met by a wedge of angle 2*pi/2**z: <= 69 * (D^2/(2^z r^2) + D/r).
@@ -39,14 +40,13 @@ UNIVERSAL_FACTOR = 24.0
 
 def tile_count_bound(z: int, radius: float, r: float) -> float:
     """The proven ceiling 69*(D^2/(2^z r^2) + D/r) for a size-z sector."""
-    scale = float(1 << z)
+    scale = float(1 << check_advice(z))
     return TILE_COUNT_FACTOR * (radius * radius / (scale * r * r) + radius / r)
 
 
 def sweep_cost_bound(z: int, D: float, r: float) -> float:
     """The proven ceiling 138*(D^2/(2^z r) + D) on basic_cost."""
-    scale = float(1 << z) if z < 1024 else math.inf
-    return SWEEP_COST_FACTOR * (D * D / (scale * r) + D)
+    return SWEEP_COST_FACTOR * (D * D / (float(1 << check_advice(z)) * r) + D)
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,13 @@ class LowerBoundReport:
 
 
 def medium_regime_lower_bound(z: int, D: float, r: float) -> float:
-    return MEDIUM_LB_FACTOR * (D * D / (float(1 << z) * r) + D)
+    return MEDIUM_LB_FACTOR * (D * D / (float(1 << check_advice(z)) * r) + D)
 
 
 def lower_bounds(z: int, D: float, r: float) -> LowerBoundReport:
     if not (0.0 < r < D):
         raise PreconditionError("lower bounds need 0 < r < D")
-    if not isinstance(z, int) or z < 0:
-        raise PreconditionError("advice size must be a nonnegative integer")
+    check_advice(z)
     trivial = D - r
     small = SMALL_LB_FACTOR * (D * D / (float(1 << z) * r)) * (math.log2(D) + math.log2(1.0 / r))
     return LowerBoundReport(
@@ -100,6 +99,7 @@ def branch_count(alpha: float) -> int:
 
 def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -> float:
     """The documented cost ceiling the sweep's ratio column is measured against."""
+    check_advice(z)
     if strategy == "basic":
         return sweep_cost_bound(z, D, r)
     if strategy == "small":

@@ -128,11 +128,6 @@ class Polyline:
         return int(self.seg_lengths.size)
 
 
-def polyline_length(p: Polyline) -> Length:
-    """Total arc length of a polyline (the cached cumulative total)."""
-    return p.length
-
-
 def detection_lengths(points: np.ndarray, targets: np.ndarray, r: float) -> np.ndarray:
     """Earliest arc length at which each segment of a chain sees each target.
 

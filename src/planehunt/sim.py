@@ -65,11 +65,14 @@ class _Walk(NamedTuple):
 def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -> _Walk:
     """First detection of each of the (k, 2) ``targets`` along one walk of ``stream``.
 
+    The cap must be positive and finite: infinite streams would never stop.
     Every block must start where the walk stands.  The walk stops in the
     block that detects the last target, at the first block ending past the
     cap, or when the stream runs out.  Within a block a target's first
     detecting segment counts; a detection past the cap does not.
     """
+    if not (0.0 < cap < math.inf):
+        raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
     k = targets.shape[0]
     start = stream.start
     cost = np.zeros(k)
@@ -134,8 +137,6 @@ def run(stream: TrajectoryStream, treasure, r: float, cost_cap: float) -> RunOut
     """Walk the stream until first detection, cap hit, or exhaustion."""
     if not (r > 0.0 and math.isfinite(r)):
         raise PreconditionError("vision radius must be positive and finite")
-    if not (cost_cap > 0.0):
-        raise PreconditionError("cost cap must be positive (streams may be infinite)")
     q = as_point(treasure)
     walk = _walk(stream, np.array([[q.x, q.y]]), r, cost_cap)
     point = None

@@ -22,7 +22,7 @@ from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
-from .advice import AdviceString, decode_sector
+from .advice import AdviceString, check_advice, decode_sector
 from .bounds import (
     MEDIUM_LB_RADIUS_LIMIT,
     branch_count,
@@ -78,11 +78,6 @@ class DotSchedule:
     cost would have exceeded the column-count guard.
     """
 
-    advice_size: int
-    alpha: float
-    branch_count: int
-    scale_step: int
-    max_phases: int
     events: tuple[FillEvent, ...]
     guard_tripped: bool = False
 
@@ -195,15 +190,7 @@ def medium_schedule(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP, max_phase
             events.append(ev)
     except BudgetExceededError:
         tripped = True
-    return DotSchedule(
-        advice_size=z,
-        alpha=alpha,
-        branch_count=branch_count(alpha),
-        scale_step=s,
-        max_phases=max_phases,
-        events=tuple(events),
-        guard_tripped=tripped,
-    )
+    return DotSchedule(tuple(events), tripped)
 
 
 def special_dot(D: float, r: float, c: int, s: int) -> Dot:
@@ -231,13 +218,6 @@ def special_dot(D: float, r: float, c: int, s: int) -> Dot:
 # ---------------------------------------------------------------------------
 
 
-def _check_advice(z: int, w: AdviceString) -> None:
-    if not isinstance(z, int) or z < 0:
-        raise PreconditionError("advice size must be a nonnegative integer")
-    if len(w) != z:
-        raise PreconditionError(f"advice string length {len(w)} does not match size {z}")
-
-
 def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
     """An endless straight probe along one compass ray, in doubling pieces."""
     ux, uy = direction_of(angle)
@@ -252,7 +232,7 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
         step *= 2.0
 
 
-def _phase_blocks(component_factories, start: Point2) -> Iterator[Block]:
+def _phase_blocks(component_factories) -> Iterator[Block]:
     """Round-robin the components out-and-back at doubling trip lengths."""
     p = 1
     while True:
@@ -270,7 +250,7 @@ def hypothesis_sweep(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     retraces it, so every prefix returns to the start.  Diagonal i holds rows
     i down to 1 with even columns 2 up to 2i.
     """
-    _check_advice(z, w)
+    check_advice(z, w)
     p = as_point(start)
 
     def gen() -> Iterator[Block]:
@@ -291,7 +271,7 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     boundary ray, backtracking after each; otherwise it follows the sweep
     alone.
     """
-    _check_advice(z, w)
+    check_advice(z, w)
     p = as_point(start)
     if z <= 1:
         return hypothesis_sweep(z, w, p)
@@ -300,7 +280,7 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
         lambda: hypothesis_sweep(z, w, p),
         lambda: TrajectoryStream(p, lambda: _ray_blocks(p, sector.cw_ray_angle)),
     )
-    return TrajectoryStream(p, lambda: _phase_blocks(components, p))
+    return TrajectoryStream(p, lambda: _phase_blocks(components))
 
 
 def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DEFAULT_SCALE_STEP, start=ORIGIN) -> TrajectoryStream:
@@ -309,7 +289,7 @@ def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int 
     Emits, in fill order, the basic traversal of each filled dot followed by
     its exact reverse; each fill contributes exactly twice its one-way cost.
     """
-    _check_advice(z, w)
+    check_advice(z, w)
     p = as_point(start)
 
     def gen() -> Iterator[Block]:
@@ -350,14 +330,14 @@ def universal(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DE
     beginning), costing exactly 6 * 2**p; a treasure any single component
     would find at cost x is found at cost at most 24 x.
     """
-    _check_advice(z, w)
+    check_advice(z, w)
     p = as_point(start)
     components = (
         lambda: small_vision(z, w, p),
         lambda: medium_vision(z, w, alpha, s, p),
         lambda: large_vision(p),
     )
-    return TrajectoryStream(p, lambda: _phase_blocks(components, p))
+    return TrajectoryStream(p, lambda: _phase_blocks(components))
 
 
 def multi_agent_stream(k: int, label: int, alpha: float = DEFAULT_ALPHA, s: int = DEFAULT_SCALE_STEP, start=ORIGIN) -> Optional[TrajectoryStream]:

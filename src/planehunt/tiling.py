@@ -1,64 +1,35 @@
 """Sector-aligned square tilings and the tile columns a sweep must visit.
 
-A wedge region is the intersection of an advice sector with the disc of a
-given radius around the apex.  In the frame whose +x axis is the clockwise
-boundary ray, the region is {(x, y): x >= 0, 0 <= y, y <= x*tan(phi) when
-phi < pi/2, x^2 + y^2 <= radius^2}.  Tiles are squares of the vision-radius
-size anchored at the apex and aligned to that ray.  Column u covers the strip
+In the frame whose +x axis is the clockwise boundary ray, the size-z advice
+sector truncated to the disc of radius D around the apex is the set {(x, y):
+x >= 0, 0 <= y, y <= x*tan(phi) when phi < pi/2, x^2 + y^2 <= D^2}, with
+wedge angle phi = 2*pi/2**z.  Tiles are squares of the vision-radius size
+anchored at the apex and aligned to that ray.  Column u covers the strip
 [u*r, (u+1)*r]; its height v_max is the highest tile row that overlaps the
 region in more than a boundary graze (v*r strictly below the strip's maximum
 region height), which keeps every region point covered while excluding
-zero-area corner touches.
+zero-area corner touches.  ``column_heights`` is the one source of columns;
+``sector_columns`` is the guarded walk over all of them that both
+``count_tiles`` and ``traversal.basic_cost`` fold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .advice import SectorSpec
+from .advice import check_advice
 from .errors import BudgetExceededError, PreconditionError
 from .geom import Point2, direction_of
 
 # Hard guard: column enumerations beyond this raise instead of approximating.
 MAX_COLUMNS = 10**7
 
-_CHUNK = 1 << 18
-
-
-class ColumnRange(NamedTuple):
-    """One tile column: index u along the clockwise ray, highest row v_max."""
-
-    u: int
-    v_max: int
-
-
-@dataclass(frozen=True)
-class WedgeRegion:
-    """Advice sector truncated to the disc of the given radius."""
-
-    apex: Point2
-    cw_ray_angle: float
-    wedge_angle: float
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.wedge_angle <= math.tau):
-            raise PreconditionError("wedge angle must lie in (0, 2*pi]")
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise PreconditionError("wedge radius must be positive and finite")
-
-
-def region_of_sector(sector: SectorSpec, radius: float) -> WedgeRegion:
-    return WedgeRegion(
-        apex=sector.apex,
-        cw_ray_angle=sector.cw_ray_angle,
-        wedge_angle=sector.wedge_angle,
-        radius=float(radius),
-    )
+# Columns (or spiral instructions) per piece, in every walk over them and every stream block.
+STREAM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -131,33 +102,21 @@ def column_heights(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi:
     return np.maximum(v, 0)
 
 
-def column_height_chunks(wedge_angle: float, radius: float, r: float) -> Iterator[tuple[int, np.ndarray]]:
-    """(u_lo, column_heights) over all columns of a wedge, in chunks from u = 0.
+def sector_columns(z: int, D: float, r: float) -> Iterator[np.ndarray]:
+    """``column_heights`` of every column of the size-z sector, in STREAM_CHUNK pieces from u = 0.
 
-    Validates eagerly: the wedge angle must be at most pi/2 and the column
-    count within MAX_COLUMNS.
+    Validates eagerly: z >= 2 (a wedge of at most pi/2) and a column count
+    within MAX_COLUMNS.
     """
-    if wedge_angle > math.pi / 2.0:
+    if check_advice(z) <= 1:
         raise PreconditionError("tile columns need a wedge angle of at most pi/2")
-    n = column_count(radius, r)
+    n = column_count(D, r)
     if n > MAX_COLUMNS:
         raise BudgetExceededError(f"{n} columns exceed the {MAX_COLUMNS} column guard")
-    return (
-        (lo, column_heights(wedge_angle, radius, r, lo, min(lo + _CHUNK, n)))
-        for lo in range(0, n, _CHUNK)
-    )
+    wedge = math.tau / float(1 << z)
+    return (column_heights(wedge, D, r, lo, min(lo + STREAM_CHUNK, n)) for lo in range(0, n, STREAM_CHUNK))
 
 
-def enumerate_columns(region: WedgeRegion, r: float) -> List[ColumnRange]:
-    """All tile columns meeting the region, contiguous from u = 0."""
-    return [
-        ColumnRange(lo + i, int(v))
-        for lo, heights in column_height_chunks(region.wedge_angle, region.radius, r)
-        for i, v in enumerate(heights)
-    ]
-
-
-def count_tiles(region: WedgeRegion, r: float) -> int:
-    """Number of tiles over all columns: sum of (v_max + 1)."""
-    chunks = column_height_chunks(region.wedge_angle, region.radius, r)
-    return sum(int(np.sum(heights + 1)) for _, heights in chunks)
+def count_tiles(z: int, D: float, r: float) -> int:
+    """Number of tiles the size-z sector truncated at D meets: the sum of (v_max + 1)."""
+    return sum(int(np.sum(heights + 1)) for heights in sector_columns(z, D, r))

@@ -20,14 +20,11 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple
 
 import numpy as np
 
-from .advice import AdviceString, decode_sector
+from .advice import AdviceString, check_advice, decode_sector
 from .errors import BudgetExceededError, PreconditionError
 from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as traversal.sweep_cost_bound)
 from .geom import ORIGIN, Point2, Polyline, as_point
-from .tiling import TileFrame, column_count, column_height_chunks, column_heights
-
-# Columns (or spiral instructions) emitted per block.
-STREAM_CHUNK = 4096
+from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
 
 # Spiral costs fold the exact instruction lengths while the instruction count
 # stays materializable; beyond that the closed form (2k+1)^2 * r is used.
@@ -236,8 +233,7 @@ def _chunked(n: int, chunk: Callable[[int, int], Block], reverse: bool) -> Itera
 
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], Block]]:
     """Piece count and piece maker: spiral instructions when z <= 1, sweep columns otherwise."""
-    if len(w) != z:
-        raise PreconditionError(f"advice string length {len(w)} does not match size {z}")
+    check_advice(z, w)
     k = column_count(D, r)
     p = as_point(start)
     if z <= 1:
@@ -269,34 +265,24 @@ def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Ite
     yield from _chunked(n, chunk, True)
 
 
-def _fold(carry: float, lengths: np.ndarray) -> float:
-    if lengths.size == 0:
-        return carry
-    return float(np.cumsum(np.concatenate(([carry], lengths)))[-1])
-
-
 def basic_cost(z: int, D: float, r: float) -> float:
     """Exact one-way length of ``basic_traversal(z, ., D, r)``.
 
-    Computed from column heights (or the spiral instruction list) without
-    materializing segments; equals the materialized polyline length exactly
-    whenever the stream stays within the materialization guard.  Sweeps with
-    more than MAX_COLUMNS columns raise rather than approximate.
+    Folds the stream's per-segment lengths in STREAM_CHUNK pieces, in stream
+    order, without building vertices, so it equals the materialized polyline
+    length bit for bit.  Spirals past SPIRAL_EXACT_SEGMENT_LIMIT instructions
+    take the closed form; sweeps with more than MAX_COLUMNS columns raise.
     """
-    if not isinstance(z, int) or z < 0:
-        raise PreconditionError("advice size must be a nonnegative integer")
-    if z <= 1:
+    if check_advice(z) <= 1:
         k = column_count(D, r)
         n = 4 * k + 1
-        if n <= SPIRAL_EXACT_SEGMENT_LIMIT:
-            total = 0.0
-            for lo in range(0, n, 1 << 20):
-                total = _fold(total, _spiral_lengths(lo, min(lo + (1 << 20), n), r))
-            return total
-        width = 2.0 * float(k) + 1.0
-        return width * width * r
+        if n > SPIRAL_EXACT_SEGMENT_LIMIT:
+            width = 2.0 * float(k) + 1.0
+            return width * width * r
+        pieces = (_spiral_lengths(lo, min(lo + STREAM_CHUNK, n), r) for lo in range(0, n, STREAM_CHUNK))
+    else:
+        pieces = (_sweep_lengths(h, r, first=(i == 0)) for i, h in enumerate(sector_columns(z, D, r)))
     total = 0.0
-    for lo, heights in column_height_chunks(math.tau / float(1 << z), D, r):
-        total = _fold(total, _sweep_lengths(heights, r, first=(lo == 0)))
+    for lengths in pieces:  # cumsum adds in order, so the piece size cannot change the sum
+        total = float(np.cumsum(np.concatenate(([total], lengths)))[-1])
     return total
-

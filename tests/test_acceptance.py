@@ -16,6 +16,7 @@ from planehunt.strategies import _dot_row, branch_count, first_dot_column
 
 from _oracles import oracle_columns
 from test_geom import sample_isosceles_predicate
+from test_tiling import tile_columns
 
 TAU = math.tau
 
@@ -46,8 +47,7 @@ def test_criterion_1_tile_count_ceiling():
     t0 = time.time()
     worst = 0.0
     for z, d, r in _tile_bound_samples(101, 1000):
-        region = ph.WedgeRegion(ph.Point2(0.0, 0.0), 0.0, TAU / (1 << z), d)
-        count = ph.count_tiles(region, r)
+        count = ph.count_tiles(z, d, r)
         bound = ph.tile_count_bound(z, d, r)
         worst = max(worst, count / bound)
         if count > bound:
@@ -58,11 +58,9 @@ def test_criterion_1_tile_count_ceiling():
         z = int(rng.integers(2, 9))
         r = 10.0 ** rng.uniform(-1, 1)
         d = r * rng.uniform(1.05, 20.0)
-        region = ph.WedgeRegion(ph.Point2(0.0, 0.0), 0.0, TAU / (1 << z), d)
-        if ph.count_tiles(region, r) > 500:
+        if ph.count_tiles(z, d, r) > 500:
             continue
-        got = {c.u: list(range(c.v_max + 1)) for c in ph.enumerate_columns(region, r)}
-        if got != oracle_columns(d, r, region.wedge_angle):
+        if tile_columns(z, d, r) != oracle_columns(d, r, TAU / (1 << z)):
             _finish("1 (tile-count ceiling)", False, f"oracle mismatch at z={z} D={d} r={r}", t0, 30)
         agreed += 1
     _finish(
@@ -245,7 +243,7 @@ def test_criterion_6_schedule_growth_laws_at_full_scale_step():
     phase_checked = 0
     for z, alpha, phases in ((0, 0.5, 6), (0, 1.0 / 3.0, 6), (1, 0.5, 6), (3, 0.5, 2), (3, 1.0, 1)):
         sched = ph.medium_schedule(z, alpha, s, max_phases=phases)
-        c = sched.branch_count
+        c = branch_count(alpha)
         cum = 0.0
         cum_through = {}
         for e in sched.events:

@@ -10,9 +10,20 @@ from hypothesis import strategies as st
 from planehunt import (
     DegenerateInputError,
     PreconditionError,
+    basic_cost,
+    basic_traversal,
+    bound_for,
+    count_tiles,
     decode_sector,
     encode_advice,
+    lower_bounds,
+    medium_vision,
+    parse_config,
     sector_index,
+    small_vision,
+    sweep,
+    sweep_cost_bound,
+    universal,
 )
 from planehunt.advice import sector_indices
 from planehunt.geom import direction_of
@@ -82,6 +93,37 @@ class TestDecode:
     def test_rejects_non_bits(self):
         with pytest.raises(PreconditionError):
             decode_sector("0121", (0, 0))
+
+
+_HUGE_Z_SWEEP = "[sweep]\nstrategy = small\nz = 1024\nd = 4\nr = 0.5\nplacement = explicit 1 1\n"
+
+
+class TestOneRule:
+    """Every entry point that takes advice applies ``advice.check_advice``: z an
+    int (not a bool) in [0, 60], w exactly z symbols 0/1."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: basic_traversal(1, "x", 4.0, 1.0), id="spiral-takes-bad-symbol"),
+            pytest.param(lambda: small_vision(1, "x"), id="small-bad-symbol"),
+            pytest.param(lambda: medium_vision(1, "z"), id="medium-bad-symbol"),
+            pytest.param(lambda: universal(1, "q"), id="universal-bad-symbol"),
+            pytest.param(lambda: small_vision(True, "1"), id="small-bool-size"),
+            pytest.param(lambda: small_vision(0, None), id="small-no-string"),
+            pytest.param(lambda: decode_sector(None, (0, 0)), id="decode-no-string"),
+            pytest.param(lambda: encode_advice((0, 0), (1, 0), True), id="encode-bool-size"),
+            pytest.param(lambda: basic_cost(61, 4.0, 1.0), id="cost-size-61"),
+            pytest.param(lambda: count_tiles(61, 4.0, 1.0), id="tiles-size-61"),
+            pytest.param(lambda: sweep_cost_bound(-1, 4.0, 1.0), id="ceiling-negative-size"),
+            pytest.param(lambda: lower_bounds(2.0, 4.0, 1.0), id="floors-float-size"),
+            pytest.param(lambda: bound_for("small", 1024, 4.0, 0.5, 0.5, 20), id="bound-size-1024"),
+            pytest.param(lambda: sweep(parse_config(_HUGE_Z_SWEEP)), id="sweep-config-size-1024"),
+        ],
+    )
+    def test_rejected_with_a_precondition_error(self, call):
+        with pytest.raises(PreconditionError):
+            call()
 
 
 class TestPartition:

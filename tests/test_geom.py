@@ -15,7 +15,6 @@ from planehunt import (
     PreconditionError,
     ccw_angle_from_north,
     direction_of,
-    polyline_length,
     spiral,
 )
 from planehunt.geom import detection_lengths
@@ -157,17 +156,17 @@ class TestEarliestDetection:
 class TestPolyline:
     def test_l_shape_length(self):
         p = Polyline.from_points([(0, 0), (3, 0), (3, 4)])
-        assert polyline_length(p) == 7.0
+        assert p.length == 7.0
 
     def test_single_vertex_is_zero(self):
         p = Polyline(np.array([[2.0, 2.0]]))
-        assert polyline_length(p) == 0.0
+        assert p.length == 0.0
         assert p.segment_count == 0
 
     def test_small_spiral_materializes_to_25r(self):
         r = 1.25
         p = spiral(2 * r, r).materialize()
-        assert polyline_length(p) == pytest.approx(25 * r, rel=1e-12)
+        assert p.length == pytest.approx(25 * r, rel=1e-12)
 
     def test_cumulative_is_nondecreasing(self):
         p = Polyline.from_points([(0, 0), (1, 0), (1, 0), (1, 5)])

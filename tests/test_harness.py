@@ -2,6 +2,10 @@
 and the CLI exit-code contract."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,20 @@ class TestCli:
                      "--s", "200"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_simulate_infinite_cap_exits_one_at_once(self):
+        # The 138-ceiling overflows to inf at this range, so the cap would be inf
+        # and the basic sweep would walk ~1e200 pieces; the timeout turns a
+        # regression into a failure instead of a hang.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "planehunt.cli", "simulate",
+             "--strategy", "basic", "--z", "2", "--treasure", "1e200,1e200", "--r", "1.5"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_unknown_strategy_exits_one(self):
         assert main(["simulate", "--strategy", "zigzag", "--z", "0", "--treasure", "1,1", "--r", "1"]) == 1

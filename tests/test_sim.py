@@ -76,6 +76,12 @@ class TestRun:
         with pytest.raises(PreconditionError):
             run(spiral(2.0, 1.0), (1, 1), 0.5, 0.0)
 
+    def test_non_finite_cap_rejected_before_walking(self):
+        # large_vision never ends, so an infinite cap would walk forever.
+        for cap in (math.inf, math.nan):
+            with pytest.raises(PreconditionError):
+                run(large_vision(), (-5.0, 8.0), 0.1, cap)
+
     @pytest.mark.xfail(raises=StreamChainError, strict=True,
                        reason="spiral pieces restart at the closed-form offset, not where the "
                        "previous piece's running sum ended (non-dyadic r)")
@@ -214,6 +220,11 @@ class TestAdversarialPlacement:
         factory = lambda w: small_vision(0, w)
         with pytest.raises(PreconditionError):
             adversarial_placement(factory, 0, 20.0, 1.0, 1.5)
+
+    def test_non_finite_cap_rejected(self):
+        factory = lambda w: large_vision()
+        with pytest.raises(PreconditionError):
+            adversarial_placement(factory, 0, 10.0, 9.2, 1.0, cost_cap=math.inf)
 
     def test_candidate_budget(self):
         factory = lambda w: small_vision(0, w)

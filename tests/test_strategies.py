@@ -79,7 +79,7 @@ class TestSchedule:
         sched = medium_schedule(2, 0.5, 3, max_phases=6)
         for p in range(1, 7):
             events = sched.events_in_phase(p)
-            assert events[0].dot.thread == sched.branch_count
+            assert events[0].dot.thread == branch_count(0.5)
 
     def test_budgets_nondecreasing(self):
         sched = medium_schedule(1, 0.4, 2, max_phases=7)
@@ -89,7 +89,7 @@ class TestSchedule:
     def test_filled_columns_form_a_prefix_per_thread(self):
         for z, alpha, s in ((0, 0.5, 2), (3, A_THIRD, 3), (1, 0.21, 4)):
             sched = medium_schedule(z, alpha, s, max_phases=6)
-            j0 = first_dot_column(sched.branch_count, s)
+            j0 = first_dot_column(branch_count(alpha), s)
             by_thread = {}
             for e in sched.events:
                 by_thread.setdefault(e.dot.thread, []).append(e.dot.col)

@@ -10,57 +10,52 @@ from planehunt import (
     BudgetExceededError,
     Point2,
     PreconditionError,
-    WedgeRegion,
     column_count,
     count_tiles,
-    enumerate_columns,
     tile_count_bound,
 )
-from planehunt.tiling import TileFrame, column_heights
+from planehunt.tiling import TileFrame, column_heights, sector_columns
 
 from _oracles import oracle_columns, point_in_wedge
 
 TAU = math.tau
 
 
-def wedge(z: int, radius: float) -> WedgeRegion:
-    return WedgeRegion(
-        apex=Point2(0.0, 0.0), cw_ray_angle=0.0, wedge_angle=TAU / (1 << z), radius=radius
-    )
+def tile_columns(z: int, d: float, r: float) -> dict:
+    """{u: [0..v_max]} over every column of the size-z sector, the oracle's shape."""
+    heights = column_heights(TAU / (1 << z), d, r, 0, column_count(d, r))
+    return {u: list(range(int(v) + 1)) for u, v in enumerate(heights)}
 
 
 class TestColumns:
     def test_quarter_disc_two_columns(self):
-        cols = enumerate_columns(wedge(2, 2.0), 1.0)
-        assert [(c.u, c.v_max) for c in cols] == [(0, 1), (1, 1)]
+        assert column_heights(TAU / 4, 2.0, 1.0, 0, column_count(2.0, 1.0)).tolist() == [1, 1]
 
     def test_quarter_disc_count(self):
-        assert count_tiles(wedge(2, 2.0), 1.0) == 4
+        assert count_tiles(2, 2.0, 1.0) == 4
 
     def test_tile_bigger_than_region_rejected(self):
         with pytest.raises(PreconditionError):
-            enumerate_columns(wedge(2, 1.0), 1.0 + 1e-9)
+            count_tiles(2, 1.0, 1.0 + 1e-9)
 
     def test_tile_equal_to_region_is_one_stack(self):
         # r == D is the degenerate hypothesis the medium-vision matrix can
         # reach; a single column covers the whole wedge.
-        cols = enumerate_columns(wedge(2, 1.0), 1.0)
-        assert [c.u for c in cols] == [0]
+        assert column_count(1.0, 1.0) == 1
+        assert count_tiles(2, 1.0, 1.0) == 1
 
     def test_sliver_region_matches_oracle(self):
         r = 1.0
         d = r * (1 + 1e-3)
-        cols = enumerate_columns(wedge(2, d), r)
-        got = {c.u: list(range(c.v_max + 1)) for c in cols}
-        assert got == oracle_columns(d, r, TAU / 4)
+        assert tile_columns(2, d, r) == oracle_columns(d, r, TAU / 4)
 
     def test_wide_wedge_rejected(self):
         with pytest.raises(PreconditionError):
-            enumerate_columns(wedge(1, 4.0), 1.0)
+            count_tiles(1, 4.0, 1.0)
 
     def test_column_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            count_tiles(wedge(2, 2.5e7), 1.0)
+            count_tiles(2, 2.5e7, 1.0)
 
     def test_columns_contiguous_from_zero(self):
         rng = np.random.default_rng(8)
@@ -68,10 +63,16 @@ class TestColumns:
             z = int(rng.integers(2, 10))
             d_over_r = rng.uniform(1.01, 60.0)
             r = 10.0 ** rng.uniform(-2, 2)
-            cols = enumerate_columns(wedge(z, d_over_r * r), r)
-            assert [c.u for c in cols] == list(range(len(cols)))
-            assert len(cols) == column_count(d_over_r * r, r)
-            assert all(c.v_max >= 0 for c in cols)
+            d = d_over_r * r
+            heights = np.concatenate(list(sector_columns(z, d, r)))
+            assert len(heights) == column_count(d, r)
+            assert all(v >= 0 for v in heights)
+
+    def test_pieces_join_into_the_whole_walk(self):
+        # 9000 columns: three STREAM_CHUNK pieces, the last one short.
+        heights = np.concatenate(list(sector_columns(3, 9000.0, 1.0)))
+        assert np.array_equal(heights, column_heights(TAU / 8, 9000.0, 1.0, 0, 9000))
+        assert count_tiles(3, 9000.0, 1.0) == int(np.sum(heights + 1))
 
 
 class TestOracleAgreement:
@@ -83,13 +84,10 @@ class TestOracleAgreement:
             d_over_r = rng.uniform(1.05, 20.0)
             r = 10.0 ** rng.uniform(-1, 1)
             d = d_over_r * r
-            region = wedge(z, d)
-            if count_tiles(region, r) > 500:
+            if count_tiles(z, d, r) > 500:
                 continue
-            cols = enumerate_columns(region, r)
-            got = {c.u: list(range(c.v_max + 1)) for c in cols}
-            want = oracle_columns(d, r, region.wedge_angle)
-            assert got == want, (z, d, r)
+            want = oracle_columns(d, r, TAU / (1 << z))
+            assert tile_columns(z, d, r) == want, (z, d, r)
             checked += 1
 
 
@@ -104,17 +102,17 @@ class TestCountBound:
             d_over_r = 10.0 ** rng.uniform(math.log10(1.01), math.log10(2000.0))
             r = 10.0 ** rng.uniform(-3, 3)
             d = d_over_r * r
-            assert count_tiles(wedge(z, d), r) <= tile_count_bound(z, d, r)
+            assert count_tiles(z, d, r) <= tile_count_bound(z, d, r)
 
     def test_narrow_wedge_rectangle_regime(self):
         # When the sector count dwarfs D/r the region sits in a thin strip and
         # the count collapses toward twice the column count.
         z, d_over_r = 12, 5.0
-        count = count_tiles(wedge(z, d_over_r), 1.0)
+        count = count_tiles(z, d_over_r, 1.0)
         assert count <= 69 * d_over_r * 2
 
     def test_larger_disc_upper_bound(self):
-        count = count_tiles(wedge(2, 4.0), 1.0)
+        count = count_tiles(2, 4.0, 1.0)
         assert count <= 69 * (16 / 4 + 4) == pytest.approx(552)
         assert count == sum(v + 1 for v in (len(r) - 1 for r in oracle_columns(4.0, 1.0, TAU / 4).values()))
 
@@ -127,13 +125,11 @@ class TestCoverage:
             z = int(rng.integers(2, 10))
             r = 10.0 ** rng.uniform(-1, 1)
             d = r * rng.uniform(1.01, 30.0)
-            region = wedge(z, d)
-            heights = column_heights(region.wedge_angle, d, r, 0, column_count(d, r))
+            wedge = TAU / (1 << z)
+            heights = column_heights(wedge, d, r, 0, column_count(d, r))
             xs = rng.uniform(0, d, 400)
             ys = rng.uniform(0, d, 400)
-            ok = np.array(
-                [point_in_wedge(x, y, d, region.wedge_angle) for x, y in zip(xs, ys)]
-            )
+            ok = np.array([point_in_wedge(x, y, d, wedge) for x, y in zip(xs, ys)])
             for x, y in zip(xs[ok], ys[ok]):
                 u = min(int(x // r), heights.size - 1)
                 assert y <= (heights[u] + 1) * r + 1e-9, (z, d, r, x, y)

@@ -157,6 +157,9 @@ class TestCostCalculator:
             cost = basic_cost(z, d, r)
             poly = basic_traversal(z, w, d, r).materialize()
             assert cost == poly.length, (z, d, r)
+        # Past one STREAM_CHUNK piece: a spiral of 8801 instructions and a sweep of 4500 columns.
+        for z, w, d, r in ((0, "", 1100.0, 0.5), (3, "101", 4500.0, 1.0)):
+            assert basic_cost(z, d, r) == basic_traversal(z, w, d, r).materialize().length, (z, d, r)
 
     def test_cost_is_advice_value_independent(self):
         for j in range(8):
