@@ -69,7 +69,9 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     Every block must start where the walk stands.  The walk stops in the
     block that detects the last target, at the first block ending past the
     cap, or when the stream runs out.  Within a block a target's first
-    detecting segment counts; a detection past the cap does not.
+    detecting segment counts; a detection past the cap does not.  A block
+    tagged ``retrace`` repeats ground already tested, so it is folded and
+    counted but not tested.
     """
     if not (0.0 < cap < math.inf):
         raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
@@ -98,7 +100,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             cuts = np.arange(_CAND_SLAB, active.size, _CAND_SLAB)
             slabs = [(idx, targets[idx]) for idx in np.split(active, cuts)]
         changed = False
-        for idx, xy in slabs:
+        for idx, xy in () if block.retrace else slabs:
             t = detection_lengths(pts, xy, r)
             if np.isnan(t).all():
                 continue

@@ -233,12 +233,17 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
 
 
 def _phase_blocks(component_factories) -> Iterator[Block]:
-    """Round-robin the components out-and-back at doubling trip lengths."""
+    """Round-robin the components out-and-back at doubling trip lengths.
+
+    Each trip restarts its component, so the blocks its previous trip walked
+    out are tagged as retraces.
+    """
+    seen = [0] * len(component_factories)
     p = 1
     while True:
         arc = 2.0**p
-        for make in component_factories:
-            yield from out_and_back_blocks(make(), arc)
+        for i, make in enumerate(component_factories):
+            seen[i] = yield from out_and_back_blocks(make(), arc, seen[i])
         p += 1
 
 

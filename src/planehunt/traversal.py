@@ -16,7 +16,7 @@ polyline length bit for bit whenever materialization is feasible.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, List, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, List, NamedTuple
 
 import numpy as np
 
@@ -35,10 +35,20 @@ _DIR_Y = np.array([0.0, -1.0, 0.0, 1.0])
 
 
 class Block(NamedTuple):
-    """A run of chained segments: vertices (m+1, 2) and stored lengths (m,)."""
+    """A run of chained segments: vertices (m+1, 2) and stored lengths (m,).
+
+    ``retrace`` promises that every segment repeats, bit for bit, geometry
+    walked earlier in the same ``blocks()`` walk, forwards or backwards (a
+    segment cut short by ``prefix_blocks`` lies on the one it was cut from).
+    Such a block cannot show a target the earlier pass missed, so the walker
+    folds its lengths but skips its detection test.  ``flip_block`` and
+    ``out_and_back_blocks`` set it and ``prefix_blocks`` keeps it; user-built
+    streams leave it ``False``.
+    """
 
     points: np.ndarray
     lengths: np.ndarray
+    retrace: bool = False
 
 
 class TrajectoryStream:
@@ -83,16 +93,16 @@ def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
 
 
 def flip_block(block: Block) -> Block:
-    """The same moves walked backwards (bit-identical vertices, reversed order)."""
-    return Block(block.points[::-1], block.lengths[::-1])
+    """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace."""
+    return Block(block.points[::-1], block.lengths[::-1], True)
 
 
 def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
     """Blocks covering exactly the leading ``arc`` of the stream.
 
     The final segment is split when the cut lands inside it; the split piece
-    stores the exact arc remainder as its length.  A finite stream shorter
-    than ``arc`` is returned whole.
+    stores the exact arc remainder as its length, and keeps the block's
+    retrace tag.  A finite stream shorter than ``arc`` is returned whole.
     """
     if arc < 0.0:
         raise PreconditionError("prefix arc must be nonnegative")
@@ -109,7 +119,7 @@ def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
             continue
         idx = int(np.searchsorted(cs, remaining, side="left"))
         if cs[idx] == remaining:
-            out.append(Block(block.points[: idx + 2], block.lengths[: idx + 1]))
+            out.append(Block(block.points[: idx + 2], block.lengths[: idx + 1], block.retrace))
         else:
             before = float(cs[idx - 1]) if idx else 0.0
             t = min(remaining - before, float(block.lengths[idx]))
@@ -119,17 +129,25 @@ def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
             split = a + frac * (b - a)
             pts = np.concatenate([block.points[: idx + 1], split[None, :]])
             lens = np.concatenate([block.lengths[:idx], [t]])
-            out.append(Block(pts, lens))
+            out.append(Block(pts, lens, block.retrace))
         return out
     return out
 
 
-def out_and_back_blocks(stream: TrajectoryStream, arc: float) -> Iterator[Block]:
-    """Walk the stream's leading ``arc`` and retrace it exactly back to the start."""
+def out_and_back_blocks(stream: TrajectoryStream, arc: float, walked: int = 0) -> Generator[Block, None, int]:
+    """Walk the stream's leading ``arc`` and retrace it exactly back to the start.
+
+    ``walked`` counts leading blocks that an earlier, shorter trip along the
+    same stream already walked in the enclosing walk; they are tagged as
+    retraces.  Returns the count to pass to the next trip: every forward
+    block but the last, which may have been cut.
+    """
     forward = prefix_blocks(stream, arc)
-    yield from forward
+    for i, block in enumerate(forward):
+        yield block._replace(retrace=True) if i < walked else block
     for block in reversed(forward):
         yield flip_block(block)
+    return len(forward) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +277,18 @@ def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
 
 
 def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Iterator[Block]:
-    """The size-z basic traversal out, then the same pieces regenerated, flipped and walked back."""
+    """The size-z basic traversal out, then flipped and walked back.
+
+    A one-piece traversal walks back along the piece just built.  Longer ones
+    regenerate their pieces from the far end, one at a time: storing them would
+    hold the whole way out in memory.
+    """
     n, chunk = _traversal(z, w, D, r, start)
+    if n <= STREAM_CHUNK:
+        block = chunk(0, n)
+        yield block
+        yield flip_block(block)
+        return
     yield from _chunked(n, chunk, False)
     yield from _chunked(n, chunk, True)
 

@@ -256,19 +256,54 @@ class TestStreamMechanics:
 
     def test_out_and_back_returns_to_start(self):
         stream = basic_traversal(2, "10", 8.0, 0.5, start=(3.0, 4.0))
-        blocks = list(out_and_back_blocks(stream, 11.25))
+        blocks = _assert_out_and_back(stream, 11.25, 0, 1)
         poly = blocks_to_polyline(blocks, (3.0, 4.0))
         assert tuple(poly.vertices[-1]) == (3.0, 4.0)
         assert poly.length == pytest.approx(22.5, rel=1e-12)
+
+    def test_longer_trips_tag_what_the_last_trip_walked(self):
+        # Past one STREAM_CHUNK piece: 8801 spiral instructions, 4500 sweep columns.
+        for stream in (spiral(1100.0, 0.5, (1.0, 2.0)), basic_traversal(3, "110", 4500.0, 1.0, (1.0, 2.0))):
+            whole = list(stream.blocks())
+            first, second = (float(np.cumsum(b.lengths)[-1]) for b in whole[:2])
+            walked = 0  # the last block out is never counted, cut or not
+            for arc, pieces in ((0.5 * first, 1), (first, 1), (first + 0.5 * second, 2), (1e12, len(whole))):
+                _assert_out_and_back(stream, arc, walked, pieces)
+                walked = pieces - 1
 
     def test_materialize_guard(self):
         with pytest.raises(BudgetExceededError):
             spiral(1e5, 1.0).materialize(max_segments=10)
 
 
+def _assert_out_and_back(stream, arc, walked, pieces):
+    """One trip: the first ``walked`` of ``pieces`` blocks out are tagged, the way back is."""
+    trip = out_and_back_blocks(stream, arc, walked)
+    blocks = []
+    while True:
+        try:
+            blocks.append(next(trip))
+        except StopIteration as stop:
+            count = stop.value
+            break
+    out, back = blocks[:pieces], blocks[pieces:]
+    assert len(back) == pieces and count == pieces - 1
+    assert [b.retrace for b in out] == [i < walked for i in range(pieces)]
+    assert all(b.retrace for b in back)
+    for a, b in zip(out, prefix_blocks(stream, arc)):
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.lengths, b.lengths)
+    for a, b in zip(back, reversed(out)):
+        assert np.array_equal(a.points, b.points[::-1]) and np.array_equal(a.lengths, b.lengths[::-1])
+    return blocks
+
+
 def _assert_round_trip(z, w, d, r, start=(1.0, 2.0)):
     blocks = list(round_trip_blocks(z, w, d, r, start))
     half = len(blocks) // 2
+    assert not any(b.retrace for b in blocks[:half])
+    assert all(b.retrace for b in blocks[half:])
+    if half == 1:  # one piece: the way back is the piece just built, flipped
+        assert np.shares_memory(blocks[0].points, blocks[1].points)
     fwd = blocks_to_polyline(blocks[:half], start)
     back = blocks_to_polyline(blocks[half:], start)
     one_way = basic_traversal(z, w, d, r, start).materialize()
