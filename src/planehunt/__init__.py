@@ -71,7 +71,7 @@ from .traversal import (
     TrajectoryStream,
     basic_cost,
     basic_traversal,
-    out_and_back_blocks,
+    phase_trips,
     prefix_blocks,
     round_trip_blocks,
     spiral,

@@ -88,7 +88,7 @@ class Polyline:
 
     __slots__ = ("vertices", "seg_lengths", "cumulative")
 
-    def __init__(self, vertices, seg_lengths=None, validate: bool = True):
+    def __init__(self, vertices, seg_lengths=None):
         verts = np.asarray(vertices, dtype=np.float64)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 1:
             raise PreconditionError("polyline needs an (n, 2) vertex array with n >= 1")
@@ -102,7 +102,7 @@ class Polyline:
             if lengths.shape != (verts.shape[0] - 1,):
                 raise PreconditionError("segment length array does not match vertex count")
         cumulative = np.concatenate(([0.0], np.cumsum(lengths)))
-        if validate and lengths.size:
+        if lengths.size:
             if (lengths < 0.0).any():
                 raise PreconditionError("segment lengths must be nonnegative")
             total = cumulative[-1]

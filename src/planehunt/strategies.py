@@ -16,6 +16,7 @@ point; execution is interrupted externally at first detection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional
@@ -35,7 +36,7 @@ from .traversal import (
     Block,
     TrajectoryStream,
     basic_cost,
-    out_and_back_blocks,
+    phase_trips,
     round_trip_blocks,
 )
 
@@ -232,21 +233,6 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
         step *= 2.0
 
 
-def _phase_blocks(component_factories) -> Iterator[Block]:
-    """Round-robin the components out-and-back at doubling trip lengths.
-
-    Each trip restarts its component, so the blocks its previous trip walked
-    out are tagged as retraces.
-    """
-    seen = [0] * len(component_factories)
-    p = 1
-    while True:
-        arc = 2.0**p
-        for i, make in enumerate(component_factories):
-            seen[i] = yield from out_and_back_blocks(make(), arc, seen[i])
-        p += 1
-
-
 def hypothesis_sweep(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     """The bare diagonal hypothesis sweep (the small-vision workhorse).
 
@@ -273,8 +259,8 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
 
     With aimable advice (z >= 2) it alternates, per phase p, a 2**p trip along
     the hypothesis sweep with a 2**p probe along the sector's clockwise
-    boundary ray, backtracking after each; otherwise it follows the sweep
-    alone.
+    boundary ray, backtracking after each (``phase_trips`` walks each one
+    once); otherwise it follows the sweep alone.
     """
     check_advice(z, w)
     p = as_point(start)
@@ -282,10 +268,10 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
         return hypothesis_sweep(z, w, p)
     sector = decode_sector(w, p)
     components = (
-        lambda: hypothesis_sweep(z, w, p),
-        lambda: TrajectoryStream(p, lambda: _ray_blocks(p, sector.cw_ray_angle)),
+        hypothesis_sweep(z, w, p),
+        TrajectoryStream(p, lambda: _ray_blocks(p, sector.cw_ray_angle)),
     )
-    return TrajectoryStream(p, lambda: _phase_blocks(components))
+    return TrajectoryStream(p, lambda: phase_trips(components, (2.0**k for k in itertools.count(1))))
 
 
 def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DEFAULT_SCALE_STEP, start=ORIGIN) -> TrajectoryStream:
@@ -332,17 +318,14 @@ def universal(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DE
     """Regime-oblivious strategy: small, medium, and large streams round-robin.
 
     Phase p walks 2**p out and back along each component stream (from its
-    beginning), costing exactly 6 * 2**p; a treasure any single component
-    would find at cost x is found at cost at most 24 x.
+    beginning; ``phase_trips`` walks each one once), costing exactly 6 * 2**p;
+    a treasure any single component would find at cost x is found at cost at
+    most 24 x.
     """
     check_advice(z, w)
     p = as_point(start)
-    components = (
-        lambda: small_vision(z, w, p),
-        lambda: medium_vision(z, w, alpha, s, p),
-        lambda: large_vision(p),
-    )
-    return TrajectoryStream(p, lambda: _phase_blocks(components))
+    components = (small_vision(z, w, p), medium_vision(z, w, alpha, s, p), large_vision(p))
+    return TrajectoryStream(p, lambda: phase_trips(components, (2.0**k for k in itertools.count(1))))
 
 
 def multi_agent_stream(k: int, label: int, alpha: float = DEFAULT_ALPHA, s: int = DEFAULT_SCALE_STEP, start=ORIGIN) -> Optional[TrajectoryStream]:

@@ -15,8 +15,10 @@ polyline length bit for bit whenever materialization is feasible.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
-from typing import Callable, Generator, Iterable, Iterator, List, NamedTuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +43,9 @@ class Block(NamedTuple):
     walked earlier in the same ``blocks()`` walk, forwards or backwards (a
     segment cut short by ``prefix_blocks`` lies on the one it was cut from).
     Such a block cannot show a target the earlier pass missed, so the walker
-    folds its lengths but skips its detection test.  ``flip_block`` and
-    ``out_and_back_blocks`` set it and ``prefix_blocks`` keeps it; user-built
-    streams leave it ``False``.
+    folds its lengths but skips its detection test.  ``flip_block`` sets it,
+    ``phase_trips`` also sets it on the blocks a trip re-walks, and
+    ``prefix_blocks`` keeps it; user-built streams leave it ``False``.
     """
 
     points: np.ndarray
@@ -104,11 +106,16 @@ def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
     stores the exact arc remainder as its length, and keeps the block's
     retrace tag.  A finite stream shorter than ``arc`` is returned whole.
     """
+    return _cut(stream.blocks(), arc)
+
+
+def _cut(blocks: Iterable[Block], arc: float) -> List[Block]:
+    """``prefix_blocks`` over a block iterator: pulls no block past the cut."""
     if arc < 0.0:
         raise PreconditionError("prefix arc must be nonnegative")
     out: List[Block] = []
     remaining = arc
-    for block in stream.blocks():
+    for block in blocks:
         if block.lengths.size == 0:
             continue
         cs = np.cumsum(block.lengths)
@@ -134,20 +141,26 @@ def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
     return out
 
 
-def out_and_back_blocks(stream: TrajectoryStream, arc: float, walked: int = 0) -> Generator[Block, None, int]:
-    """Walk the stream's leading ``arc`` and retrace it exactly back to the start.
+def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> Iterator[Block]:
+    """For each arc in turn, walk each stream's leading ``arc`` out and back to its start.
 
-    ``walked`` counts leading blocks that an earlier, shorter trip along the
-    same stream already walked in the enclosing walk; they are tagged as
-    retraces.  Returns the count to pass to the next trip: every forward
-    block but the last, which may have been cut.
+    Each stream's ``blocks()`` is called once per walk.  A trip re-cuts the
+    whole blocks that earlier trips pulled and pulls only new ones.  The way
+    back is tagged a retrace, and so are the blocks the stream's previous trip
+    walked whole: every forward block but its last.
     """
-    forward = prefix_blocks(stream, arc)
-    for i, block in enumerate(forward):
-        yield block._replace(retrace=True) if i < walked else block
-    for block in reversed(forward):
-        yield flip_block(block)
-    return len(forward) - 1
+    # An unread tee per stream keeps every block pulled so far, whole; each
+    # copy re-reads them and then pulls from the stream, never past the cut.
+    pulled = [itertools.tee(stream.blocks(), 1)[0] for stream in streams]
+    whole = [0] * len(streams)
+    for arc in arcs:
+        for i, blocks in enumerate(pulled):
+            forward = _cut(copy.copy(blocks), arc)
+            for j, block in enumerate(forward):
+                yield block._replace(retrace=True) if j < whole[i] else block
+            for block in reversed(forward):
+                yield flip_block(block)
+            whole[i] = len(forward) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The tile oracle decides tile-vs-wedge intersection by exact vertex membership
 and boundary-crossing predicates (segment/segment and segment/arc), with no
 shared code or formulas with the library's analytic column heights.  The
 detection oracle solves one segment against one treasure in plain scalar
-arithmetic, the twin of the library's vectorized kernel.
+arithmetic, the twin of the library's vectorized kernel.  The phase-trip
+oracle regenerates every trip's prefix from the stream's start.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional
 
 from planehunt.errors import PreconditionError
 from planehunt.geom import DETECTION_TOL
+from planehunt.traversal import flip_block, prefix_blocks
 
 
 def point_in_wedge(x: float, y: float, radius: float, wedge: float) -> bool:
@@ -163,3 +165,17 @@ def earliest_detection_on_segment(a, b, q, r: float) -> Optional[float]:
         if t <= seg_len:
             return t
     return t_close
+
+
+def regenerated_phase_trips(streams, arcs):
+    """``phase_trips`` the plain way: every trip cuts a fresh prefix of its
+    stream, and tags the ``walked`` blocks its previous trip walked whole."""
+    walked = [0] * len(streams)
+    for arc in arcs:
+        for i, stream in enumerate(streams):
+            forward = prefix_blocks(stream, arc)
+            for j, block in enumerate(forward):
+                yield block._replace(retrace=True) if j < walked[i] else block
+            for block in reversed(forward):
+                yield flip_block(block)
+            walked[i] = len(forward) - 1

@@ -24,7 +24,7 @@ from planehunt import (
     encode_advice,
     large_vision,
     medium_vision,
-    out_and_back_blocks,
+    phase_trips,
     run,
     small_vision,
     universal,
@@ -166,7 +166,7 @@ class TestWalker:
 
     def test_tagged_block_crossing_the_cap_stops_the_walk(self):
         stream = TrajectoryStream(
-            (0.0, 0.0), lambda: out_and_back_blocks(one_segment_stream((0.0, 0.0), (4.0, 0.0)), 10.0)
+            (0.0, 0.0), lambda: phase_trips([one_segment_stream((0.0, 0.0), (4.0, 0.0))], [10.0])
         )
         tagged = run(stream, (50.0, 0.0), 0.5, 6.5)
         assert tagged == run(_untagged(stream), (50.0, 0.0), 0.5, 6.5)
@@ -183,7 +183,7 @@ def test_reverse_only_detection_band():
     pts = np.array([a, b])
     assert np.isnan(detection_lengths(pts, np.array([q]), r)).all()
     assert detection_lengths(pts[::-1], np.array([q]), r)[0, 0] == 0.0
-    stream = TrajectoryStream(a, lambda: out_and_back_blocks(one_segment_stream(a, b), 10.0))
+    stream = TrajectoryStream(a, lambda: phase_trips([one_segment_stream(a, b)], [10.0]))
     length = math.hypot(0.7, 1.1)
     assert run(stream, q, r, 100.0) == RunOutcome(False, 2.0 * length, None, 2)
     assert run(_untagged(stream), q, r, 100.0) == RunOutcome(True, length, Point2(0.7, 1.1), 2)

@@ -1,26 +1,39 @@
 """Traversal tests: spiral instruction sequence, sector sweep geometry, the
-exact cost calculator, and stream mechanics (prefix, reverse, determinism)."""
+exact cost calculator, stream mechanics (prefix, reverse, determinism) and
+phase trips."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import planehunt.traversal as traversal
 from planehunt import (
     BudgetExceededError,
     Point2,
     PreconditionError,
     TileFrame,
+    TrajectoryStream,
     basic_cost,
     basic_traversal,
     column_count,
-    out_and_back_blocks,
+    decode_sector,
+    hypothesis_sweep,
+    large_vision,
+    medium_vision,
+    phase_trips,
     prefix_blocks,
     round_trip_blocks,
+    small_vision,
     spiral,
     sweep_cost_bound,
+    universal,
 )
+from planehunt.strategies import _ray_blocks
 from planehunt.traversal import blocks_to_polyline
+from _oracles import regenerated_phase_trips
+from test_sim import one_segment_stream
 
 RT2 = math.sqrt(2.0)
 
@@ -104,7 +117,7 @@ class TestSectorSweep:
             poly = basic_traversal(z, w, d, r).materialize()
             frame = TileFrame(Point2(0.0, 0.0), j * math.tau / (1 << z), r)
             fverts = frame.to_frame(poly.vertices)
-            fpoly = type(poly)(fverts, validate=False)
+            fpoly = type(poly)(fverts)
             from planehunt.tiling import column_heights
 
             heights = column_heights(math.tau / (1 << z), d, r, 0, column_count(d, r))
@@ -256,7 +269,7 @@ class TestStreamMechanics:
 
     def test_out_and_back_returns_to_start(self):
         stream = basic_traversal(2, "10", 8.0, 0.5, start=(3.0, 4.0))
-        blocks = _assert_out_and_back(stream, 11.25, 0, 1)
+        blocks = _assert_trips(stream, [(11.25, 1)])
         poly = blocks_to_polyline(blocks, (3.0, 4.0))
         assert tuple(poly.vertices[-1]) == (3.0, 4.0)
         assert poly.length == pytest.approx(22.5, rel=1e-12)
@@ -266,34 +279,127 @@ class TestStreamMechanics:
         for stream in (spiral(1100.0, 0.5, (1.0, 2.0)), basic_traversal(3, "110", 4500.0, 1.0, (1.0, 2.0))):
             whole = list(stream.blocks())
             first, second = (float(np.cumsum(b.lengths)[-1]) for b in whole[:2])
-            walked = 0  # the last block out is never counted, cut or not
-            for arc, pieces in ((0.5 * first, 1), (first, 1), (first + 0.5 * second, 2), (1e12, len(whole))):
-                _assert_out_and_back(stream, arc, walked, pieces)
-                walked = pieces - 1
+            _assert_trips(stream, [(0.5 * first, 1), (first, 1), (first + 0.5 * second, 2), (1e12, len(whole))])
 
     def test_materialize_guard(self):
         with pytest.raises(BudgetExceededError):
             spiral(1e5, 1.0).materialize(max_segments=10)
 
 
-def _assert_out_and_back(stream, arc, walked, pieces):
-    """One trip: the first ``walked`` of ``pieces`` blocks out are tagged, the way back is."""
-    trip = out_and_back_blocks(stream, arc, walked)
-    blocks = []
-    while True:
-        try:
-            blocks.append(next(trip))
-        except StopIteration as stop:
-            count = stop.value
-            break
-    out, back = blocks[:pieces], blocks[pieces:]
-    assert len(back) == pieces and count == pieces - 1
-    assert [b.retrace for b in out] == [i < walked for i in range(pieces)]
-    assert all(b.retrace for b in back)
-    for a, b in zip(out, prefix_blocks(stream, arc)):
-        assert np.array_equal(a.points, b.points) and np.array_equal(a.lengths, b.lengths)
-    for a, b in zip(back, reversed(out)):
-        assert np.array_equal(a.points, b.points[::-1]) and np.array_equal(a.lengths, b.lengths[::-1])
+class TestPhaseTrips:
+    def test_each_stream_is_walked_once(self):
+        """One ``blocks()`` call for the whole walk, and after each trip the
+        stream has yielded exactly the blocks that trip's way out touched."""
+        calls, pulled = [], []
+
+        def keep(blocks):
+            for block in blocks:
+                pulled.append(block)
+                yield block
+
+        def blocks():
+            calls.append(None)
+            return keep(inner.blocks())
+
+        inner = spiral(4000.0, 0.5)  # 32001 instructions: eight pieces
+        ends = np.cumsum([float(np.cumsum(b.lengths)[-1]) for b in inner.blocks()])
+        trips = [(0.5 * ends[0], 1), (ends[0], 1), (ends.take([0, 1]).mean(), 2),
+                 (ends.take([2, 3]).mean(), 4), (ends.take([4, 5]).mean(), 6), (1e12, 8)]
+        walk, after = [], []
+
+        def arcs():
+            for arc, _ in trips:
+                yield arc
+                after.append((len(walk), len(pulled)))  # asked for the next arc: the trip is done
+
+        walk.extend(phase_trips([TrajectoryStream(inner.start, blocks)], arcs()))
+        assert len(calls) == 1
+        done = 0
+        for (_, pieces), (end, seen) in zip(trips, after):
+            out = walk[done : done + pieces]
+            assert end - done == 2 * pieces and seen == pieces
+            for a, b in zip(out[:-1], pulled):
+                assert a.points is b.points
+            last = out[-1].points
+            assert np.array_equal(last[:-1], pulled[pieces - 1].points[: last.shape[0] - 1])
+            done = end
+        assert len(after) == len(trips)
+
+    def test_every_way_back_goes_through_flip_block(self, monkeypatch):
+        flipped = []
+        flip = traversal.flip_block
+
+        def counting(block):
+            flipped.append(flip(block))
+            return flipped[-1]
+
+        monkeypatch.setattr(traversal, "flip_block", counting)
+        streams = [spiral(1100.0, 0.5), one_segment_stream((0.0, 0.0), (3.0, 4.0))]
+        walk = list(phase_trips(streams, [1.0, 10.0, 1e5, 1e12]))
+        ids = {id(b) for b in flipped}
+        runs = [(back, list(g)) for back, g in itertools.groupby(walk, key=lambda b: id(b) in ids)]
+        assert [back for back, _ in runs] == [False, True] * 8  # two streams, four arcs
+        assert sum(len(g) for back, g in runs if back) == len(flipped)
+        for (_, out), (_, back) in zip(runs[::2], runs[1::2]):
+            assert len(back) == len(out)
+            for a, b in zip(back, reversed(out)):
+                assert np.array_equal(a.points, b.points[::-1]) and a.retrace
+
+    @pytest.mark.parametrize("name", ["small z=3", "universal z=2", "two streams"])
+    def test_matches_regenerated_trips(self, name):
+        """The same blocks, tags included, as cutting every trip from the start."""
+
+        def doubling():
+            return (2.0**k for k in itertools.count(1))
+
+        def regenerated_small(z, w):
+            origin = Point2(0.0, 0.0)
+            ray = TrajectoryStream(origin, lambda: _ray_blocks(origin, decode_sector(w, origin).cw_ray_angle))
+            return TrajectoryStream(origin, lambda: regenerated_phase_trips([hypothesis_sweep(z, w), ray], doubling()))
+
+        if name == "small z=3":
+            stream, oracle, segments = small_vision(3, "010"), regenerated_small(3, "010"), 200_000
+        elif name == "universal z=2":
+            parts = [regenerated_small(2, "11"), medium_vision(2, "11", 0.5, 3), large_vision()]
+            stream, segments = universal(2, "11", 0.5, 3), 200_000
+            oracle = TrajectoryStream((0.0, 0.0), lambda: regenerated_phase_trips(parts, doubling()))
+        else:
+            parts = [spiral(1100.0, 0.5), one_segment_stream((0.0, 0.0), (3.0, 4.0))]
+            arcs = [0.5, 5.0, 300.0, 1e5, 1e7, 1e12, 1e12]
+            stream = TrajectoryStream((0.0, 0.0), lambda: phase_trips(parts, arcs))
+            oracle = TrajectoryStream((0.0, 0.0), lambda: regenerated_phase_trips(parts, arcs))
+            segments = math.inf
+        seen = 0
+        for a, b in itertools.zip_longest(stream.blocks(), oracle.blocks()):
+            assert a is not None and b is not None
+            assert np.array_equal(a.points, b.points) and np.array_equal(a.lengths, b.lengths)
+            assert a.retrace == b.retrace
+            seen += a.lengths.size
+            if seen >= segments:
+                break
+        assert seen >= min(segments, 2 * 8801)  # the finite walk went out and back over the whole spiral
+
+
+def _assert_trips(stream, trips):
+    """One ``phase_trips`` walk over ``trips``, a list of (arc, blocks out).
+
+    Each trip's blocks out are the stream's prefix, the first ones that the
+    previous trip walked whole are tagged, and the way back is them flipped.
+    """
+    blocks = list(phase_trips([stream], [arc for arc, _ in trips]))
+    rest = blocks
+    walked = 0  # the last block out is never counted, cut or not
+    for arc, pieces in trips:
+        out, back, rest = rest[:pieces], rest[pieces : 2 * pieces], rest[2 * pieces :]
+        assert len(back) == pieces
+        assert [b.retrace for b in out] == [i < walked for i in range(pieces)]
+        assert all(b.retrace for b in back)
+        for a, b in zip(out, prefix_blocks(stream, arc)):
+            assert np.array_equal(a.points, b.points) and np.array_equal(a.lengths, b.lengths)
+        for a, b in zip(back, reversed(out)):
+            assert np.array_equal(a.points, b.points[::-1]) and np.array_equal(a.lengths, b.lengths[::-1])
+        walked = pieces - 1
+    assert not rest
     return blocks
 
 
