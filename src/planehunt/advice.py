@@ -79,9 +79,12 @@ def encode_advice(p, q, z: int) -> AdviceString:
     qq = as_point(q)
     if pp.x == qq.x and pp.y == qq.y:
         raise DegenerateInputError("treasure coincides with the start point")
-    if z == 0:
-        return ""
-    return format(sector_index(pp, qq, z), f"0{z}b")
+    return sector_advice(sector_index(pp, qq, z), z)
+
+
+def sector_advice(j: int, z: int) -> AdviceString:
+    """Sector index j as z big-endian bits ('' when z = 0)."""
+    return format(j, f"0{z}b") if z else ""
 
 
 @dataclass(frozen=True)

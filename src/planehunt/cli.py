@@ -7,12 +7,13 @@ Exit codes: 0 success (simulate: treasure found), 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
 from .advice import decode_sector, encode_advice
 from .bounds import MEDIUM_LB_RADIUS_LIMIT, bound_for, lower_bounds, regime_of
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, StreamChainError
 from .geom import ORIGIN, Point2, as_point
 from .harness import (
     STRATEGY_NAMES,
@@ -44,6 +45,17 @@ def _point(text: str) -> Point2:
         raise argparse.ArgumentTypeError(f"expected x,y — got {text!r}") from exc
 
 
+def _radius(text: str) -> float:
+    """A vision radius: positive and finite, the rule ``run`` applies."""
+    try:
+        r = float(text)
+    except ValueError:
+        r = math.nan
+    if not (r > 0.0 and math.isfinite(r)):
+        raise argparse.ArgumentTypeError(f"vision radius must be positive and finite, got {text!r}")
+    return r
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="planehunt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -52,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     sim.add_argument("--z", required=True, type=int, help="advice size in bits")
     sim.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    sim.add_argument("--r", required=True, type=float, help="vision radius")
+    sim.add_argument("--r", required=True, type=_radius, help="vision radius")
     sim.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sim.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
     sim.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
@@ -67,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--strategy", default="medium", choices=STRATEGY_NAMES)
     adv.add_argument("--z", required=True, type=int)
     adv.add_argument("--D", required=True, type=float)
-    adv.add_argument("--r", required=True, type=float)
+    adv.add_argument("--r", required=True, type=_radius)
     adv.add_argument("--grid-step", required=True, type=float)
     adv.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     adv.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
@@ -77,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     ren.add_argument("--z", required=True, type=int)
     ren.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    ren.add_argument("--r", required=True, type=float)
+    ren.add_argument("--r", required=True, type=_radius)
     ren.add_argument("--arc", required=True, type=float, help="prefix arc length to draw")
     ren.add_argument("--out", required=True, help="output SVG path")
     ren.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
@@ -92,9 +104,6 @@ def _cmd_simulate(args) -> int:
     start = as_point(args.start)
     treasure = as_point(args.treasure)
     d = start.distance_to(treasure)
-    if args.r <= 0:
-        print("error: vision radius must be positive", file=sys.stderr)
-        return 1
     D = args.D if args.D is not None else max(d, args.r * 1.0000001, 1e-9)
     if d == 0.0:
         print("treasure coincides with the start: found at cost 0")
@@ -193,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "render":
             return _cmd_render(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except (PreconditionError, BudgetExceededError, OSError, ValueError) as exc:
+    except (PreconditionError, BudgetExceededError, StreamChainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

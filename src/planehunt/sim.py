@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .advice import encode_advice, sector_indices
+from .advice import encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
@@ -217,8 +217,7 @@ def adversarial_placement(
     costs = np.full(cands.shape[0], cap)
     for j in np.unique(sector):
         group = np.flatnonzero(sector == j)
-        w = format(int(j), f"0{z}b") if z else ""
-        walk = _walk(strategy_factory(w), cands[group], r, cap)
+        walk = _walk(strategy_factory(sector_advice(int(j), z)), cands[group], r, cap)
         costs[group[walk.found]] = walk.cost[walk.found]
 
     best = int(np.argmax(costs))  # first max: lexicographically smallest winner

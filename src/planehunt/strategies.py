@@ -7,8 +7,8 @@ point; execution is interrupted externally at first detection.
   hypotheses with straight probes along the sector's clockwise boundary ray,
   at exponentially growing trip lengths.
 * ``medium_vision`` fills "dots" of an infinite hypothesis matrix in a
-  budgeted phase order; filling a dot executes a basic traversal for that
-  cell's range/resolution pair and backtracks.
+  budgeted phase order; a dot, like a sweep cell, is one (range, resolution)
+  round trip of the basic traversal.
 * ``large_vision`` probes 12 evenly spaced compass rays out and back at
   doubling distances; it needs no advice.
 * ``universal`` round-robins the three streams at doubling trip lengths.
@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
-from .advice import AdviceString, check_advice, decode_sector
+from .advice import AdviceString, check_advice, decode_sector, sector_advice
 from .bounds import (
     MEDIUM_LB_RADIUS_LIMIT,
     branch_count,
@@ -233,6 +233,18 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
         step *= 2.0
 
 
+def _round_trips(z: int, w: AdviceString, start, cells: Callable[[], Iterable[tuple[float, float]]]) -> TrajectoryStream:
+    """The basic traversal out and back for each (range, resolution) of a fresh ``cells()``."""
+    check_advice(z, w)
+    p = as_point(start)
+
+    def gen() -> Iterator[Block]:
+        for D, r in cells():
+            yield from round_trip_blocks(z, w, D, r, p)
+
+    return TrajectoryStream(p, gen)
+
+
 def hypothesis_sweep(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     """The bare diagonal hypothesis sweep (the small-vision workhorse).
 
@@ -241,17 +253,7 @@ def hypothesis_sweep(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     retraces it, so every prefix returns to the start.  Diagonal i holds rows
     i down to 1 with even columns 2 up to 2i.
     """
-    check_advice(z, w)
-    p = as_point(start)
-
-    def gen() -> Iterator[Block]:
-        i = 1
-        while True:
-            for t in range(i):
-                yield from round_trip_blocks(z, w, 2.0 ** (i - t), 2.0 ** -(2 + 2 * t), p)
-            i += 1
-
-    return TrajectoryStream(p, gen)
+    return _round_trips(z, w, start, lambda: ((2.0 ** (i - t), 2.0 ** -(2 + 2 * t)) for i in itertools.count(1) for t in range(i)))
 
 
 def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
@@ -277,17 +279,10 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
 def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DEFAULT_SCALE_STEP, start=ORIGIN) -> TrajectoryStream:
     """Strategy for medium vision radii (1 < r < 0.9 D): budgeted dot filling.
 
-    Emits, in fill order, the basic traversal of each filled dot followed by
-    its exact reverse; each fill contributes exactly twice its one-way cost.
+    Emits, in fill order, the basic traversal of each filled dot walked out
+    and back; each fill contributes exactly twice its one-way cost.
     """
-    check_advice(z, w)
-    p = as_point(start)
-
-    def gen() -> Iterator[Block]:
-        for ev in fill_events(z, alpha, s):
-            yield from round_trip_blocks(z, w, 2.0 ** (ev.dot.col * s), 2.0**ev.dot.row, p)
-
-    return TrajectoryStream(p, gen)
+    return _round_trips(z, w, start, lambda: ((2.0 ** (ev.dot.col * s), 2.0**ev.dot.row) for ev in fill_events(z, alpha, s)))
 
 
 def large_vision(start=ORIGIN) -> TrajectoryStream:
@@ -341,5 +336,4 @@ def multi_agent_stream(k: int, label: int, alpha: float = DEFAULT_ALPHA, s: int 
     z = k.bit_length() - 1
     if label > (1 << z):
         return None
-    w = format(label - 1, f"0{z}b") if z else ""
-    return universal(z, w, alpha, s, start)
+    return universal(z, sector_advice(label - 1, z), alpha, s, start)

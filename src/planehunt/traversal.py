@@ -111,8 +111,8 @@ def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
 
 def _cut(blocks: Iterable[Block], arc: float) -> List[Block]:
     """``prefix_blocks`` over a block iterator: pulls no block past the cut."""
-    if arc < 0.0:
-        raise PreconditionError("prefix arc must be nonnegative")
+    if not 0.0 <= arc < math.inf:
+        raise PreconditionError(f"prefix arc must be nonnegative and finite, got {arc}")
     out: List[Block] = []
     remaining = arc
     for block in blocks:
@@ -252,14 +252,10 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
 # ---------------------------------------------------------------------------
 
 
-def _chunked(n: int, chunk: Callable[[int, int], Block], reverse: bool) -> Iterator[Block]:
-    """``chunk(lo, hi)`` over [0, n) in STREAM_CHUNK pieces from 0, or flipped from n back."""
-    if reverse:
-        for hi in range(n, 0, -STREAM_CHUNK):
-            yield flip_block(chunk(max(hi - STREAM_CHUNK, 0), hi))
-    else:
-        for lo in range(0, n, STREAM_CHUNK):
-            yield chunk(lo, min(lo + STREAM_CHUNK, n))
+def _chunked(n: int, chunk: Callable[[int, int], Block]) -> Iterator[Block]:
+    """``chunk(lo, hi)`` over [0, n) in STREAM_CHUNK pieces from 0."""
+    for lo in range(0, n, STREAM_CHUNK):
+        yield chunk(lo, min(lo + STREAM_CHUNK, n))
 
 
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], Block]]:
@@ -281,7 +277,7 @@ def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -
     walks it out and back.
     """
     n, chunk = _traversal(z, w, D, r, start)
-    return TrajectoryStream(start, lambda: _chunked(n, chunk, False))
+    return TrajectoryStream(start, lambda: _chunked(n, chunk))
 
 
 def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
@@ -290,20 +286,18 @@ def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
 
 
 def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Iterator[Block]:
-    """The size-z basic traversal out, then flipped and walked back.
+    """The size-z basic traversal out, then walked back over its own pieces.
 
-    A one-piece traversal walks back along the piece just built.  Longer ones
-    regenerate their pieces from the far end, one at a time: storing them would
-    hold the whole way out in memory.
+    The way back flips the last piece as it was built and rebuilds the others
+    with the same ``chunk(lo, hi)`` calls, last first, so each way-back block
+    is the exact flip of a way-out block; no piece is stored.
     """
     n, chunk = _traversal(z, w, D, r, start)
-    if n <= STREAM_CHUNK:
-        block = chunk(0, n)
+    for block in _chunked(n, chunk):  # column_count rejects r > D, so n >= 1
         yield block
-        yield flip_block(block)
-        return
-    yield from _chunked(n, chunk, False)
-    yield from _chunked(n, chunk, True)
+    yield flip_block(block)
+    for lo in reversed(range(0, n, STREAM_CHUNK)[:-1]):
+        yield flip_block(chunk(lo, lo + STREAM_CHUNK))
 
 
 def basic_cost(z: int, D: float, r: float) -> float:

@@ -25,7 +25,7 @@ from planehunt import (
     sweep_cost_bound,
     universal,
 )
-from planehunt.advice import sector_indices
+from planehunt.advice import sector_advice, sector_indices
 from planehunt.geom import direction_of
 
 TAU = math.tau
@@ -59,6 +59,13 @@ class TestEncode:
             if q[0] == 0 and q[1] == 0:
                 continue
             assert len(encode_advice((0, 0), q, z)) == z
+
+    def test_sector_advice_is_z_big_endian_bits(self):
+        assert sector_advice(5, 4) == "0101"
+        assert sector_advice(0, 3) == "000"
+        assert sector_advice(0, 0) == ""
+        q = point_at(5.5 * TAU / 16, 3.0)
+        assert encode_advice((0, 0), q, 4) == sector_advice(sector_index((0, 0), q, 4), 4)
 
     def test_treasure_at_start_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -15,6 +15,7 @@ from planehunt import (
     Lcg64,
     Polyline,
     PreconditionError,
+    StreamChainError,
     bound_for,
     parse_config,
     regime_of,
@@ -256,6 +257,45 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_render_infinite_arc_exits_one_at_once(self, tmp_path):
+        # An infinite arc would pull blocks of the endless stream forever.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "x.svg"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "planehunt.cli", "render",
+             "--strategy", "small", "--z", "2", "--treasure", "1,1", "--r", "0.5", "--arc", "inf",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["0", "-0.5", "nan", "inf"])
+    def test_vision_radius_must_be_positive_and_finite(self, r, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        for argv in (
+            ["simulate", "--strategy", "basic", "--z", "2", "--treasure", "3,4"],
+            ["adversary", "--strategy", "basic", "--z", "2", "--D", "8", "--grid-step", "0.5"],
+            ["render", "--strategy", "small", "--z", "2", "--treasure", "1,1", "--arc", "4", "--out", str(out)],
+        ):
+            assert main(argv + ["--r", r]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error: argument --r: vision radius must be positive and finite")
+        assert not out.exists()
+
+    def test_stream_chain_error_exits_one(self, monkeypatch, capsys):
+        import planehunt.cli as cli
+
+        def broken(*args, **kwargs):
+            raise StreamChainError("block starts elsewhere")
+
+        monkeypatch.setattr(cli, "run", broken)
+        assert main(["simulate", "--strategy", "basic", "--z", "0", "--treasure", "3,4", "--r", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: block starts elsewhere\n"
 
     def test_unknown_strategy_exits_one(self):
         assert main(["simulate", "--strategy", "zigzag", "--z", "0", "--treasure", "1,1", "--r", "1"]) == 1

@@ -245,6 +245,14 @@ class TestStreamMechanics:
         _assert_round_trip(0, "", 1100.0, 0.5)  # 8801 spiral instructions: three pieces each way
         _assert_round_trip(3, "110", 4500.0, 1.0)  # 4500 sweep columns: two pieces each way
 
+    def test_spiral_from_a_non_dyadic_start_retraces_exactly(self):
+        # The start is added before each piece's running sum, so a way back cut
+        # into other pieces than the way out rounds differently.
+        _assert_round_trip(0, "", 1100.0, 0.5, (123.456, -7.89))
+
+    def test_non_dyadic_spiral_retraces_each_piece_exactly(self):
+        _assert_flips_piecewise(0, "", 1000.0, 0.1, (1.0, 2.0))
+
     @pytest.mark.xfail(strict=True, reason="spiral pieces restart at the closed-form offset, "
                        "not where the previous piece's running sum ended (non-dyadic r)")
     def test_non_dyadic_spiral_retraces_exactly_across_pieces(self):
@@ -266,6 +274,11 @@ class TestStreamMechanics:
     def test_prefix_of_finite_stream_saturates(self):
         p = spiral(2.0, 1.0).prefix(1e9)
         assert p.length == 25.0
+
+    @pytest.mark.parametrize("arc", [math.nan, math.inf, -1.0])
+    def test_prefix_arc_must_be_finite_and_nonnegative(self, arc):
+        with pytest.raises(PreconditionError):
+            large_vision().prefix(arc)
 
     def test_out_and_back_returns_to_start(self):
         stream = basic_traversal(2, "10", 8.0, 0.5, start=(3.0, 4.0))
@@ -403,13 +416,22 @@ def _assert_trips(stream, trips):
     return blocks
 
 
-def _assert_round_trip(z, w, d, r, start=(1.0, 2.0)):
+def _assert_flips_piecewise(z, w, d, r, start):
+    """Each way-back block is its way-out block flipped, bit for bit; the first is the last one built."""
     blocks = list(round_trip_blocks(z, w, d, r, start))
     half = len(blocks) // 2
     assert not any(b.retrace for b in blocks[:half])
     assert all(b.retrace for b in blocks[half:])
-    if half == 1:  # one piece: the way back is the piece just built, flipped
-        assert np.shares_memory(blocks[0].points, blocks[1].points)
+    assert np.shares_memory(blocks[half - 1].points, blocks[half].points)
+    for out, back in zip(blocks[:half], reversed(blocks[half:])):
+        assert np.array_equal(back.points, out.points[::-1])
+        assert np.array_equal(back.lengths, out.lengths[::-1])
+    return blocks
+
+
+def _assert_round_trip(z, w, d, r, start=(1.0, 2.0)):
+    blocks = _assert_flips_piecewise(z, w, d, r, start)
+    half = len(blocks) // 2
     fwd = blocks_to_polyline(blocks[:half], start)
     back = blocks_to_polyline(blocks[half:], start)
     one_way = basic_traversal(z, w, d, r, start).materialize()
