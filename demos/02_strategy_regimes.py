@@ -38,24 +38,11 @@ def scenario(regime):
     return d, r, (-dist * math.sin(theta), dist * math.cos(theta))
 
 
-def build(name, z, w, s):
-    if name == "small":
-        return ph.small_vision(z, w)
-    if name == "medium":
-        return ph.medium_vision(z, w, alpha=0.5, s=s)
-    if name == "large":
-        return ph.large_vision()
-    return ph.universal(z, w, alpha=0.5, s=s)
-
-
 print(f"{'strategy':>10} {'regime':>7} {'z':>2} {'D':>7} {'r':>7} {'cost':>12} {'ceiling':>12} {'ratio':>9}")
 for regime in ("small", "medium", "large"):
     for z in (0, 2, 5):
         d, r, q = scenario(regime)
-        w = ph.encode_advice((0, 0), q, z)
-        s = 3
-        bound = ph.bound_for(regime, z, d, r, 0.5, s)
-        outcome = ph.run(build(regime, z, w, s), q, r, 1e4 * bound)
+        _, bound, outcome = ph.hunt(regime, z, d, r, 0.5, 3, 1e4, ph.ORIGIN, q)
         assert outcome.found
         print(
             f"{regime:>10} {regime:>7} {z:>2} {d:>7.2f} {r:>7.3f} "
@@ -82,17 +69,14 @@ print("universal merge, regime undisclosed:")
 for regime in ("small", "medium", "large"):
     d, r, q = scenario(regime)
     z = 3
-    w = ph.encode_advice((0, 0), q, z)
-    bound = ph.bound_for("universal", z, d, r, 0.5, 3)
-    got = ph.run(ph.universal(z, w, 0.5, 3), q, r, 1e4 * bound)
+    w, _, got = ph.hunt("universal", z, d, r, 0.5, 3, 1e4, ph.ORIGIN, q)
     assert got.found
     # the merge pays at most 24x the best single strategy
     solo = min(
         o.cost
         for o in (
-            ph.run(ph.small_vision(z, w), q, r, got.cost),
-            ph.run(ph.medium_vision(z, w, 0.5, 3), q, r, got.cost),
-            ph.run(ph.large_vision(), q, r, got.cost),
+            ph.run(ph.build_stream(name, z, w, d, r, 0.5, 3), q, r, got.cost)
+            for name in ("small", "medium", "large")
         )
         if o.found
     )

@@ -18,11 +18,8 @@ OUT.mkdir(exist_ok=True)
 D, r, z = 24.0, 2.0, 2
 alpha, s = 0.5, 2
 
-factory = lambda w: ph.medium_vision(z, w, alpha, s)
-ceiling = ph.bound_for("medium", z, D, r, alpha, s)
-
 print(f"instance: D={D} r={r} z={z} (medium regime)")
-worst, cost = ph.adversarial_placement(factory, z, D, r, grid_step=r, cost_cap=1e4 * ceiling)
+ceiling, _, worst, cost = ph.worst_placement("medium", z, D, r, alpha, s, 1e4, grid_step=r)
 floor = ph.medium_regime_lower_bound(z, D, r)
 print(f"worst placement {worst} at cost {cost:.2f}")
 print(f"floor (1/800 formula)  {floor:10.3f}")

@@ -41,10 +41,12 @@ from .harness import (
     Lcg64,
     SweepRow,
     build_stream,
+    hunt,
     parse_config,
     render_svg,
     rows_to_csv,
     sweep,
+    worst_placement,
     write_csv,
 )
 from .sim import RunOutcome, adversarial_placement, run

@@ -12,19 +12,21 @@ import sys
 from typing import Optional, Sequence
 
 from .advice import decode_sector, encode_advice
-from .bounds import MEDIUM_LB_RADIUS_LIMIT, bound_for, lower_bounds, regime_of
+from .bounds import MEDIUM_LB_RADIUS_LIMIT, lower_bounds, regime_of
 from .errors import BudgetExceededError, PreconditionError, StreamChainError
-from .geom import ORIGIN, Point2, as_point
+from .geom import ORIGIN, Point2
 from .harness import (
     STRATEGY_NAMES,
     build_stream,
+    hunt,
     load_config,
     render_svg,
     rows_to_csv,
     sweep,
+    worst_placement,
     write_csv,
 )
-from .sim import DEFAULT_CAP_MULTIPLIER, adversarial_placement, run
+from .sim import DEFAULT_CAP_MULTIPLIER
 from .strategies import DEFAULT_ALPHA, DEFAULT_SCALE_STEP
 
 
@@ -45,15 +47,24 @@ def _point(text: str) -> Point2:
         raise argparse.ArgumentTypeError(f"expected x,y — got {text!r}") from exc
 
 
-def _radius(text: str) -> float:
-    """A vision radius: positive and finite, the rule ``run`` applies."""
-    try:
-        r = float(text)
-    except ValueError:
-        r = math.nan
-    if not (r > 0.0 and math.isfinite(r)):
-        raise argparse.ArgumentTypeError(f"vision radius must be positive and finite, got {text!r}")
-    return r
+def _positive(what: str):
+    """An argparse type for a positive, finite number: the rule ``run`` applies to r."""
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (x > 0.0 and math.isfinite(x)):
+            raise argparse.ArgumentTypeError(f"{what} must be positive and finite, got {text!r}")
+        return x
+
+    return parse
+
+
+def _distance_and_range(args, given: Optional[float]) -> tuple[float, float]:
+    """The start-to-treasure distance d, and ``given`` (``--D`` or ``--disc``) or else d kept just above r."""
+    d = args.start.distance_to(args.treasure)
+    return d, given if given is not None else max(d, args.r * 1.0000001, 1e-9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,61 +72,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one strategy against one treasure")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     sim.add_argument("--z", required=True, type=int, help="advice size in bits")
     sim.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    sim.add_argument("--r", required=True, type=_radius, help="vision radius")
+    sim.add_argument("--r", required=True, type=_positive("vision radius"), help="vision radius")
     sim.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sim.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
     sim.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
     sim.add_argument("--cap-mult", type=float, default=DEFAULT_CAP_MULTIPLIER)
-    sim.add_argument("--D", type=float, default=None, help="range bound (default: the actual distance)")
+    sim.add_argument("--D", type=_positive("range bound"), help="range bound (default: the actual distance)")
 
     swp = sub.add_parser("sweep", help="run a parameter sweep from a config file")
+    swp.set_defaults(handler=_cmd_sweep)
     swp.add_argument("config", help="path to a [sweep] key=value config")
     swp.add_argument("--output", default=None, help="override the config's output path")
 
     adv = sub.add_parser("adversary", help="brute-force the worst treasure placement")
+    adv.set_defaults(handler=_cmd_adversary)
     adv.add_argument("--strategy", default="medium", choices=STRATEGY_NAMES)
     adv.add_argument("--z", required=True, type=int)
-    adv.add_argument("--D", required=True, type=float)
-    adv.add_argument("--r", required=True, type=_radius)
+    adv.add_argument("--D", required=True, type=_positive("range bound"))
+    adv.add_argument("--r", required=True, type=_positive("vision radius"))
     adv.add_argument("--grid-step", required=True, type=float)
     adv.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     adv.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
     adv.add_argument("--cap-mult", type=float, default=DEFAULT_CAP_MULTIPLIER)
 
     ren = sub.add_parser("render", help="render a trajectory prefix to SVG")
+    ren.set_defaults(handler=_cmd_render)
     ren.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     ren.add_argument("--z", required=True, type=int)
     ren.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    ren.add_argument("--r", required=True, type=_radius)
+    ren.add_argument("--r", required=True, type=_positive("vision radius"))
     ren.add_argument("--arc", required=True, type=float, help="prefix arc length to draw")
     ren.add_argument("--out", required=True, help="output SVG path")
     ren.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     ren.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
     ren.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
-    ren.add_argument("--disc", type=float, default=None, help="disc radius to draw")
+    ren.add_argument("--disc", type=_positive("disc radius"), help="disc radius to draw")
     ren.add_argument("--tiles", action="store_true", help="draw the sector tile grid")
     return top
 
 
 def _cmd_simulate(args) -> int:
-    start = as_point(args.start)
-    treasure = as_point(args.treasure)
-    d = start.distance_to(treasure)
-    D = args.D if args.D is not None else max(d, args.r * 1.0000001, 1e-9)
+    d, D = _distance_and_range(args, args.D)
     if d == 0.0:
         print("treasure coincides with the start: found at cost 0")
         return 0
-    w = encode_advice(start, treasure, args.z)
-    bound = bound_for(args.strategy, args.z, D, args.r, args.alpha, args.s)
-    cap = args.cap_mult * max(bound, D)
-    stream = build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, start)
-    outcome = run(stream, treasure, args.r, cap)
+    w, bound, outcome = hunt(
+        args.strategy, args.z, D, args.r, args.alpha, args.s, args.cap_mult, args.start, args.treasure
+    )
     print(f"strategy          {args.strategy}")
     print(f"advice            {w!r} (z = {args.z})")
-    print(f"treasure          ({treasure.x:.17g}, {treasure.y:.17g})")
+    print(f"treasure          ({args.treasure.x:.17g}, {args.treasure.y:.17g})")
     print(f"distance          {d:.17g}")
     print(f"vision radius     {args.r:.17g}")
     print(f"regime            {regime_of(D, args.r)}")
@@ -142,11 +152,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    start = ORIGIN
-    factory = lambda w: build_stream(args.strategy, args.z, w, args.D, args.r, args.alpha, args.s, start)
-    bound = bound_for(args.strategy, args.z, args.D, args.r, args.alpha, args.s)
-    cap = args.cap_mult * max(bound, args.D)
-    point, cost = adversarial_placement(factory, args.z, args.D, args.r, args.grid_step, cost_cap=cap)
+    _, _, point, cost = worst_placement(
+        args.strategy, args.z, args.D, args.r, args.alpha, args.s, args.cap_mult, args.grid_step
+    )
     report = lower_bounds(args.z, args.D, args.r)
     print(f"worst placement   ({point.x:.17g}, {point.y:.17g})")
     print(f"worst cost        {cost:.17g}")
@@ -159,23 +167,20 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    start = as_point(args.start)
-    treasure = as_point(args.treasure)
-    d = start.distance_to(treasure)
+    d, D = _distance_and_range(args, args.disc)
     if d == 0.0:
         print("error: treasure coincides with the start", file=sys.stderr)
         return 1
-    w = encode_advice(start, treasure, args.z)
-    D = args.disc if args.disc is not None else max(d, args.r * 1.0000001)
-    stream = build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, start)
+    w = encode_advice(args.start, args.treasure, args.z)
+    stream = build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, args.start)
     prefix = stream.prefix(args.arc)
     sector = None
     if args.z >= 2 and args.strategy in ("small", "medium", "universal", "basic"):
-        sector = decode_sector(w, start)
+        sector = decode_sector(w, args.start)
     render_svg(
         prefix,
         args.out,
-        treasure=treasure,
+        treasure=args.treasure,
         vision_radius=args.r,
         sector=sector,
         disc_radius=args.disc,
@@ -193,15 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "adversary":
-            return _cmd_adversary(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (PreconditionError, BudgetExceededError, StreamChainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

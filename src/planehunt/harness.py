@@ -10,7 +10,7 @@ order, so identical config + seed reproduces byte-identical CSV everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -36,8 +36,6 @@ LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 
 STRATEGY_NAMES = ("small", "medium", "large", "universal", "basic")
-
-CSV_HEADER = "strategy,z,D,r,alpha,s,seed,actual_distance,found,cost,bound,ratio"
 
 MAX_RENDER_SEGMENTS = 10**5
 
@@ -68,6 +66,26 @@ def build_stream(strategy: str, z: int, w: str, D: float, r: float, alpha: float
     if strategy == "basic":
         return basic_traversal(z, w, D, r, start)
     raise PreconditionError(f"unknown strategy {strategy!r}")
+
+
+def _setup(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start=ORIGIN):
+    """The ceiling, the cost cap (``cap_mult`` times the larger of ceiling and D), the stream per advice."""
+    ceiling = bound_for(strategy, z, D, r, alpha, s)
+    return ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
+
+
+def hunt(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start, treasure):
+    """One hunt from ``start``, as the sweep and the CLI run it: ``(advice, ceiling, RunOutcome)``."""
+    ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
+    w = encode_advice(start, treasure, z)
+    return w, ceiling, run(stream_for(w), treasure, r, cap)
+
+
+def worst_placement(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, grid_step: float):
+    """Brute-force worst placement from the origin: ``(ceiling, cap, point, cost)``."""
+    ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult)
+    point, cost = adversarial_placement(stream_for, z, D, r, grid_step, cost_cap=cap)
+    return ceiling, cap, point, cost
 
 
 @dataclass(frozen=True)
@@ -223,23 +241,16 @@ def sweep(config: ExperimentConfig) -> List[SweepRow]:
 
 
 def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float) -> SweepRow:
-    bound = bound_for(config.strategy, z, D, r, config.alpha, config.s)
-    cap = config.cap_mult * max(bound, D)
-    start = ORIGIN
+    setup = (config.strategy, z, D, r, config.alpha, config.s, config.cap_mult)
     if config.placement == "adversarial":
-        factory = lambda w: build_stream(config.strategy, z, w, D, r, config.alpha, config.s, start)
-        point, cost = adversarial_placement(factory, z, D, r, config.grid_step, cost_cap=cap)
+        bound, cap, point, cost = worst_placement(*setup, config.grid_step)
         found = cost < cap or cost == 0.0
-        distance = start.distance_to(point)
     else:
         point = config.treasure if config.placement == "explicit" else _random_placement(rng, D)
-        distance = start.distance_to(point)
-        if distance == 0.0:
-            found, cost = True, 0.0
+        if ORIGIN.distance_to(point) == 0.0:
+            bound, found, cost = bound_for(config.strategy, z, D, r, config.alpha, config.s), True, 0.0
         else:
-            w = encode_advice(start, point, z)
-            stream = build_stream(config.strategy, z, w, D, r, config.alpha, config.s, start)
-            outcome = run(stream, point, r, cap)
+            _, bound, outcome = hunt(*setup, ORIGIN, point)
             found, cost = outcome.found, outcome.cost
     return SweepRow(
         strategy=config.strategy,
@@ -249,7 +260,7 @@ def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float
         alpha=config.alpha,
         s=config.s,
         seed=config.seed,
-        actual_distance=distance,
+        actual_distance=ORIGIN.distance_to(point),
         found=found,
         cost=cost,
         bound=bound,
@@ -257,31 +268,16 @@ def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Each CSV column is a SweepRow field, formatted by its declared type (an annotation string).
+_FORMATS = {"bool": lambda v: "true" if v else "false", "float": lambda v: format(float(v), ".17g")}
+_COLUMNS = tuple((f.name, _FORMATS.get(f.type, str)) for f in fields(SweepRow))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.strategy,
-                    str(row.z),
-                    _fmt(row.D),
-                    _fmt(row.r),
-                    _fmt(row.alpha),
-                    str(row.s),
-                    str(row.seed),
-                    _fmt(row.actual_distance),
-                    "true" if row.found else "false",
-                    _fmt(row.cost),
-                    _fmt(row.bound),
-                    _fmt(row.ratio),
-                ]
-            )
-        )
+        lines.append(",".join(fmt(getattr(row, name)) for name, fmt in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 

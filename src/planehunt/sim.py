@@ -92,7 +92,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
         pts = block.points
         if pts[0, 0] != last[0] or pts[0, 1] != last[1]:
             raise StreamChainError(
-                f"block starts at ({pts[0, 0]}, {pts[0, 1]}) but previous segment ended at {last}"
+                f"block starts at ({pts[0, 0]}, {pts[0, 1]}) but previous segment ended at ({last[0]}, {last[1]})"
             )
         last = (pts[-1, 0], pts[-1, 1])
         cs = np.cumsum(block.lengths)

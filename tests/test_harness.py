@@ -287,13 +287,34 @@ class TestCli:
             assert captured.err.startswith("usage error: argument --r: vision radius must be positive and finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["simulate", "--strategy", "basic", "--z", "2", "--treasure", "3,4", "--r", "0.5", "--D"],
+             "argument --D: range bound"),
+            (["adversary", "--strategy", "basic", "--z", "2", "--r", "0.5", "--grid-step", "0.5", "--D"],
+             "argument --D: range bound"),
+            (["render", "--strategy", "small", "--z", "2", "--treasure", "1,1", "--r", "0.5", "--arc", "4",
+              "--out", "x.svg", "--disc"], "argument --disc: disc radius"),
+        ],
+        ids=["simulate --D", "adversary --D", "render --disc"],
+    )
+    def test_range_must_be_positive_and_finite(self, argv, what, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + [value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {what} must be positive and finite, got {value!r}\n"
+        assert not any(tmp_path.iterdir())  # no SVG written
+
     def test_stream_chain_error_exits_one(self, monkeypatch, capsys):
-        import planehunt.cli as cli
+        import planehunt.harness as harness
 
         def broken(*args, **kwargs):
             raise StreamChainError("block starts elsewhere")
 
-        monkeypatch.setattr(cli, "run", broken)
+        monkeypatch.setattr(harness, "run", broken)
         assert main(["simulate", "--strategy", "basic", "--z", "0", "--treasure", "3,4", "--r", "0.5"]) == 1
         assert capsys.readouterr().err == "error: block starts elsewhere\n"
 

@@ -70,6 +70,17 @@ class TestRun:
         with pytest.raises(StreamChainError):
             run(stream, (100.0, 100.0), 0.5, 1e6)
 
+    def test_chain_error_prints_plain_floats(self):
+        def off_by_one_ulp():
+            yield Block(np.array([[0.0, 0.0], [0.1 + 0.2, -0.5]]), np.array([0.5830951894845301]))
+            yield Block(np.array([[0.3, -0.5], [1.0, -0.5]]), np.array([0.7]))
+
+        with pytest.raises(StreamChainError) as err:
+            run(TrajectoryStream((0.0, 0.0), off_by_one_ulp), (100.0, 100.0), 0.5, 1e6)
+        assert str(err.value) == (
+            "block starts at (0.3, -0.5) but previous segment ended at (0.30000000000000004, -0.5)"
+        )
+
     def test_parameter_validation(self):
         with pytest.raises(PreconditionError):
             run(spiral(2.0, 1.0), (1, 1), 0.0, 10.0)
