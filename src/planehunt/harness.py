@@ -16,11 +16,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import sim
 from .advice import encode_advice
 from .bounds import bound_for
 from .errors import BudgetExceededError, PreconditionError
 from .geom import ORIGIN, Point2, Polyline, as_point, direction_of
-from .sim import DEFAULT_CAP_MULTIPLIER, adversarial_placement, run
+from .sim import DEFAULT_CAP_MULTIPLIER, run
 from .strategies import (
     DEFAULT_ALPHA,
     DEFAULT_SCALE_STEP,
@@ -84,7 +85,7 @@ def hunt(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mu
 def worst_placement(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, grid_step: float):
     """Brute-force worst placement from the origin: ``(ceiling, cap, point, cost)``."""
     ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult)
-    point, cost = adversarial_placement(stream_for, z, D, r, grid_step, cost_cap=cap)
+    point, cost = sim.adversarial_placement(stream_for, z, D, r, grid_step, cost_cap=cap)
     return ceiling, cap, point, cost
 
 

@@ -159,13 +159,11 @@ def shaded_tile_candidates(D: float, r: float, start=Point2(0.0, 0.0)) -> np.nda
     side = math.sqrt(2.0) * D / 2.0
     m = int(side // (2.0 * r))
     p = as_point(start)
-    out = []
-    for b in range(1, m + 1, 2):  # odd rows from the north
-        row = m - b
-        cy = p.y + (2 * row + 1) * r
-        for a in range(1, m + 1, 2):  # every other column from the west
-            out.append(((2 * a - 1) * r + p.x, cy))
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
+    odd = np.arange(1, m + 1, 2)
+    cx = (2 * odd - 1) * r + p.x  # every other column from the west
+    cy = p.y + (2 * (m - odd) + 1) * r  # odd rows from the north
+    gy, gx = np.meshgrid(cy, cx, indexing="ij")
+    return np.column_stack((gx.ravel(), gy.ravel()))
 
 
 def disc_grid_candidates(D: float, grid_step: float, start=Point2(0.0, 0.0)) -> np.ndarray:
@@ -177,6 +175,19 @@ def disc_grid_candidates(D: float, grid_step: float, start=Point2(0.0, 0.0)) -> 
     keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= D * D
     p = as_point(start)
     return pts[keep] + np.array([p.x, p.y])
+
+
+def _candidate_floor(D: float, grid_step: float, start: Point2) -> int:
+    """A count the candidate set certainly reaches, found without building it.
+
+    The grid points of the square inscribed in the disc, one step in so that
+    rounding keeps them in it, less the start; 0 once the step is within a few
+    ulps of the shifted coordinates, where shifted points may coincide.
+    """
+    n = int(D / (math.sqrt(2.0) * grid_step)) - 1
+    if n < 1 or grid_step <= 4.0 * math.ulp(abs(start.x) + abs(start.y) + D):
+        return 0
+    return (2 * n + 1) ** 2 - 1
 
 
 def adversarial_placement(
@@ -196,11 +207,14 @@ def adversarial_placement(
     break toward the lexicographically smallest candidate.  Unfound candidates
     count at the cap.
     """
-    if not (0.0 < r < D):
-        raise PreconditionError("adversarial search needs 0 < r < D")
+    if not (0.0 < r < D < math.inf):
+        raise PreconditionError("adversarial search needs 0 < r < D < inf")
     if not (0.0 < grid_step <= r):
         raise PreconditionError("grid step must be positive and at most r")
     start = as_point(strategy_factory(encode_advice((0.0, 0.0), (0.0, 1.0), z)).start)
+    floor = _candidate_floor(D, grid_step, start)  # the grid outnumbers the shaded lattice
+    if floor > max_candidates:
+        raise PreconditionError(f"at least {floor} candidates exceed the budget {max_candidates}")
     cands = np.concatenate(
         [shaded_tile_candidates(D, r, start), disc_grid_candidates(D, grid_step, start)]
     )

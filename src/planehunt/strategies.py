@@ -60,6 +60,10 @@ class Dot(NamedTuple):
     col: int
     thread: int
 
+    def cell(self, s: int) -> tuple[float, float]:
+        """The (range, resolution) hypothesis the dot's fill sweeps: (2**(col*s), 2**row)."""
+        return 2.0 ** (self.col * s), 2.0**self.row
+
 
 @dataclass(frozen=True)
 class FillEvent:
@@ -116,24 +120,17 @@ def _dot_row(j: int, k: int, c: int, s: int) -> int:
     return p * x + (k - 1 - p) * (x + 1) + 1
 
 
-def dot_budget(z: int, col: int, row: int, s: int) -> float:
-    """Budget granted per dot in a phase: twice the opening cell's sweep ceiling."""
-    return 2.0 * sweep_cost_bound(z, 2.0 ** (col * s), 2.0**row)
-
-
-def _certainly_over_budget(z: int, col: int, row: int, s: int, budget: float) -> bool:
-    """True when the proven cost floor alone puts a fill over the budget.
+def _certainly_over_budget(z: int, D: float, r: float, budget: float) -> bool:
+    """True when the proven cost floor alone puts a fill of cell (D, r) over the budget.
 
     Where the medium-regime floor applies, any hunt with advice size z costs at
     least that floor, so a fill whose floor exceeds the budget can be
     rejected without the exact sweep cost.  This never changes a decision; it
     only avoids enumerating columns for hopeless cells far past the frontier.
     """
-    d = 2.0 ** (col * s)
-    rr = 2.0**row
-    if not rr < MEDIUM_LB_RADIUS_LIMIT * d:
+    if not r < MEDIUM_LB_RADIUS_LIMIT * D:
         return False  # floor hypothesis fails; the cell is cheap to cost exactly
-    return 2.0 * medium_regime_lower_bound(z, d, rr) > budget
+    return 2.0 * medium_regime_lower_bound(z, D, r) > budget
 
 
 def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[FillEvent]:
@@ -152,20 +149,21 @@ def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[F
     phase = 1
     while True:
         col = cursor[c]
-        row = _dot_row(col, c, c, s)
-        budget = dot_budget(z, col, row, s)
-        cost = 2.0 * basic_cost(z, 2.0 ** (col * s), 2.0**row)
-        yield FillEvent(Dot(row, col, c), cost, budget, phase)
+        dot = Dot(_dot_row(col, c, c, s), col, c)
+        cell = dot.cell(s)
+        budget = 2.0 * sweep_cost_bound(z, *cell)  # twice the opening cell's sweep ceiling
+        yield FillEvent(dot, 2.0 * basic_cost(z, *cell), budget, phase)
         cursor[c] = col + 1
         for k in range(c - 1, 0, -1):
             while True:
                 jc = cursor[k]
-                rc = _dot_row(jc, k, c, s)
-                if _certainly_over_budget(z, jc, rc, s, budget):
+                dot = Dot(_dot_row(jc, k, c, s), jc, k)
+                cell = dot.cell(s)
+                if _certainly_over_budget(z, *cell, budget):
                     break
-                cost = 2.0 * basic_cost(z, 2.0 ** (jc * s), 2.0**rc)
+                cost = 2.0 * basic_cost(z, *cell)
                 if cost <= budget:
-                    yield FillEvent(Dot(rc, jc, k), cost, budget, phase)
+                    yield FillEvent(dot, cost, budget, phase)
                     cursor[k] = jc + 1
                 else:
                     break
@@ -282,7 +280,7 @@ def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int 
     Emits, in fill order, the basic traversal of each filled dot walked out
     and back; each fill contributes exactly twice its one-way cost.
     """
-    return _round_trips(z, w, start, lambda: ((2.0 ** (ev.dot.col * s), 2.0**ev.dot.row) for ev in fill_events(z, alpha, s)))
+    return _round_trips(z, w, start, lambda: (ev.dot.cell(s) for ev in fill_events(z, alpha, s)))
 
 
 def large_vision(start=ORIGIN) -> TrajectoryStream:

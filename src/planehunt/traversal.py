@@ -70,7 +70,7 @@ class TrajectoryStream:
 
     def prefix(self, arc: float) -> Polyline:
         """Materialize the leading ``arc`` of the stream (may split a segment)."""
-        return blocks_to_polyline(prefix_blocks(self, arc), self.start)
+        return blocks_to_polyline(prefix_blocks(self.blocks(), arc), self.start)
 
     def materialize(self, max_segments: int = 10**7) -> Polyline:
         """Materialize the whole (finite) stream, guarded by a segment budget."""
@@ -99,18 +99,14 @@ def flip_block(block: Block) -> Block:
     return Block(block.points[::-1], block.lengths[::-1], True)
 
 
-def prefix_blocks(stream: TrajectoryStream, arc: float) -> List[Block]:
-    """Blocks covering exactly the leading ``arc`` of the stream.
+def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
+    """The blocks covering exactly the leading ``arc`` of a block sequence.
 
     The final segment is split when the cut lands inside it; the split piece
     stores the exact arc remainder as its length, and keeps the block's
-    retrace tag.  A finite stream shorter than ``arc`` is returned whole.
+    retrace tag.  A finite sequence shorter than ``arc`` is returned whole.
+    No block past the cut is pulled.
     """
-    return _cut(stream.blocks(), arc)
-
-
-def _cut(blocks: Iterable[Block], arc: float) -> List[Block]:
-    """``prefix_blocks`` over a block iterator: pulls no block past the cut."""
     if not 0.0 <= arc < math.inf:
         raise PreconditionError(f"prefix arc must be nonnegative and finite, got {arc}")
     out: List[Block] = []
@@ -145,9 +141,9 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
     """For each arc in turn, walk each stream's leading ``arc`` out and back to its start.
 
     Each stream's ``blocks()`` is called once per walk.  A trip re-cuts the
-    whole blocks that earlier trips pulled and pulls only new ones.  The way
-    back is tagged a retrace, and so are the blocks the stream's previous trip
-    walked whole: every forward block but its last.
+    whole blocks that earlier trips pulled with ``prefix_blocks``, and pulls
+    only new ones.  The way back is tagged a retrace, and so are the blocks
+    the stream's previous trip walked whole: every forward block but its last.
     """
     # An unread tee per stream keeps every block pulled so far, whole; each
     # copy re-reads them and then pulls from the stream, never past the cut.
@@ -155,7 +151,7 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
     whole = [0] * len(streams)
     for arc in arcs:
         for i, blocks in enumerate(pulled):
-            forward = _cut(copy.copy(blocks), arc)
+            forward = prefix_blocks(copy.copy(blocks), arc)
             for j, block in enumerate(forward):
                 yield block._replace(retrace=True) if j < whole[i] else block
             for block in reversed(forward):

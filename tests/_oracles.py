@@ -173,7 +173,7 @@ def regenerated_phase_trips(streams, arcs):
     walked = [0] * len(streams)
     for arc in arcs:
         for i, stream in enumerate(streams):
-            forward = prefix_blocks(stream, arc)
+            forward = prefix_blocks(stream.blocks(), arc)
             for j, block in enumerate(forward):
                 yield block._replace(retrace=True) if j < walked[i] else block
             for block in reversed(forward):

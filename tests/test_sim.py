@@ -2,6 +2,10 @@
 lower-bound formulas, and the adversarial placement search."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,15 @@ class TestCandidates:
     def test_empty_pattern_for_tiny_disc(self):
         assert shaded_tile_candidates(1.0, 1.0).shape[0] == 0
 
+    @pytest.mark.parametrize("d, r, start", [(20.0, 1.0, (0.0, 0.0)), (37.3, 0.7, (-81.25, 3.1)), (9.0, 0.3, (1e9 + 0.1, 7.0))])
+    def test_shaded_pattern_matches_the_plain_loop(self, d, r, start):
+        m = int(math.sqrt(2.0) * d / 2.0 // (2.0 * r))
+        loop = [((2 * a - 1) * r + start[0], start[1] + (2 * (m - b) + 1) * r)
+                for b in range(1, m + 1, 2) for a in range(1, m + 1, 2)]
+        pts = shaded_tile_candidates(d, r, Point2(*start))
+        assert pts.dtype == np.float64
+        assert pts.tobytes() == np.array(loop, dtype=np.float64).tobytes()
+
 
 def _assert_worst_of_independent_runs(make, z, d, r, step):
     """The grouped walk over all candidates equals one independent run per
@@ -241,6 +254,29 @@ class TestAdversarialPlacement:
         factory = lambda w: small_vision(0, w)
         with pytest.raises(PreconditionError):
             adversarial_placement(factory, 0, 20.0, 1.0, 1.0, max_candidates=10)
+
+    def test_over_budget_candidates_are_refused_before_they_are_built(self):
+        # The full grid here holds 2.6e8 points (4 GB); a 2 GiB address-space
+        # limit turns building it into a MemoryError instead of a refusal.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from planehunt import PreconditionError, adversarial_placement, small_vision\n"
+            "try:\n"
+            "    adversarial_placement(lambda w: small_vision(2, w), 2, 400.0, 0.05, 0.05)\n"
+            "except PreconditionError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.startswith("refused: ") and "exceed the budget 1000000" in proc.stdout
+
+    def test_infinite_range_rejected(self):
+        with pytest.raises(PreconditionError):
+            adversarial_placement(lambda w: large_vision(), 0, math.inf, 1.0, 1.0)
 
     def test_deterministic_and_lexicographic(self):
         factory = lambda w: medium_vision(1, w, 0.5, 2)

@@ -1,13 +1,17 @@
-"""The benchmark tracer finds every lookup site it wraps in the library.
+"""The benchmark tracer finds every lookup site it wraps in the library, and
+the library's own calls go through those sites.
 
-A renamed or moved function would otherwise drop out of the tracer silently
-and leave its per-layer metric empty or short.
+A renamed or moved function, or a caller that reaches a function by another
+name, would otherwise drop out of the tracer silently and leave its
+per-layer metric empty or short.
 """
 
 import importlib.util
 from pathlib import Path
 
 import planehunt
+from _oracles import regenerated_phase_trips
+from planehunt import harness, traversal
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,3 +43,29 @@ def test_every_lookup_site_resolves():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def _traced(fn):
+    """``fn()`` under an installed tracer, which is removed again whatever happens."""
+    tracer = _load_tracer().Tracer(planehunt)
+    tracer.install()
+    try:
+        fn()
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_phase_trip_cuts_are_traced():
+    streams, arcs = [traversal.spiral(8.0, 0.5)], [1.0, 2.0, 4.0, 8.0]
+    tracer = _traced(lambda: list(traversal.phase_trips(streams, arcs)))
+    # Each trip walks back over exactly the segments of its way out.
+    forward = sum(b.lengths.size for b in regenerated_phase_trips(streams, arcs)) // 2
+    assert tracer.counts["traversal.prefix_blocks.calls"] == len(arcs)
+    assert tracer.counts["traversal.prefix_blocks.segments"] == forward
+
+
+def test_worst_placement_is_traced():
+    tracer = _traced(lambda: harness.worst_placement("small", 2, 4.0, 0.5, 0.5, 3, 1e4, 0.5))
+    assert [span[0] for span in tracer.spans].count("sim.adversarial_placement") == 1
+    assert tracer.counts["sim.adversarial_placement.groups"] == 4

@@ -407,7 +407,7 @@ def _assert_trips(stream, trips):
         assert len(back) == pieces
         assert [b.retrace for b in out] == [i < walked for i in range(pieces)]
         assert all(b.retrace for b in back)
-        for a, b in zip(out, prefix_blocks(stream, arc)):
+        for a, b in zip(out, prefix_blocks(stream.blocks(), arc)):
             assert np.array_equal(a.points, b.points) and np.array_equal(a.lengths, b.lengths)
         for a, b in zip(back, reversed(out)):
             assert np.array_equal(a.points, b.points[::-1]) and np.array_equal(a.lengths, b.lengths[::-1])
