@@ -71,7 +71,8 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     cap, or when the stream runs out.  Within a block a target's first
     detecting segment counts; a detection past the cap does not.  A block
     tagged ``retrace`` repeats ground already tested, so it is folded and
-    counted but not tested.
+    counted but not tested; any other block is tested only against the
+    targets within reach of its bounding box.
     """
     if not (0.0 < cap < math.inf):
         raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
@@ -100,7 +101,26 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             cuts = np.arange(_CAND_SLAB, active.size, _CAND_SLAB)
             slabs = [(idx, targets[idx]) for idx in np.split(active, cuts)]
         changed = False
+        if not block.retrace:
+            x, y = pts[:, 0], pts[:, 1]
+            x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+            box = max(1.0, abs(x0), abs(x1), abs(y0), abs(y1))
         for idx, xy in () if block.retrace else slabs:
+            # Cull the targets farther than r from the block's bounding box: the
+            # kernel cannot see them.  The margin covers the kernel's rounding.
+            if idx.size == 1:
+                qx, qy = float(xy[0, 0]), float(xy[0, 1])
+                gap = math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0))
+                if gap > r + 1e-9 * max(box, abs(qx), abs(qy)):
+                    continue
+            else:
+                qx, qy = xy[:, 0], xy[:, 1]
+                gx = np.maximum(np.maximum(x0 - qx, qx - x1), 0.0)
+                gy = np.maximum(np.maximum(y0 - qy, qy - y1), 0.0)
+                near = np.hypot(gx, gy) <= r + 1e-9 * np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box)
+                if not near.any():
+                    continue
+                idx, xy = idx[near], xy[near]
             t = detection_lengths(pts, xy, r)
             if np.isnan(t).all():
                 continue
@@ -181,13 +201,16 @@ def _candidate_floor(D: float, grid_step: float, start: Point2) -> int:
     """A count the candidate set certainly reaches, found without building it.
 
     The grid points of the square inscribed in the disc, one step in so that
-    rounding keeps them in it, less the start; 0 once the step is within a few
-    ulps of the shifted coordinates, where shifted points may coincide.
+    rounding keeps them in it, less the start.  A step within a few ulps of
+    the shifted coordinates is refused: shifted points may coincide there,
+    so no count is certain.
     """
+    if grid_step <= 4.0 * math.ulp(abs(start.x) + abs(start.y) + D):
+        raise PreconditionError(
+            f"grid step {grid_step} does not resolve coordinates at start ({start.x}, {start.y})"
+        )
     n = int(D / (math.sqrt(2.0) * grid_step)) - 1
-    if n < 1 or grid_step <= 4.0 * math.ulp(abs(start.x) + abs(start.y) + D):
-        return 0
-    return (2 * n + 1) ** 2 - 1
+    return (2 * n + 1) ** 2 - 1 if n >= 1 else 0
 
 
 def adversarial_placement(

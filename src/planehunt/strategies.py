@@ -61,8 +61,14 @@ class Dot(NamedTuple):
     thread: int
 
     def cell(self, s: int) -> tuple[float, float]:
-        """The (range, resolution) hypothesis the dot's fill sweeps: (2**(col*s), 2**row)."""
-        return 2.0 ** (self.col * s), 2.0**self.row
+        """The (range, resolution) hypothesis the dot's fill sweeps: (2**(col*s), 2**row).
+
+        Raises BudgetExceededError once the range overflows binary64.
+        """
+        try:
+            return 2.0 ** (self.col * s), 2.0**self.row
+        except OverflowError:
+            raise BudgetExceededError(f"dot range 2**{self.col * s} overflows binary64") from None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ and boundary-crossing predicates (segment/segment and segment/arc), with no
 shared code or formulas with the library's analytic column heights.  The
 detection oracle solves one segment against one treasure in plain scalar
 arithmetic, the twin of the library's vectorized kernel.  The phase-trip
-oracle regenerates every trip's prefix from the stream's start.
+oracle regenerates every trip's prefix from the stream's start, and the plain
+walk tests every block against every target still unseen.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from planehunt.errors import PreconditionError
-from planehunt.geom import DETECTION_TOL
+from planehunt.geom import DETECTION_TOL, Point2, detection_lengths
+from planehunt.sim import RunOutcome
 from planehunt.traversal import flip_block, prefix_blocks
+
+# Targets per kernel call in the plain walk; bounds its (segments, targets) arrays.
+_PLAIN_SLAB = 256
 
 
 def point_in_wedge(x: float, y: float, radius: float, wedge: float) -> bool:
@@ -179,3 +186,44 @@ def regenerated_phase_trips(streams, arcs):
             for block in reversed(forward):
                 yield flip_block(block)
             walked[i] = len(forward) - 1
+
+
+def plain_walk(stream, targets, r: float, cap: float) -> list:
+    """One ``RunOutcome`` per target of the (k, 2) ``targets``, from a walk of
+    ``stream`` that sends every block, tagged ``retrace`` or not, to the
+    detection kernel with every target not yet seen: no reach culling and no
+    tag skipping.  Costs and detection points use the walker's arithmetic.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    start = stream.start
+    out = [None] * targets.shape[0]
+    for i, (qx, qy) in enumerate(targets):
+        if math.hypot(qx - start.x, qy - start.y) <= r + DETECTION_TOL:
+            out[i] = RunOutcome(True, 0.0, Point2(start.x, start.y), 0)
+    walked, done = 0.0, 0
+    for block in stream.blocks():
+        unseen = np.array([i for i, o in enumerate(out) if o is None], dtype=np.int64)
+        if not unseen.size:
+            break
+        pts = block.points
+        cs = np.cumsum(block.lengths)
+        for lo in range(0, unseen.size, _PLAIN_SLAB):
+            idx = unseen[lo : lo + _PLAIN_SLAB]
+            t = detection_lengths(pts, targets[idx], r)
+            hit = ~np.isnan(t)
+            for col in np.flatnonzero(hit.any(axis=0)):
+                seg = int(np.argmax(hit[:, col]))
+                c = walked + (float(cs[seg - 1]) if seg > 0 else 0.0) + float(t[seg, col])
+                if c <= cap:
+                    (ax, ay), (bx, by) = pts[seg], pts[seg + 1]
+                    geo = math.hypot(bx - ax, by - ay)
+                    frac = float(t[seg, col]) / geo if geo > 0.0 else 0.0
+                    point = Point2(float(ax + frac * (bx - ax)), float(ay + frac * (by - ay)))
+                    out[idx[col]] = RunOutcome(True, c, point, done + seg + 1)
+        total = walked + float(cs[-1]) if cs.size else walked
+        if total > cap:
+            done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
+            walked = cap
+            break
+        walked, done = total, done + cs.size
+    return [o if o is not None else RunOutcome(False, walked, None, done) for o in out]

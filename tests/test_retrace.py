@@ -137,8 +137,16 @@ def test_tags_are_sound(name, make, r, segments):
         assert sum(b.lengths.size for b in blocks if b.retrace) > segments // 4
 
 
+def _within_reach(points, q, r):
+    """Is the block's bounding box within the walker's cull margin of q?"""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    gap = math.hypot(*np.maximum(np.maximum(lo - q, np.asarray(q) - hi), 0.0))
+    return gap <= r + 1e-9 * max(1.0, float(np.abs(points).max()), abs(q[0]), abs(q[1]))
+
+
 class TestWalker:
     def test_kernel_sees_only_untagged_segments(self, monkeypatch):
+        """The kernel gets exactly the untagged blocks whose box is within reach of the treasure."""
         given = []
         kernel = sim.detection_lengths
 
@@ -147,12 +155,14 @@ class TestWalker:
             return kernel(points, targets, r)
 
         monkeypatch.setattr(sim, "detection_lengths", counting)
-        w = encode_advice((0.0, 0.0), (1.3, 0.4), 3)
-        out = run(small_vision(3, w), (1.3, 0.4), 2.0**-12, 1e9)
+        q, r = (1.3, 0.4), 2.0**-12
+        w = encode_advice((0.0, 0.0), q, 3)
+        out = run(small_vision(3, w), q, r, 1e9)
         walked = _walked_blocks(small_vision(3, w), out.segments_executed)
         fresh = [b for b in walked if not b.retrace]
-        assert len(given) == len(fresh) < len(walked)
-        for points, block in zip(given, fresh):
+        near = [b for b in fresh if _within_reach(b.points, q, r)]
+        assert 0 < len(given) == len(near) < len(fresh) < len(walked)
+        for points, block in zip(given, near):
             assert np.array_equal(points, block.points)
         assert sum(p.shape[0] - 1 for p in given) < out.segments_executed // 2
 

@@ -37,6 +37,27 @@ def one_segment_stream(a, b):
     return TrajectoryStream(a, lambda: iter([Block(pts, lens)]))
 
 
+def _refusal_under_2gib(call):
+    """Run an ``adversarial_placement`` call in a subprocess under a 2 GiB
+    address-space limit; return the PreconditionError message it refuses with."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from planehunt import PreconditionError, adversarial_placement, small_vision\n"
+        "try:\n"
+        f"    {call}\n"
+        "except PreconditionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.startswith("refused: "), proc.stdout
+    return proc.stdout
+
+
 class TestRun:
     def test_treasure_at_start(self):
         out = run(spiral(4.0, 1.0), (0.0, 0.0), 0.5, 100.0)
@@ -258,21 +279,22 @@ class TestAdversarialPlacement:
     def test_over_budget_candidates_are_refused_before_they_are_built(self):
         # The full grid here holds 2.6e8 points (4 GB); a 2 GiB address-space
         # limit turns building it into a MemoryError instead of a refusal.
-        code = (
-            "import resource\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from planehunt import PreconditionError, adversarial_placement, small_vision\n"
-            "try:\n"
-            "    adversarial_placement(lambda w: small_vision(2, w), 2, 400.0, 0.05, 0.05)\n"
-            "except PreconditionError as exc:\n"
-            "    print('refused:', exc)\n"
+        refusal = _refusal_under_2gib("adversarial_placement(lambda w: small_vision(2, w), 2, 400.0, 0.05, 0.05)")
+        assert "exceed the budget 1000000" in refusal
+
+    def test_unresolved_grid_step_is_refused_before_candidates_are_built(self):
+        # At x = 1e17 one ulp is 16: the 0.05 step cannot move a coordinate, so
+        # no candidate floor holds and the 15999**2 grid would be built.
+        refusal = _refusal_under_2gib(
+            "adversarial_placement(lambda w: small_vision(2, w, (1e17, 0.0)), 2, 400.0, 0.05, 0.05)"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 0, proc.stderr[-500:]
-        assert proc.stdout.startswith("refused: ") and "exceed the budget 1000000" in proc.stdout
+        assert "does not resolve coordinates" in refusal
+
+    def test_resolved_far_start_keeps_its_answer(self):
+        factory = lambda w: small_vision(1, w, (1e9, -1e9))
+        near = adversarial_placement(lambda w: small_vision(1, w), 1, 6.0, 0.5, 0.5)
+        far = adversarial_placement(factory, 1, 6.0, 0.5, 0.5)
+        assert far[1] == near[1] and far[0] == Point2(near[0].x + 1e9, near[0].y - 1e9)
 
     def test_infinite_range_rejected(self):
         with pytest.raises(PreconditionError):

@@ -1,13 +1,15 @@
 """Strategy tests: dot bookkeeping, the budgeted fill order, phase structure
 of the small/universal streams, ray probes, and the k-agent partition."""
 
+import hashlib
 import math
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from planehunt import (
+    BudgetExceededError,
     Point2,
     PreconditionError,
     basic_cost,
@@ -100,6 +102,30 @@ class TestSchedule:
         sched = medium_schedule(2, 0.5, 3, max_phases=4)
         for e in sched.events:
             assert e.cost == 2.0 * basic_cost(2, 2.0 ** (e.dot.col * 3), 2.0**e.dot.row)
+
+    def test_range_overflow_trips_the_guard(self):
+        # For z <= 1 the spiral's closed form costs every cell, so no column
+        # guard trips before the 52nd fill's range 2**(52 * 20) overflows.
+        for z in (0, 1):
+            with pytest.raises(BudgetExceededError):
+                list(islice(fill_events(z, 1.0, 20), 60))
+            sched = medium_schedule(z, 1.0, 20, max_phases=60)
+            assert sched.guard_tripped and len(sched.events) == 51
+
+    def test_first_sixty_fills_pinned(self):
+        """The repr hash of the first 60 fills at s = 20, the scale step whose
+        ranges overflow within 60 fills, over a grid of (z, alpha); every
+        order cut short ends in BudgetExceededError."""
+        digest = hashlib.sha256()
+        cut = 0
+        for z, alpha in product((0, 1, 2, 3, 6), (1 / 2, 1 / 3, 1.0, 1 / 4)):
+            try:
+                for ev in islice(fill_events(z, alpha, 20), 60):
+                    digest.update(repr(ev).encode())
+            except BudgetExceededError:
+                cut += 1
+        assert digest.hexdigest() == "fcb76a5be3fab993168bd7b2d27afe88255a7b03cbc3672043e2275a4592a691"
+        assert cut == 14
 
     def test_corner_cell_resolution_equal_to_range(self):
         # branch 2, step 2: the second dot of column 1 is the cell whose
