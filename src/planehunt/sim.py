@@ -21,7 +21,7 @@ from .advice import encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
-from .traversal import TrajectoryStream
+from .traversal import TrajectoryStream, _block_total
 
 # Default cost cap multiplier: caps are mandatory for infinite streams, and a
 # hit at 1e4 times the applicable ceiling is a hard failure, not noise.
@@ -72,7 +72,8 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     detecting segment counts; a detection past the cap does not.  A block
     tagged ``retrace`` repeats ground already tested, so it is folded and
     counted but not tested; any other block is tested only against the
-    targets within reach of its bounding box.
+    targets within reach of its bounding box.  Lengths fold as block totals,
+    ``walked + total``, left to right.
     """
     if not (0.0 < cap < math.inf):
         raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
@@ -96,7 +97,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
                 f"block starts at ({pts[0, 0]}, {pts[0, 1]}) but previous segment ended at ({last[0]}, {last[1]})"
             )
         last = (pts[-1, 0], pts[-1, 1])
-        cs = np.cumsum(block.lengths)
+        cs = None  # summed only where a detection or the cap needs the running length
         if slabs is None:
             cuts = np.arange(_CAND_SLAB, active.size, _CAND_SLAB)
             slabs = [(idx, targets[idx]) for idx in np.split(active, cuts)]
@@ -125,6 +126,8 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             if np.isnan(t).all():
                 continue
             hit = ~np.isnan(t)
+            if cs is None:
+                cs = np.cumsum(block.lengths)
             col = np.flatnonzero(hit.any(axis=0))
             seg = hit.argmax(axis=0)[col]
             tt = t[seg, col]
@@ -143,13 +146,15 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             slabs = None
             if not active.size:
                 break
-        total = walked + float(cs[-1]) if cs.size else walked
+        total = walked + _block_total(block)
         if total > cap:
+            if cs is None:
+                cs = np.cumsum(block.lengths)
             done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
             walked = cap
             break
         walked = total
-        done += cs.size
+        done += block.lengths.size
     cost[active] = walked
     segments[active] = done
     return _Walk(cost, found, segments, ends, t_hit)

@@ -35,6 +35,7 @@ from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
     Block,
     TrajectoryStream,
+    _sum,
     basic_cost,
     phase_trips,
     round_trip_blocks,
@@ -203,19 +204,23 @@ def special_dot(D: float, r: float, c: int, s: int) -> Dot:
 
     Column: smallest j with 2**(j*s) >= D.  Row: the largest dot row not above
     the largest integer i with 2**i <= r.  Raises when no dot row qualifies,
-    which happens exactly for r < 2 (the matrix has no finer resolution row).
+    which happens exactly for r < 2 (the matrix has no finer resolution row),
+    and raises BudgetExceededError when the column's range 2**(j*s)
+    overflows binary64.
     """
-    if not (1.0 < r < D):
-        raise PreconditionError("special dot needs 1 < r < D")
-    j = 1
-    while 2.0 ** (j * s) < D:
-        j += 1
+    if not (1.0 < r < D < math.inf):
+        raise PreconditionError("special dot needs 1 < r < D < inf")
+    mantissa, exponent = math.frexp(D)
+    k = exponent - 1 if mantissa == 0.5 else exponent  # smallest integer with 2**k >= D
+    j = max(1, -(-k // s))
     mantissa, exponent = math.frexp(r)
     i = exponent - 1  # largest integer with 2**i <= r
     candidates = [d for d in dots_of_column(j, c, s) if d.row <= i]
     if not candidates:
         raise PreconditionError(f"column {j} has no dot row at or below {i} (r = {r})")
-    return max(candidates, key=lambda d: d.row)
+    dot = max(candidates, key=lambda d: d.row)
+    dot.cell(s)  # the range must exist in binary64
+    return dot
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +236,7 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
     prev = np.array([start.x, start.y])
     while True:
         tip = np.array([start.x + (reached + step) * ux, start.y + (reached + step) * uy])
-        yield Block(np.stack([prev, tip]), np.array([step]))
+        yield Block(np.stack([prev, tip]), np.array([step]), total=step)
         prev = tip
         reached += step
         step *= 2.0
@@ -284,7 +289,9 @@ def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int 
     """Strategy for medium vision radii (1 < r < 0.9 D): budgeted dot filling.
 
     Emits, in fill order, the basic traversal of each filled dot walked out
-    and back; each fill contributes exactly twice its one-way cost.
+    and back.  In exact arithmetic each fill adds twice its one-way cost; the
+    walker's fold of block totals can differ from ``2 * basic_cost``, the
+    per-segment fold of ``FillEvent.cost``, in the last bits.
     """
     return _round_trips(z, w, start, lambda: (ev.dot.cell(s) for ev in fill_events(z, alpha, s)))
 
@@ -307,7 +314,8 @@ def large_vision(start=ORIGIN) -> TrajectoryStream:
             for i, (ux, uy) in enumerate(units):
                 pts[2 * i + 1] = (p.x + d * ux, p.y + d * uy)
                 pts[2 * i + 2] = (p.x, p.y)
-            yield Block(pts, np.full(2 * RAY_COUNT, d))
+            lengths = np.full(2 * RAY_COUNT, d)
+            yield Block(pts, lengths, total=_sum(lengths))
             j += 1
 
     return TrajectoryStream(p, gen)
@@ -317,9 +325,10 @@ def universal(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DE
     """Regime-oblivious strategy: small, medium, and large streams round-robin.
 
     Phase p walks 2**p out and back along each component stream (from its
-    beginning; ``phase_trips`` walks each one once), costing exactly 6 * 2**p;
-    a treasure any single component would find at cost x is found at cost at
-    most 24 x.
+    beginning; ``phase_trips`` walks each one once), costing 6 * 2**p in exact
+    arithmetic (the walker's left fold of block totals may differ in the last
+    bits); a treasure any single component would find at cost x is found at
+    cost at most 24 x.
     """
     check_advice(z, w)
     p = as_point(start)

@@ -2,15 +2,18 @@
 
 A stream is a restartable generator of vertex blocks.  Each block carries an
 (m+1, 2) vertex array (its first vertex repeats the previous block's last,
-so segments chain exactly) plus the authoritative per-segment lengths.  Move
-lengths are stored analytically (axis moves in the tiling frame are exact
-multiples of the tile size), so costs accumulate without rotation noise;
-coordinates agree with the stored lengths to well under the library's 1e-9
-polyline tolerance.
+so segments chain exactly) plus the authoritative per-segment lengths and
+their total.  Move lengths are stored analytically (axis moves in the tiling
+frame are exact multiples of the tile size), so costs accumulate without
+rotation noise; coordinates agree with the stored lengths to well under the
+library's 1e-9 polyline tolerance.
 
-``basic_cost`` folds the very same per-segment length arrays a materialized
-stream would produce, in the same order, so it matches the materialized
-polyline length bit for bit whenever materialization is feasible.
+Two folds measure a length, and they agree only in exact arithmetic.  The
+walker (``sim``) folds block totals left to right: walked + total, block
+after block.  ``basic_cost`` folds the per-segment lengths one by one, in
+stream order, so it matches the materialized polyline length bit for bit
+whenever materialization is feasible; a walked basic traversal can differ
+from it in the last bits.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,14 +46,32 @@ class Block(NamedTuple):
     walked earlier in the same ``blocks()`` walk, forwards or backwards (a
     segment cut short by ``prefix_blocks`` lies on the one it was cut from).
     Such a block cannot show a target the earlier pass missed, so the walker
-    folds its lengths but skips its detection test.  ``flip_block`` sets it,
+    folds its total but skips its detection test.  ``flip_block`` sets it,
     ``phase_trips`` also sets it on the blocks a trip re-walks, and
     ``prefix_blocks`` keeps it; user-built streams leave it ``False``.
+
+    ``total`` is ``float(np.cumsum(lengths)[-1])``, the left-to-right sum of
+    the lengths, or 0.0 for an empty block.  Every block the library builds
+    sums it once, when the block is made; a flip sums its own reversed
+    lengths, since the other order can round differently.  A user-built block
+    may leave it ``None``, and ``_block_total`` then sums it where needed; a
+    user-built block that sets it must set that same sum.
     """
 
     points: np.ndarray
     lengths: np.ndarray
     retrace: bool = False
+    total: Optional[float] = None
+
+
+def _sum(lengths: np.ndarray) -> float:
+    """The left-to-right sum a block's ``total`` holds: the last entry of the cumsum."""
+    return float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
+
+
+def _block_total(block: Block) -> float:
+    """The block's total; a user-built block that carries none is summed here."""
+    return _sum(block.lengths) if block.total is None else block.total
 
 
 class TrajectoryStream:
@@ -95,8 +116,12 @@ def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
 
 
 def flip_block(block: Block) -> Block:
-    """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace."""
-    return Block(block.points[::-1], block.lengths[::-1], True)
+    """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace.
+
+    Its total sums the reversed lengths anew: the other order can round differently.
+    """
+    lengths = block.lengths[::-1]
+    return Block(block.points[::-1], lengths, True, _sum(lengths))
 
 
 def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
@@ -105,7 +130,7 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
     The final segment is split when the cut lands inside it; the split piece
     stores the exact arc remainder as its length, and keeps the block's
     retrace tag.  A finite sequence shorter than ``arc`` is returned whole.
-    No block past the cut is pulled.
+    No block past the cut is pulled, and only the block cut is summed again.
     """
     if not 0.0 <= arc < math.inf:
         raise PreconditionError(f"prefix arc must be nonnegative and finite, got {arc}")
@@ -114,15 +139,16 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
     for block in blocks:
         if block.lengths.size == 0:
             continue
-        cs = np.cumsum(block.lengths)
-        total = float(cs[-1])
+        total = _block_total(block)
         if total < remaining:
             out.append(block)
             remaining -= total
             continue
+        # The cut block's total is its cut lengths' cumsum, read off this one.
+        cs = np.cumsum(block.lengths)
         idx = int(np.searchsorted(cs, remaining, side="left"))
         if cs[idx] == remaining:
-            out.append(Block(block.points[: idx + 2], block.lengths[: idx + 1], block.retrace))
+            out.append(Block(block.points[: idx + 2], block.lengths[: idx + 1], block.retrace, float(cs[idx])))
         else:
             before = float(cs[idx - 1]) if idx else 0.0
             t = min(remaining - before, float(block.lengths[idx]))
@@ -132,7 +158,7 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
             split = a + frac * (b - a)
             pts = np.concatenate([block.points[: idx + 1], split[None, :]])
             lens = np.concatenate([block.lengths[:idx], [t]])
-            out.append(Block(pts, lens, block.retrace))
+            out.append(Block(pts, lens, block.retrace, before + t if idx else t))
         return out
     return out
 
@@ -144,19 +170,33 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
     whole blocks that earlier trips pulled with ``prefix_blocks``, and pulls
     only new ones.  The way back is tagged a retrace, and so are the blocks
     the stream's previous trip walked whole: every forward block but its last.
+    The tagged copy and the flip of a block walked whole are made once and
+    yielded again by later trips; only each trip's last block is flipped anew.
     """
     # An unread tee per stream keeps every block pulled so far, whole; each
     # copy re-reads them and then pulls from the stream, never past the cut.
     pulled = [itertools.tee(stream.blocks(), 1)[0] for stream in streams]
+    tagged: List[List[Block]] = [[] for _ in streams]
+    flipped: List[List[Block]] = [[] for _ in streams]
     whole = [0] * len(streams)
     for arc in arcs:
         for i, blocks in enumerate(pulled):
             forward = prefix_blocks(copy.copy(blocks), arc)
-            for j, block in enumerate(forward):
-                yield block._replace(retrace=True) if j < whole[i] else block
-            for block in reversed(forward):
-                yield flip_block(block)
-            whole[i] = len(forward) - 1
+            if not forward:  # the stream holds no segment
+                continue
+            *body, last = forward  # the last block may be cut, so it is not kept
+            n = len(body)
+            tags, flips = tagged[i], flipped[i]
+            for block in body[len(flips) :]:
+                tags.append(block if block.retrace else block._replace(retrace=True))
+                flips.append(flip_block(block))
+            kept = min(whole[i], n)
+            yield from tags[:kept]
+            yield from body[kept:]
+            yield last._replace(retrace=True) if n < whole[i] else last
+            yield flip_block(last)
+            yield from reversed(flips[:n])
+            whole[i] = n
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +239,7 @@ def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> Block:
     pts[0, 1] = start.y + oy
     pts[1:, 0] = (start.x + ox) + np.cumsum(dx)
     pts[1:, 1] = (start.y + oy) + np.cumsum(dy)
-    return Block(pts, lengths)
+    return Block(pts, lengths, total=_sum(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +280,8 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
     else:
         head = frame.to_world(np.array([[(u_lo - 1 + 0.5) * r, 0.5 * r]]))
     pts = np.concatenate([head, world])
-    return Block(pts, _sweep_lengths(heights, r, first=(u_lo == 0)))
+    lengths = _sweep_lengths(heights, r, first=(u_lo == 0))
+    return Block(pts, lengths, total=_sum(lengths))
 
 
 # ---------------------------------------------------------------------------

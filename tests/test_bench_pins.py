@@ -1,0 +1,74 @@
+"""One seed-1 pass of each benchmark workload gives its pinned outputs.
+
+The benchmark checks that every pass of a run matches the run's first pass,
+but not that the first pass matches earlier code.  These pins do: a fast path
+that moves one cost bit, one detection point or one segment count changes a
+pass digest or a segment count here and fails the suite.  The pins are the
+seed-1 figures of ``BENCH_10.json``.
+"""
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import planehunt
+from planehunt import advice, geom, harness, sim, strategies, tiling, traversal  # noqa: F401  (the workloads' ph.<module>)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# workload: (pass digest, segments per pass, count of each outcome other than found)
+PINS = {
+    "small_hunts": ("92949f37581f2a85c4fa96de4ff186cf491c2997c6d3d381abf10e700420f7db", 27_754_272, {}),
+    "universal_sweep": ("3ab07dfbee3f57e61fb945b352ef601dec1be74699de17498bd7f44f23b925a1", 675_433, {}),
+    "adversary_grid": ("9f3441de0f56a9d479c3269cc4e33a6e12bd7f8596f15dcd8b2b760722990cb9", 47_960, {}),
+    "basic_hunts": ("9e07cd17348a159a300394e36e9550a67422696f614d26b0346f615c8e381aa8", 14_292_173,
+                    {"StreamChainError": 77}),
+}
+
+
+def _load(name: str):
+    """Load ``perfbench/<name>.py`` as module ``perfbench_<name>``, registered while it runs."""
+    alias = f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(alias, PERFBENCH / f"{name}.py")
+    module = sys.modules[alias] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[alias]
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    tracer = _load("tracer")
+    saved = sys.modules.get("tracer")
+    sys.modules["tracer"] = tracer  # workloads.py imports its sibling by this name
+    try:
+        workloads = _load("workloads")
+    finally:
+        if saved is None:
+            del sys.modules["tracer"]
+        else:
+            sys.modules["tracer"] = saved
+    return tracer, workloads
+
+
+@pytest.mark.parametrize("name", list(PINS))
+def test_seed_1_pass_is_pinned(bench, name):
+    tracer_module, workloads = bench
+    digest, segments, failures = PINS[name]
+    workload = workloads.WORKLOADS[name](planehunt, 1)
+    tracer = tracer_module.Tracer(planehunt)
+    tracer.install()
+    try:
+        raw = workload.run_pass(tracer)
+    finally:
+        tracer.uninstall()
+    summary = workload.summarize(raw)
+    assert tracer.absent == [] and summary.problems == []
+    assert summary.digest == digest
+    assert tracer.counts[workload.segment_counter] == segments
+    assert summary.failures == Counter(failures)

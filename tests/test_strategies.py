@@ -149,6 +149,21 @@ class TestSpecialDot:
         with pytest.raises(PreconditionError):
             special_dot(10.0, 10.0, 3, 2)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 20])
+    def test_column_is_the_smallest_whose_range_reaches_d(self, s):
+        for e in range(2, 300, 7):
+            for d in (2.0**e, math.nextafter(2.0**e, 0.0), math.nextafter(2.0**e, math.inf), 3.0 * 2.0**e):
+                j = special_dot(d, 2.0, 1, s).col
+                assert 2.0 ** (j * s) >= d
+                assert j == 1 or 2.0 ** ((j - 1) * s) < d
+
+    def test_range_past_binary64_is_over_budget(self):
+        with pytest.raises(BudgetExceededError):
+            special_dot(1e308, 2.0, 2, 1)  # column 1024: its range 2**1024 overflows
+        assert special_dot(2.0**1023, 2.0, 2, 1) == Dot(1, 1023, 1)
+        with pytest.raises(PreconditionError):
+            special_dot(math.inf, 2.0, 2, 1)
+
 
 class TestSmallVision:
     def test_no_advice_runs_the_hypothesis_sweep_directly(self):

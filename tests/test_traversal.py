@@ -339,6 +339,11 @@ class TestPhaseTrips:
         assert len(after) == len(trips)
 
     def test_every_way_back_goes_through_flip_block(self, monkeypatch):
+        """Every way-back block is made by ``flip_block``, which runs once per
+        whole block a trip walks and once per trip for the trip's last piece.
+
+        The spiral's first 4096-instruction piece ends near arc 2.1e6, so the
+        trips past it walk that piece whole and yield its one flip again."""
         flipped = []
         flip = traversal.flip_block
 
@@ -348,17 +353,20 @@ class TestPhaseTrips:
 
         monkeypatch.setattr(traversal, "flip_block", counting)
         streams = [spiral(1100.0, 0.5), one_segment_stream((0.0, 0.0), (3.0, 4.0))]
-        walk = list(phase_trips(streams, [1.0, 10.0, 1e5, 1e12]))
+        arcs = [1.0, 10.0, 1e5, 3e6, 5e6, 1e12, 1e12]
+        walk = list(phase_trips(streams, arcs))
         ids = {id(b) for b in flipped}
         runs = [(back, list(g)) for back, g in itertools.groupby(walk, key=lambda b: id(b) in ids)]
-        assert [back for back, _ in runs] == [False, True] * 8  # two streams, four arcs
-        assert sum(len(g) for back, g in runs if back) == len(flipped)
+        assert [back for back, _ in runs] == [False, True] * (2 * len(arcs))
+        whole = sum(max(len(prefix_blocks(s.blocks(), arc)) - 1 for arc in arcs) for s in streams)
+        assert whole == 2  # the spiral's first two pieces; its third ends the stream
+        assert len(flipped) == whole + len(streams) * len(arcs)
         for (_, out), (_, back) in zip(runs[::2], runs[1::2]):
             assert len(back) == len(out)
             for a, b in zip(back, reversed(out)):
                 assert np.array_equal(a.points, b.points[::-1]) and a.retrace
 
-    @pytest.mark.parametrize("name", ["small z=3", "universal z=2", "two streams"])
+    @pytest.mark.parametrize("name", ["small z=3", "universal z=2", "two streams", "arcs that shrink"])
     def test_matches_regenerated_trips(self, name):
         """The same blocks, tags included, as cutting every trip from the start."""
 
@@ -379,6 +387,8 @@ class TestPhaseTrips:
         else:
             parts = [spiral(1100.0, 0.5), one_segment_stream((0.0, 0.0), (3.0, 4.0))]
             arcs = [0.5, 5.0, 300.0, 1e5, 1e7, 1e12, 1e12]
+            if name == "arcs that shrink":  # kept blocks become cut ones and whole again
+                arcs = [3e6, 5e6, 10.0, 1e12, 3e6, 0.0, 5e6, 1e12]
             stream = TrajectoryStream((0.0, 0.0), lambda: phase_trips(parts, arcs))
             oracle = TrajectoryStream((0.0, 0.0), lambda: regenerated_phase_trips(parts, arcs))
             segments = math.inf
@@ -386,7 +396,7 @@ class TestPhaseTrips:
         for a, b in itertools.zip_longest(stream.blocks(), oracle.blocks()):
             assert a is not None and b is not None
             assert np.array_equal(a.points, b.points) and np.array_equal(a.lengths, b.lengths)
-            assert a.retrace == b.retrace
+            assert (a.retrace, a.total) == (b.retrace, b.total)
             seen += a.lengths.size
             if seen >= segments:
                 break
