@@ -13,7 +13,6 @@ strategies are measured against.
 from .advice import AdviceString, SectorSpec, decode_sector, encode_advice, sector_index
 from .bounds import (
     LowerBoundReport,
-    bound_for,
     lower_bounds,
     medium_regime_lower_bound,
     regime_of,
@@ -32,7 +31,6 @@ from .geom import (
     Point2,
     Polyline,
     Radians,
-    Length,
     ccw_angle_from_north,
     direction_of,
 )
@@ -40,6 +38,7 @@ from .harness import (
     ExperimentConfig,
     Lcg64,
     SweepRow,
+    bound_for,
     build_stream,
     hunt,
     parse_config,

@@ -1,9 +1,10 @@
 """The proven ceilings and floors: every constant of the verified-constants table.
 
-Each constant sits next to the formula it scales.  ``bound_for`` picks the
-ceiling a strategy's measured cost is compared against; ``lower_bounds``
-reports the floors any hunt must pay.  Advice size z, range D and vision
-radius r keep their meaning throughout: F = D^2/(2^z r) is the area term.
+Each constant sits next to the formula it scales.  A strategy's measured
+cost is compared against the ceiling its ``harness.STRATEGIES`` row names
+(``harness.bound_for``); ``lower_bounds`` reports the floors any hunt must
+pay.  Advice size z, range D and vision radius r keep their meaning
+throughout: F = D^2/(2^z r) is the area term.
 """
 
 from __future__ import annotations
@@ -97,23 +98,15 @@ def branch_count(alpha: float) -> int:
     return max(1, math.ceil(1.0 / alpha - 1e-9))
 
 
-def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -> float:
-    """The documented cost ceiling the sweep's ratio column is measured against."""
-    check_advice(z)
-    if strategy == "basic":
-        return sweep_cost_bound(z, D, r)
-    if strategy == "small":
-        return SMALL_ENVELOPE_FACTOR * (
-            D + (D * D / (float(1 << z) * r)) * (math.log2(D) + math.log2(1.0 / r) + 2.0)
-        )
-    if strategy == "medium":
-        c = branch_count(alpha)
-        try:  # ldexp scales by 2**(7 s) exactly and raises where the product would reach inf
-            return math.ldexp(2.0 * c * sweep_cost_bound(z, D, r) * D**alpha, 7 * s)
-        except OverflowError:
-            raise PreconditionError(f"the medium ceiling overflows binary64 at scale step {s}") from None
-    if strategy == "large":
-        return LARGE_COST_FACTOR * (D - r)
-    if strategy == "universal":
-        return UNIVERSAL_FACTOR * bound_for(regime_of(D, r), z, D, r, alpha, s)
-    raise PreconditionError(f"unknown strategy {strategy!r}")
+def small_ceiling(z: int, D: float, r: float) -> float:
+    """The small-vision envelope 2^20 (D + (D^2/(2^z r)) (log2 D + log2 1/r + 2))."""
+    F = D * D / (float(1 << check_advice(z)) * r)
+    return SMALL_ENVELOPE_FACTOR * (D + F * (math.log2(D) + math.log2(1.0 / r) + 2.0))
+
+
+def medium_ceiling(z: int, D: float, r: float, alpha: float, s: int) -> float:
+    """The medium-vision ceiling 2 ceil(1/alpha) 2^(7 s) D^alpha times the sweep ceiling."""
+    try:  # ldexp scales by 2**(7 s) exactly and raises where the product would reach inf
+        return math.ldexp(2.0 * branch_count(alpha) * sweep_cost_bound(z, D, r) * D**alpha, 7 * s)
+    except OverflowError:
+        raise PreconditionError(f"the medium ceiling overflows binary64 at scale step {s}") from None

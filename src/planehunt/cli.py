@@ -16,12 +16,11 @@ from .bounds import MEDIUM_LB_RADIUS_LIMIT, lower_bounds, regime_of
 from .errors import BudgetExceededError, PreconditionError, StreamChainError
 from .geom import ORIGIN, Point2
 from .harness import (
-    STRATEGY_NAMES,
+    STRATEGIES,
     build_stream,
     hunt,
     load_config,
     render_svg,
-    rows_to_csv,
     sweep,
     worst_placement,
     write_csv,
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one strategy against one treasure")
     sim.set_defaults(handler=_cmd_simulate)
-    sim.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
+    sim.add_argument("--strategy", required=True, choices=STRATEGIES)
     sim.add_argument("--z", required=True, type=int, help="advice size in bits")
     sim.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
     sim.add_argument("--r", required=True, type=_positive("vision radius"), help="vision radius")
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     adv = sub.add_parser("adversary", help="brute-force the worst treasure placement")
     adv.set_defaults(handler=_cmd_adversary)
-    adv.add_argument("--strategy", default="medium", choices=STRATEGY_NAMES)
+    adv.add_argument("--strategy", default="medium", choices=STRATEGIES)
     adv.add_argument("--z", required=True, type=int)
     adv.add_argument("--D", required=True, type=_positive("range bound"))
     adv.add_argument("--r", required=True, type=_positive("vision radius"))
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ren = sub.add_parser("render", help="render a trajectory prefix to SVG")
     ren.set_defaults(handler=_cmd_render)
-    ren.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
+    ren.add_argument("--strategy", required=True, choices=STRATEGIES)
     ren.add_argument("--z", required=True, type=int)
     ren.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
     ren.add_argument("--r", required=True, type=_positive("vision radius"))
@@ -174,9 +173,7 @@ def _cmd_render(args) -> int:
     w = encode_advice(args.start, args.treasure, args.z)
     stream = build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, args.start)
     prefix = stream.prefix(args.arc)
-    sector = None
-    if args.z >= 2 and args.strategy in ("small", "medium", "universal", "basic"):
-        sector = decode_sector(w, args.start)
+    sector = decode_sector(w, args.start) if args.z >= 2 and STRATEGIES[args.strategy][2] else None
     render_svg(
         prefix,
         args.out,

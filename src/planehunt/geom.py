@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DegenerateInputError, PreconditionError
 
 Radians = float
-Length = float
 
 TWO_PI = math.tau
 
@@ -114,10 +113,6 @@ class Polyline:
         self.vertices = verts
         self.seg_lengths = lengths
         self.cumulative = cumulative
-
-    @classmethod
-    def from_points(cls, points: Sequence) -> "Polyline":
-        return cls(np.array([[as_point(p).x, as_point(p).y] for p in points]))
 
     @property
     def length(self) -> float:

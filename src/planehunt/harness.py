@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import sim
-from .advice import encode_advice
-from .bounds import bound_for
+from .advice import check_advice, encode_advice
+from .bounds import LARGE_COST_FACTOR, UNIVERSAL_FACTOR, medium_ceiling, regime_of, small_ceiling, sweep_cost_bound
 from .errors import BudgetExceededError, PreconditionError
 from .geom import ORIGIN, Point2, Polyline, as_point, direction_of
 from .sim import DEFAULT_CAP_MULTIPLIER, run
@@ -35,8 +35,6 @@ from .traversal import TrajectoryStream, basic_traversal
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
-
-STRATEGY_NAMES = ("small", "medium", "large", "universal", "basic")
 
 MAX_RENDER_SEGMENTS = 10**5
 
@@ -55,18 +53,39 @@ class Lcg64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
+# name: (stream builder, ceiling, whether the stream reads the advice); both take keyword arguments.
+STRATEGIES = {
+    "small": (lambda z, w, start, **_: small_vision(z, w, start), lambda z, D, r, **_: small_ceiling(z, D, r), True),
+    "medium": (lambda z, w, alpha, s, start, **_: medium_vision(z, w, alpha, s, start), medium_ceiling, True),
+    "large": (lambda start, **_: large_vision(start), lambda D, r, **_: LARGE_COST_FACTOR * (D - r), False),
+    "universal": (
+        lambda z, w, alpha, s, start, **_: universal(z, w, alpha, s, start),
+        lambda z, D, r, alpha, s: UNIVERSAL_FACTOR * bound_for(regime_of(D, r), z, D, r, alpha, s),
+        True,
+    ),
+    "basic": (
+        lambda z, w, D, r, start, **_: basic_traversal(z, w, D, r, start),
+        lambda z, D, r, **_: sweep_cost_bound(z, D, r),
+        True,
+    ),
+}
+
+
+def _strategy(name: str):
+    """The ``STRATEGIES`` row of a name; the one place an unknown name is refused."""
+    if not isinstance(name, str) or name not in STRATEGIES:
+        raise PreconditionError(f"unknown strategy {name!r}; pick one of {tuple(STRATEGIES)}")
+    return STRATEGIES[name]
+
+
 def build_stream(strategy: str, z: int, w: str, D: float, r: float, alpha: float, s: int, start=ORIGIN) -> TrajectoryStream:
-    if strategy == "small":
-        return small_vision(z, w, start)
-    if strategy == "medium":
-        return medium_vision(z, w, alpha, s, start)
-    if strategy == "large":
-        return large_vision(start)
-    if strategy == "universal":
-        return universal(z, w, alpha, s, start)
-    if strategy == "basic":
-        return basic_traversal(z, w, D, r, start)
-    raise PreconditionError(f"unknown strategy {strategy!r}")
+    return _strategy(strategy)[0](z=z, w=w, D=D, r=r, alpha=alpha, s=s, start=start)
+
+
+def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -> float:
+    """The documented cost ceiling the sweep's ratio column is measured against."""
+    check_advice(z)
+    return _strategy(strategy)[1](z=z, D=D, r=r, alpha=alpha, s=s)
 
 
 def _setup(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start=ORIGIN):
@@ -168,8 +187,7 @@ def parse_config(text: str) -> ExperimentConfig:
         return fields[key]
 
     strategy = need("strategy").lower()
-    if strategy not in STRATEGY_NAMES:
-        raise PreconditionError(f"unknown strategy {strategy!r}; pick one of {STRATEGY_NAMES}")
+    _strategy(strategy)
     z_values = tuple(int(v) for v in _parse_values(need("z")))
     if not z_values or any(z < 0 for z in z_values):
         raise PreconditionError("z must list nonnegative integers")

@@ -225,7 +225,6 @@ def adversarial_placement(
     r: float,
     grid_step: float,
     cost_cap: Optional[float] = None,
-    max_candidates: int = MAX_CANDIDATES,
 ) -> tuple[Point2, float]:
     """Worst treasure placement for an advice-indexed strategy, by brute force.
 
@@ -241,16 +240,16 @@ def adversarial_placement(
         raise PreconditionError("grid step must be positive and at most r")
     start = as_point(strategy_factory(encode_advice((0.0, 0.0), (0.0, 1.0), z)).start)
     floor = _candidate_floor(D, grid_step, start)  # the grid outnumbers the shaded lattice
-    if floor > max_candidates:
-        raise PreconditionError(f"at least {floor} candidates exceed the budget {max_candidates}")
+    if floor > MAX_CANDIDATES:
+        raise PreconditionError(f"at least {floor} candidates exceed the budget {MAX_CANDIDATES}")
     cands = np.concatenate(
         [shaded_tile_candidates(D, r, start), disc_grid_candidates(D, grid_step, start)]
     )
     dist = np.hypot(cands[:, 0] - start.x, cands[:, 1] - start.y)
     cands = cands[dist > 0.0]
     cands = np.unique(cands, axis=0)  # sorts lexicographically: the tie-break order
-    if cands.shape[0] > max_candidates:
-        raise PreconditionError(f"{cands.shape[0]} candidates exceed the budget {max_candidates}")
+    if cands.shape[0] > MAX_CANDIDATES:
+        raise PreconditionError(f"{cands.shape[0]} candidates exceed the budget {MAX_CANDIDATES}")
     if cands.shape[0] == 0:
         raise PreconditionError("no candidate placements (disc too small for the grid)")
     cap = cost_cap if cost_cap is not None else DEFAULT_CAP_MULTIPLIER * 2.0 * sweep_cost_bound(z, D, r)

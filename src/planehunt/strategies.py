@@ -93,9 +93,6 @@ class DotSchedule:
     events: tuple[FillEvent, ...]
     guard_tripped: bool = False
 
-    def events_in_phase(self, phase: int) -> List[FillEvent]:
-        return [e for e in self.events if e.phase == phase]
-
 
 def first_dot_column(c: int, s: int) -> int:
     """Smallest column index whose length (col * s) holds c dots."""

@@ -227,7 +227,7 @@ def _spiral_offset(m: int, r: float) -> tuple[float, float]:
     return x, y
 
 
-def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> Block:
+def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     ox, oy = _spiral_offset(lo, r)
     lengths = _spiral_lengths(lo, hi, r)
     idx = np.arange(lo, hi, dtype=np.int64) % 4
@@ -239,7 +239,7 @@ def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> Block:
     pts[0, 1] = start.y + oy
     pts[1:, 0] = (start.x + ox) + np.cumsum(dx)
     pts[1:, 1] = (start.y + oy) + np.cumsum(dy)
-    return Block(pts, lengths, total=_sum(lengths))
+    return pts, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     return out
 
 
-def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, u_hi: int) -> Block:
+def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, u_hi: int) -> tuple[np.ndarray, np.ndarray]:
     heights = column_heights(wedge, D, r, u_lo, u_hi)
     m = heights.size
     u = np.arange(u_lo, u_hi, dtype=np.float64)
@@ -280,8 +280,7 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
     else:
         head = frame.to_world(np.array([[(u_lo - 1 + 0.5) * r, 0.5 * r]]))
     pts = np.concatenate([head, world])
-    lengths = _sweep_lengths(heights, r, first=(u_lo == 0))
-    return Block(pts, lengths, total=_sum(lengths))
+    return pts, _sweep_lengths(heights, r, first=(u_lo == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +288,14 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
 # ---------------------------------------------------------------------------
 
 
-def _chunked(n: int, chunk: Callable[[int, int], Block]) -> Iterator[Block]:
-    """``chunk(lo, hi)`` over [0, n) in STREAM_CHUNK pieces from 0."""
+def _chunked(n: int, chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> Iterator[Block]:
+    """Blocks of the ``(points, lengths)`` that ``chunk(lo, hi)`` makes over [0, n), in STREAM_CHUNK pieces from 0."""
     for lo in range(0, n, STREAM_CHUNK):
-        yield chunk(lo, min(lo + STREAM_CHUNK, n))
+        points, lengths = chunk(lo, min(lo + STREAM_CHUNK, n))
+        yield Block(points, lengths, total=_sum(lengths))
 
 
-def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], Block]]:
+def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], tuple]]:
     """Piece count and piece maker: spiral instructions when z <= 1, sweep columns otherwise."""
     check_advice(z, w)
     k = column_count(D, r)
@@ -334,7 +334,7 @@ def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Ite
         yield block
     yield flip_block(block)
     for lo in reversed(range(0, n, STREAM_CHUNK)[:-1]):
-        yield flip_block(chunk(lo, lo + STREAM_CHUNK))
+        yield flip_block(Block(*chunk(lo, lo + STREAM_CHUNK)))
 
 
 def basic_cost(z: int, D: float, r: float) -> float:

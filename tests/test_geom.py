@@ -155,7 +155,7 @@ class TestEarliestDetection:
 
 class TestPolyline:
     def test_l_shape_length(self):
-        p = Polyline.from_points([(0, 0), (3, 0), (3, 4)])
+        p = Polyline(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]]))
         assert p.length == 7.0
 
     def test_single_vertex_is_zero(self):
@@ -169,7 +169,7 @@ class TestPolyline:
         assert p.length == pytest.approx(25 * r, rel=1e-12)
 
     def test_cumulative_is_nondecreasing(self):
-        p = Polyline.from_points([(0, 0), (1, 0), (1, 0), (1, 5)])
+        p = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 5.0]]))
         assert (np.diff(p.cumulative) >= 0).all()
 
     def test_rejects_inconsistent_cached_lengths(self):

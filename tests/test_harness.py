@@ -17,6 +17,7 @@ from planehunt import (
     PreconditionError,
     StreamChainError,
     bound_for,
+    build_stream,
     parse_config,
     regime_of,
     render_svg,
@@ -26,6 +27,7 @@ from planehunt import (
     sweep_cost_bound,
     write_csv,
 )
+from planehunt import harness
 from planehunt.cli import main
 from planehunt.bounds import SMALL_ENVELOPE_FACTOR, branch_count
 from planehunt.harness import CSV_HEADER
@@ -168,6 +170,40 @@ class TestBounds:
                 bound_for("medium", 2, 5.0, 1.5, 0.5, s)
         with pytest.raises(PreconditionError):
             bound_for("universal", 2, 5.0, 1.5, 0.5, 200)
+
+
+class TestStrategyTable:
+    def test_order_is_the_cli_order(self):
+        assert tuple(harness.STRATEGIES) == ("small", "medium", "large", "universal", "basic")
+
+    def test_an_unknown_name_gets_one_message_everywhere(self):
+        messages = set()
+        for call in (
+            lambda: build_stream("zigzag", 0, "", 4.0, 1.0, 0.5, 3),
+            lambda: bound_for("zigzag", 0, 4.0, 1.0, 0.5, 3),
+            lambda: parse_config("[sweep]\nstrategy = zigzag\n"),
+        ):
+            with pytest.raises(PreconditionError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {"unknown strategy 'zigzag'; pick one of ('small', 'medium', 'large', 'universal', 'basic')"}
+        with pytest.raises(PreconditionError, match="unknown strategy"):
+            bound_for(["small"], 0, 4.0, 1.0, 0.5, 3)  # an unhashable name is refused like any other
+
+    def test_an_advice_check_comes_before_the_name_lookup(self):
+        with pytest.raises(PreconditionError, match="advice"):
+            bound_for("zigzag", -1, 4.0, 1.0, 0.5, 3)
+
+    RAYS = {"small": 2, "medium": 2, "large": 0, "universal": 2, "basic": 2}
+
+    @pytest.mark.parametrize("strategy", sorted(RAYS))
+    def test_render_draws_the_sector_rays_iff_the_strategy_reads_advice(self, strategy, tmp_path):
+        assert set(self.RAYS) == set(harness.STRATEGIES)
+        out = tmp_path / "traj.svg"
+        argv = ["render", "--strategy", strategy, "--z", "3", "--treasure", "1,2", "--r", "0.5", "--arc", "4",
+                "--out", str(out), "--disc", "4", "--s", "3"]
+        assert main(argv) == 0
+        assert out.read_text().count("stroke-dasharray") == self.RAYS[strategy]
 
 
 class TestSvg:

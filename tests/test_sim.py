@@ -28,7 +28,7 @@ from planehunt import (
     spiral,
     universal,
 )
-from planehunt.sim import disc_grid_candidates, shaded_tile_candidates
+from planehunt.sim import MAX_CANDIDATES, _candidate_floor, disc_grid_candidates, shaded_tile_candidates
 
 
 def one_segment_stream(a, b):
@@ -272,9 +272,10 @@ class TestAdversarialPlacement:
             adversarial_placement(factory, 0, 10.0, 9.2, 1.0, cost_cap=math.inf)
 
     def test_candidate_budget(self):
-        factory = lambda w: small_vision(0, w)
-        with pytest.raises(PreconditionError):
-            adversarial_placement(factory, 0, 20.0, 1.0, 1.0, max_candidates=10)
+        # The floor (717,408) passes the budget, so the set is built; its exact count does not.
+        assert _candidate_floor(600.0, 1.0, Point2(0.0, 0.0)) == 717408 < MAX_CANDIDATES
+        with pytest.raises(PreconditionError, match="^1130912 candidates exceed the budget 1000000$"):
+            adversarial_placement(lambda w: small_vision(0, w), 0, 600.0, 1.0, 1.0)
 
     def test_over_budget_candidates_are_refused_before_they_are_built(self):
         # The full grid here holds 2.6e8 points (4 GB); a 2 GiB address-space

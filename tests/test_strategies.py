@@ -73,14 +73,15 @@ class TestSchedule:
 
     def test_second_phase_frozen(self):
         sched = medium_schedule(0, A_THIRD, 2, max_phases=2)
-        phase2 = [(e.dot.row, e.dot.col, e.dot.thread, e.cost) for e in sched.events_in_phase(2)]
+        events = [e for e in sched.events if e.phase == 2]
+        phase2 = [(e.dot.row, e.dot.col, e.dot.thread, e.cost) for e in events]
         assert phase2 == [(5, 3, 3, 1600.0), (1, 3, 1, 16900.0)]
-        assert sched.events_in_phase(2)[0].budget == 52992.0
+        assert events[0].budget == 52992.0
 
     def test_top_thread_fill_opens_every_phase(self):
         sched = medium_schedule(2, 0.5, 3, max_phases=6)
         for p in range(1, 7):
-            events = sched.events_in_phase(p)
+            events = [e for e in sched.events if e.phase == p]
             assert events[0].dot.thread == branch_count(0.5)
 
     def test_budgets_nondecreasing(self):

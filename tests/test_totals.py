@@ -195,3 +195,12 @@ class TestSummedOnlyWhereNeeded:
         # Per trip one cut and one flip of its last piece; once, the flip of each
         # of the two pieces later trips walk whole.  Whole trips cut nothing.
         assert counting.cumsums == 2 * len(arcs) - 2 + 2
+
+    def test_way_back_pieces_are_summed_only_by_their_flips(self, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(traversal, "np", counting)
+        # A sweep cell: spiral pieces also cumsum their coordinates.
+        blocks = list(round_trip_blocks(3, "101", 4500.0, 0.1, (1.0, 2.0)))
+        assert len(blocks) == 2 * 11  # 11 pieces out, their 11 flips back
+        # One sum per piece out and one per flip; a rebuilt piece's forward total is never made.
+        assert counting.cumsums == 2 * 11
