@@ -71,9 +71,10 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     cap, or when the stream runs out.  Within a block a target's first
     detecting segment counts; a detection past the cap does not.  A block
     tagged ``retrace`` repeats ground already tested, so it is folded and
-    counted but not tested; any other block is tested only against the
-    targets within reach of its bounding box.  Lengths fold as block totals,
-    ``walked + total``, left to right.
+    counted but not tested.  Any other block culls the live targets once
+    against its bounding box, and only those within reach go to the kernel,
+    ``_CAND_SLAB`` at a time; the live set narrows only where a slab
+    detects.  Lengths fold as block totals, ``walked + total``, left to right.
     """
     if not (0.0 < cap < math.inf):
         raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
@@ -86,7 +87,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     t_hit = np.zeros(k)
     found = np.hypot(targets[:, 0] - start.x, targets[:, 1] - start.y) <= r + DETECTION_TOL
     active = np.flatnonzero(~found)
-    slabs = None
+    live = targets[active]  # the coordinates of the active targets
     walked = 0.0
     done = 0
     last = (start.x, start.y)
@@ -98,54 +99,46 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             )
         last = (pts[-1, 0], pts[-1, 1])
         cs = None  # summed only where a detection or the cap needs the running length
-        if slabs is None:
-            cuts = np.arange(_CAND_SLAB, active.size, _CAND_SLAB)
-            slabs = [(idx, targets[idx]) for idx in np.split(active, cuts)]
-        changed = False
         if not block.retrace:
             x, y = pts[:, 0], pts[:, 1]
             x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
             box = max(1.0, abs(x0), abs(x1), abs(y0), abs(y1))
-        for idx, xy in () if block.retrace else slabs:
-            # Cull the targets farther than r from the block's bounding box: the
+            # Cull the live targets farther than r from the block's bounding box: the
             # kernel cannot see them.  The margin covers the kernel's rounding.
-            if idx.size == 1:
-                qx, qy = float(xy[0, 0]), float(xy[0, 1])
+            if active.size == 1:
+                qx, qy = float(live[0, 0]), float(live[0, 1])
                 gap = math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0))
-                if gap > r + 1e-9 * max(box, abs(qx), abs(qy)):
-                    continue
+                near = slice(None) if gap <= r + 1e-9 * max(box, abs(qx), abs(qy)) else slice(0)
             else:
-                qx, qy = xy[:, 0], xy[:, 1]
+                qx, qy = live[:, 0], live[:, 1]
                 gx = np.maximum(np.maximum(x0 - qx, qx - x1), 0.0)
                 gy = np.maximum(np.maximum(y0 - qy, qy - y1), 0.0)
                 near = np.hypot(gx, gy) <= r + 1e-9 * np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box)
-                if not near.any():
+            idx, xy = active[near], live[near]
+            for lo in range(0, idx.size, _CAND_SLAB):
+                t = detection_lengths(pts, xy[lo : lo + _CAND_SLAB], r)
+                hit = ~np.isnan(t)
+                col = np.flatnonzero(hit.any(axis=0))
+                if not col.size:
                     continue
-                idx, xy = idx[near], xy[near]
-            t = detection_lengths(pts, xy, r)
-            if np.isnan(t).all():
-                continue
-            hit = ~np.isnan(t)
-            if cs is None:
-                cs = np.cumsum(block.lengths)
-            col = np.flatnonzero(hit.any(axis=0))
-            seg = hit.argmax(axis=0)[col]
-            tt = t[seg, col]
-            c = walked + np.where(seg > 0, cs[seg - 1], 0.0) + tt
-            ok = c <= cap
-            sel, seg = idx[col[ok]], seg[ok]
-            cost[sel] = c[ok]
-            found[sel] = True
-            segments[sel] = done + seg + 1
-            ends[sel, 0] = pts[seg]
-            ends[sel, 1] = pts[seg + 1]
-            t_hit[sel] = tt[ok]
-            changed |= bool(sel.size)
-        if changed:
-            active = active[~found[active]]
-            slabs = None
-            if not active.size:
-                break
+                if cs is None:
+                    cs = np.cumsum(block.lengths)
+                seg = hit.argmax(axis=0)[col]
+                tt = t[seg, col]
+                c = walked + np.where(seg > 0, cs[seg - 1], 0.0) + tt
+                ok = c <= cap
+                sel, seg = idx[lo + col[ok]], seg[ok]
+                cost[sel] = c[ok]
+                found[sel] = True
+                segments[sel] = done + seg + 1
+                ends[sel, 0] = pts[seg]
+                ends[sel, 1] = pts[seg + 1]
+                t_hit[sel] = tt[ok]
+                if sel.size:
+                    keep = ~found[active]
+                    active, live = active[keep], live[keep]
+        if not active.size:
+            break
         total = walked + _block_total(block)
         if total > cap:
             if cs is None:
@@ -205,17 +198,23 @@ def disc_grid_candidates(D: float, grid_step: float, start=Point2(0.0, 0.0)) -> 
 def _candidate_floor(D: float, grid_step: float, start: Point2) -> int:
     """A count the candidate set certainly reaches, found without building it.
 
-    The grid points of the square inscribed in the disc, one step in so that
-    rounding keeps them in it, less the start.  A step within a few ulps of
-    the shifted coordinates is refused: shifted points may coincide there,
-    so no count is certain.
+    The disc grid's points, counted row by row in the grid's own arithmetic,
+    less the start.  A step within a few ulps of the shifted coordinates is
+    refused: shifted points may coincide there, so no count is certain.
     """
     if grid_step <= 4.0 * math.ulp(abs(start.x) + abs(start.y) + D):
         raise PreconditionError(
             f"grid step {grid_step} does not resolve coordinates at start ({start.x}, {start.y})"
         )
-    n = int(D / (math.sqrt(2.0) * grid_step)) - 1
-    return (2 * n + 1) ** 2 - 1 if n >= 1 else 0
+    k = int(D // grid_step)
+    if 2 * k > MAX_CANDIDATES:  # the middle row alone: 2k + 1 points, one of them the start
+        return 2 * k
+    sq = (np.arange(k + 1, dtype=np.float64) * grid_step) ** 2  # squared as the grid squares them
+    # Row i spans |j| <= the largest j with sq[j] + sq[i] <= D * D: guess one past it, then step back.
+    j = np.minimum(np.sqrt(D * D - sq) // grid_step + 1, k).astype(np.int64)
+    while (out := sq[j] + sq > D * D).any():
+        j -= out
+    return 4 * int(j.sum())  # quarter turns of the points with i >= 0 and j >= 1; the start is the rest
 
 
 def adversarial_placement(
@@ -239,7 +238,7 @@ def adversarial_placement(
     if not (0.0 < grid_step <= r):
         raise PreconditionError("grid step must be positive and at most r")
     start = as_point(strategy_factory(encode_advice((0.0, 0.0), (0.0, 1.0), z)).start)
-    floor = _candidate_floor(D, grid_step, start)  # the grid outnumbers the shaded lattice
+    floor = _candidate_floor(D, grid_step, start)  # the shaded lattice can only add to it
     if floor > MAX_CANDIDATES:
         raise PreconditionError(f"at least {floor} candidates exceed the budget {MAX_CANDIDATES}")
     cands = np.concatenate(

@@ -16,6 +16,7 @@ import pytest
 import planehunt.sim as sim
 from _oracles import plain_walk
 from planehunt import (
+    Block,
     Point2,
     TrajectoryStream,
     adversarial_placement,
@@ -96,6 +97,15 @@ def test_culling_is_sound(monkeypatch, name, make, r, segments):
     assert culled > 0 and kept > 0
 
 
+def _assert_walk_is_plain(walk, stream, targets, r, cap):
+    """The walker's outcomes equal the plain walk's, bit for bit; return the plain ones."""
+    plain = plain_walk(stream, targets, r, cap)
+    assert [o.found for o in plain] == walk.found.tolist()
+    assert [o.cost for o in plain] == walk.cost.tolist()
+    assert [o.segments_executed for o in plain] == walk.segments.tolist()
+    return plain
+
+
 def _assert_plain(stream_factory, treasure, r, cap=1e9):
     out = run(stream_factory(), treasure, r, cap)
     assert [out] == plain_walk(stream_factory(), [treasure], r, cap)
@@ -144,14 +154,60 @@ class TestPlainWalk:
         assert sum(t.shape[0] for _, t, *_ in walks) == 20080
         cands, costs = [], []
         for stream, targets, r, cap, result in walks:
-            plain = plain_walk(stream, targets, r, cap)
-            assert [o.found for o in plain] == result.found.tolist()
-            assert [o.cost for o in plain] == result.cost.tolist()
-            assert [o.segments_executed for o in plain] == result.segments.tolist()
+            plain = _assert_walk_is_plain(result, stream, targets, r, cap)
             cands += [tuple(q) for q in targets.tolist()]
             costs += [o.cost if o.found else cap for o in plain]
         top = max(costs)
         assert best == (Point2(*min(c for c, v in zip(cands, costs) if v == top)), top)
+
+
+def _line_block(a, b, n):
+    """One block walking straight from ``a`` to ``b`` in ``n`` equal steps."""
+    pts = np.linspace(a, b, n + 1)
+    return Block(pts, np.hypot(*np.diff(pts, axis=0).T))
+
+
+class TestOneCullPerBlock:
+    """The walker culls all its live targets once per block, then sends the
+    kernel only the near ones, at most ``_CAND_SLAB`` at a time."""
+
+    def test_near_targets_meet_in_one_kernel_call(self, monkeypatch):
+        # Only the first and the last of 300 targets lie within reach of the
+        # block; one kernel call on that block must carry both.
+        targets = np.column_stack((np.arange(300.0), np.full(300, 50.0)))
+        targets[0], targets[299] = (3.0, 0.5), (7.0, -0.5)
+        block = _line_block((0.0, 0.0), (10.0, 0.0), 20)
+        stream = TrajectoryStream((0.0, 0.0), lambda: iter([block]))
+        calls = _spy_kernel(monkeypatch)
+        walk = sim._walk(stream, targets, 1.0, 1e3)
+        assert len(calls) == 1
+        assert calls[0][0] is block.points
+        assert calls[0][1].tolist() == targets[[0, 299]].tolist()
+        assert np.flatnonzero(walk.found).tolist() == [0, 299]
+        _assert_walk_is_plain(walk, stream, targets, 1.0, 1e3)
+
+    def test_many_near_targets_go_in_slabs(self, monkeypatch):
+        # 700 targets lie within reach of the first block and 60 only of the
+        # second: each kernel call holds at most _CAND_SLAB targets, all near.
+        rng = np.random.default_rng(13)
+        near = np.column_stack((rng.uniform(1.0, 40.0, 700), rng.uniform(-0.9, 0.9, 700)))
+        high = np.column_stack((rng.uniform(1.0, 40.0, 60), rng.uniform(6.5, 7.5, 60)))
+        targets = rng.permutation(np.concatenate((near, high)))
+        blocks = [_line_block((0.0, 0.0), (40.0, 0.0), 80), _line_block((40.0, 0.0), (40.0, 7.0), 7),
+                  _line_block((40.0, 7.0), (0.0, 7.0), 80)]
+        stream = TrajectoryStream((0.0, 0.0), lambda: iter(blocks))
+        r = 1.0
+        calls = _spy_kernel(monkeypatch)
+        walk = sim._walk(stream, targets, r, 1e3)
+        assert walk.found.all()
+        for points, passed in calls:
+            assert 0 < passed.shape[0] <= sim._CAND_SLAB
+            lo, hi = points.min(axis=0), points.max(axis=0)
+            gap = np.hypot(*np.maximum(np.maximum(lo - passed, passed - hi), 0.0).T)
+            assert (gap <= r + 1e-9 * max(1.0, float(np.abs(points).max()), float(np.abs(passed).max()))).all()
+        first = [passed.shape[0] for points, passed in calls if points is blocks[0].points]
+        assert first == [256, 256, 188]
+        _assert_walk_is_plain(walk, stream, targets, r, 1e3)
 
 
 class TestFarTargets:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import planehunt.sim as sim
 from planehunt import (
     Block,
     Point2,
@@ -231,6 +232,16 @@ class TestCandidates:
         assert pts.tobytes() == np.array(loop, dtype=np.float64).tobytes()
 
 
+def _forbid_candidate_builds(monkeypatch):
+    """Make building either candidate set an error, so a refusal must come first."""
+
+    def build(*args):
+        raise AssertionError("candidates were built")
+
+    monkeypatch.setattr(sim, "disc_grid_candidates", build)
+    monkeypatch.setattr(sim, "shaded_tile_candidates", build)
+
+
 def _assert_worst_of_independent_runs(make, z, d, r, step):
     """The grouped walk over all candidates equals one independent run per
     candidate, each with its own canonical advice, exactly.  The worst
@@ -271,11 +282,43 @@ class TestAdversarialPlacement:
         with pytest.raises(PreconditionError):
             adversarial_placement(factory, 0, 10.0, 9.2, 1.0, cost_cap=math.inf)
 
-    def test_candidate_budget(self):
-        # The floor (717,408) passes the budget, so the set is built; its exact count does not.
-        assert _candidate_floor(600.0, 1.0, Point2(0.0, 0.0)) == 717408 < MAX_CANDIDATES
-        with pytest.raises(PreconditionError, match="^1130912 candidates exceed the budget 1000000$"):
+    def test_candidate_budget(self, monkeypatch):
+        # The floor is the disc grid's exact count less the start; every shaded
+        # point here lies on the grid, so it is the set's exact count too.
+        assert _candidate_floor(600.0, 1.0, Point2(0.0, 0.0)) == 1130912 > MAX_CANDIDATES
+        _forbid_candidate_builds(monkeypatch)
+        with pytest.raises(PreconditionError, match="^at least 1130912 candidates exceed the budget 1000000$"):
             adversarial_placement(lambda w: small_vision(0, w), 0, 600.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "D, step, start",
+        [(5.0, 1.0, (0.0, 0.0)), (65.0, 1.0, (0.0, 0.0)), (10.0, 0.125, (2.364324940051347, 90.09273926518705)),
+         (1.0, 0.1, (-3.0, 7.0)), (7.3, 0.07, (1e6, -1e6)), (0.3, 0.1, (0.0, 0.0))],
+    )
+    def test_candidate_floor_is_the_disc_grid_count(self, D, step, start):
+        # Radii 5 and 65 put grid points exactly on the circle; 0.1 and 0.07 are not dyadic.
+        p = Point2(*start)
+        assert _candidate_floor(D, step, p) == disc_grid_candidates(D, step, p).shape[0] - 1
+
+    def test_candidate_floor_stops_at_an_over_budget_middle_row(self):
+        # A full row count would allocate 1e12 squares; the middle row alone settles it.
+        assert _candidate_floor(1e12, 1.0, Point2(0.0, 0.0)) == 2 * 10**12
+
+    def test_over_budget_floor_is_refused_before_candidates_are_built(self, monkeypatch):
+        floor = _candidate_floor(20.0, 1.0, Point2(0.0, 0.0))
+        monkeypatch.setattr(sim, "MAX_CANDIDATES", floor - 1)
+        _forbid_candidate_builds(monkeypatch)
+        with pytest.raises(PreconditionError, match=f"^at least {floor} candidates exceed the budget {floor - 1}$"):
+            adversarial_placement(lambda w: small_vision(0, w), 0, 20.0, 1.0, 1.0)
+
+    def test_shaded_points_off_the_grid_are_refused_after_the_build(self, monkeypatch):
+        # With r = 1 and a 0.8 step no shaded centre lies on the grid, so the set
+        # holds floor + (shaded count) points: over a budget the floor meets.
+        floor = _candidate_floor(10.0, 0.8, Point2(0.0, 0.0))
+        exact = floor + shaded_tile_candidates(10.0, 1.0).shape[0]
+        monkeypatch.setattr(sim, "MAX_CANDIDATES", floor)
+        with pytest.raises(PreconditionError, match=f"^{exact} candidates exceed the budget {floor}$"):
+            adversarial_placement(lambda w: small_vision(0, w), 0, 10.0, 1.0, 0.8)
 
     def test_over_budget_candidates_are_refused_before_they_are_built(self):
         # The full grid here holds 2.6e8 points (4 GB); a 2 GiB address-space
