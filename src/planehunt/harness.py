@@ -144,14 +144,14 @@ def _parse_values(text: str) -> List[str]:
     return text.replace(",", " ").split()
 
 
-def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
+def _parse_float_list(text: str) -> tuple[float, ...]:
     parts = _parse_values(text)
     if parts and parts[0] == "logspace":
         if len(parts) != 4:
-            raise PreconditionError(f"{key}: logspace needs <lo> <hi> <count>")
+            raise PreconditionError("logspace needs <lo> <hi> <count>")
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
         if lo <= 0 or hi <= 0 or count < 1:
-            raise PreconditionError(f"{key}: logspace needs positive bounds and count")
+            raise PreconditionError("logspace needs positive bounds and count")
         if count == 1:
             return (lo,)
         ratio = (hi / lo) ** (1.0 / (count - 1))
@@ -159,14 +159,34 @@ def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
     if parts and parts[0] == "list":
         parts = parts[1:]
     if not parts:
-        raise PreconditionError(f"{key}: empty value list")
+        raise PreconditionError("empty value list")
     return tuple(float(p) for p in parts)
 
 
+_CONFIG_KEYS = ("strategy", "z", "d", "r", "alpha", "s", "cap_mult", "placement", "output")
+
+
+def _parse_placement(text: str) -> tuple[str, Optional[Point2], int, Optional[float]]:
+    """``(mode, treasure, seed, grid_step)`` of a placement value."""
+    mode, *args = _parse_values(text) or [""]
+    mode = mode.lower()
+    if len(args) != {"explicit": 2, "random": 1, "adversarial": 1}.get(mode):
+        raise PreconditionError("placement must be explicit x y | random seed | adversarial step")
+    if mode == "explicit":
+        return mode, Point2(float(args[0]), float(args[1])), 0, None
+    if mode == "random":
+        return mode, None, int(args[0]), None
+    return mode, None, 0, float(args[0])
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value config (one [sweep] section)."""
+    """Parse the flat key=value config (one [sweep] section).
+
+    An unknown key, a repeated key and a malformed number are refused with a
+    PreconditionError that names the line and the key.
+    """
     section = None
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -179,59 +199,39 @@ def parse_config(text: str) -> ExperimentConfig:
         if section != "sweep":
             raise PreconditionError(f"config line {lineno}: keys must live in a [sweep] section")
         key, value = line.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in _CONFIG_KEYS:
+            raise PreconditionError(f"config line {lineno}: unknown key {key!r}; pick from {_CONFIG_KEYS}")
+        if key in fields:
+            raise PreconditionError(f"config line {lineno}: key {key!r} repeats line {fields[key][0]}")
+        fields[key] = (lineno, value.strip())
 
-    def need(key: str) -> str:
-        if key not in fields:
+    def read(key: str, parse, default=None):
+        if key not in fields and default is None:
             raise PreconditionError(f"config is missing required key {key!r}")
-        return fields[key]
+        lineno, value = fields.get(key, (None, default))
+        try:
+            return parse(value)
+        except ValueError as exc:  # a malformed number, or a PreconditionError of the value
+            raise PreconditionError(f"config line {lineno}: {key} = {value}: {exc}") from None
 
-    strategy = need("strategy").lower()
+    strategy = read("strategy", str.lower)
     _strategy(strategy)
-    z_values = tuple(int(v) for v in _parse_values(need("z")))
+    z_values = read("z", lambda text: tuple(int(v) for v in _parse_values(text)))
     if not z_values or any(z < 0 for z in z_values):
         raise PreconditionError("z must list nonnegative integers")
-    d_values = _parse_float_list(need("d"), "D")
-    r_values = _parse_float_list(need("r"), "r")
-    alpha = float(fields.get("alpha", str(DEFAULT_ALPHA)))
-    s = int(fields.get("s", str(DEFAULT_SCALE_STEP)))
-    cap_mult = float(fields.get("cap_mult", str(DEFAULT_CAP_MULTIPLIER)))
+    d_values = read("d", _parse_float_list)
+    r_values = read("r", _parse_float_list)
+    alpha = read("alpha", float, DEFAULT_ALPHA)
+    s = read("s", int, DEFAULT_SCALE_STEP)
+    cap_mult = read("cap_mult", float, DEFAULT_CAP_MULTIPLIER)
     if alpha <= 0 or s < 1 or cap_mult <= 0:
         raise PreconditionError("alpha, s, and cap_mult must be positive")
-
-    placement_raw = _parse_values(need("placement"))
-    seed = 0
-    treasure = None
-    grid_step = None
-    mode = placement_raw[0].lower() if placement_raw else ""
-    if mode == "explicit":
-        if len(placement_raw) != 3:
-            raise PreconditionError("placement: explicit needs x y")
-        treasure = Point2(float(placement_raw[1]), float(placement_raw[2]))
-    elif mode == "random":
-        if len(placement_raw) != 2:
-            raise PreconditionError("placement: random needs an explicit seed")
-        seed = int(placement_raw[1])
-    elif mode == "adversarial":
-        if len(placement_raw) != 2:
-            raise PreconditionError("placement: adversarial needs a grid step")
-        grid_step = float(placement_raw[1])
-    else:
-        raise PreconditionError("placement must be explicit x y | random seed | adversarial step")
-
+    placement, treasure, seed, grid_step = read("placement", _parse_placement)
     return ExperimentConfig(
-        strategy=strategy,
-        z_values=z_values,
-        d_values=d_values,
-        r_values=r_values,
-        alpha=alpha,
-        s=s,
-        placement=mode,
-        treasure=treasure,
-        seed=seed,
-        grid_step=grid_step,
-        cap_mult=cap_mult,
-        output=fields.get("output", "sweep.csv"),
+        strategy=strategy, z_values=z_values, d_values=d_values, r_values=r_values, alpha=alpha, s=s,
+        placement=placement, treasure=treasure, seed=seed, grid_step=grid_step, cap_mult=cap_mult,
+        output=read("output", str, "sweep.csv"),
     )
 
 

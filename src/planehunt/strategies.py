@@ -199,17 +199,17 @@ def medium_schedule(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP, max_phase
 def special_dot(D: float, r: float, c: int, s: int) -> Dot:
     """The dot whose fill is guaranteed to reveal a treasure at range D, vision r.
 
-    Column: smallest j with 2**(j*s) >= D.  Row: the largest dot row not above
-    the largest integer i with 2**i <= r.  Raises when no dot row qualifies,
-    which happens exactly for r < 2 (the matrix has no finer resolution row),
-    and raises BudgetExceededError when the column's range 2**(j*s)
-    overflows binary64.
+    Column: smallest j with 2**(j*s) >= D among those that hold c dots.  Row:
+    the largest dot row not above the largest integer i with 2**i <= r.
+    Raises when no dot row qualifies, which happens exactly for r < 2 (the
+    matrix has no finer resolution row), and raises BudgetExceededError when
+    the column's range 2**(j*s) overflows binary64.
     """
     if not (1.0 < r < D < math.inf):
         raise PreconditionError("special dot needs 1 < r < D < inf")
     mantissa, exponent = math.frexp(D)
     k = exponent - 1 if mantissa == 0.5 else exponent  # smallest integer with 2**k >= D
-    j = max(1, -(-k // s))
+    j = max(first_dot_column(c, s), -(-k // s))
     mantissa, exponent = math.frexp(r)
     i = exponent - 1  # largest integer with 2**i <= r
     candidates = [d for d in dots_of_column(j, c, s) if d.row <= i]

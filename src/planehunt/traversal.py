@@ -31,9 +31,10 @@ from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as travers
 from .geom import ORIGIN, Point2, Polyline, as_point
 from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
 
-# Spiral costs fold the exact instruction lengths while the instruction count
-# stays materializable; beyond that the closed form (2k+1)^2 * r is used.
-SPIRAL_EXACT_SEGMENT_LIMIT = 10**7
+# The most segments ``prefix`` and ``materialize`` pull from a stream.  Spiral
+# costs fold the exact instruction lengths up to that many instructions; beyond
+# that the closed form (2k+1)^2 * r is used.
+MAX_STREAM_SEGMENTS = 10**7
 
 _DIR_X = np.array([1.0, 0.0, -1.0, 0.0])  # E, S, W, N
 _DIR_Y = np.array([0.0, -1.0, 0.0, 1.0])
@@ -90,19 +91,22 @@ class TrajectoryStream:
         return self._factory()
 
     def prefix(self, arc: float) -> Polyline:
-        """Materialize the leading ``arc`` of the stream (may split a segment)."""
-        return blocks_to_polyline(prefix_blocks(self.blocks(), arc), self.start)
+        """Materialize the leading ``arc`` of the stream (may split a segment), within the segment budget."""
+        return blocks_to_polyline(prefix_blocks(_budgeted(self.blocks(), MAX_STREAM_SEGMENTS), arc), self.start)
 
-    def materialize(self, max_segments: int = 10**7) -> Polyline:
+    def materialize(self, max_segments: int = MAX_STREAM_SEGMENTS) -> Polyline:
         """Materialize the whole (finite) stream, guarded by a segment budget."""
-        out: List[Block] = []
-        seg = 0
-        for block in self.blocks():
-            seg += block.lengths.size
-            if seg > max_segments:
-                raise BudgetExceededError(f"stream exceeds {max_segments} segments")
-            out.append(block)
-        return blocks_to_polyline(out, self.start)
+        return blocks_to_polyline(_budgeted(self.blocks(), max_segments), self.start)
+
+
+def _budgeted(blocks: Iterable[Block], max_segments: int) -> Iterator[Block]:
+    """The blocks, refused with BudgetExceededError once they pull more than ``max_segments`` segments."""
+    seg = 0
+    for block in blocks:
+        seg += block.lengths.size
+        if seg > max_segments:
+            raise BudgetExceededError(f"stream exceeds {max_segments} segments")
+        yield block
 
 
 def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
@@ -166,37 +170,33 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
 def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> Iterator[Block]:
     """For each arc in turn, walk each stream's leading ``arc`` out and back to its start.
 
-    Each stream's ``blocks()`` is called once per walk.  A trip re-cuts the
-    whole blocks that earlier trips pulled with ``prefix_blocks``, and pulls
-    only new ones.  The way back is tagged a retrace, and so are the blocks
-    the stream's previous trip walked whole: every forward block but its last.
-    The tagged copy and the flip of a block walked whole are made once and
-    yielded again by later trips; only each trip's last block is flipped anew.
+    Arcs must not shrink: an arc below the last raises PreconditionError before
+    its trip yields a block.  Each stream's ``blocks()`` is called once per
+    walk; a trip re-cuts the blocks earlier trips pulled and pulls only new
+    ones.  The way back is tagged a retrace, and so is every block the previous
+    trip walked whole.  Such a block stays whole on longer trips, so its tagged
+    copy and its flip are made once; only each trip's last block is flipped anew.
     """
-    # An unread tee per stream keeps every block pulled so far, whole; each
-    # copy re-reads them and then pulls from the stream, never past the cut.
-    pulled = [itertools.tee(stream.blocks(), 1)[0] for stream in streams]
-    tagged: List[List[Block]] = [[] for _ in streams]
-    flipped: List[List[Block]] = [[] for _ in streams]
-    whole = [0] * len(streams)
+    # Per stream: an unread tee that keeps every block pulled so far (each copy re-reads them), the tagged copies, the flips.
+    state = [(itertools.tee(stream.blocks(), 1)[0], [], []) for stream in streams]
+    previous = -math.inf
     for arc in arcs:
-        for i, blocks in enumerate(pulled):
+        if arc < previous:
+            raise PreconditionError(f"phase trip arcs must not shrink, got {arc} after {previous}")
+        previous = arc
+        for blocks, tags, flips in state:
             forward = prefix_blocks(copy.copy(blocks), arc)
             if not forward:  # the stream holds no segment
                 continue
             *body, last = forward  # the last block may be cut, so it is not kept
-            n = len(body)
-            tags, flips = tagged[i], flipped[i]
-            for block in body[len(flips) :]:
-                tags.append(block if block.retrace else block._replace(retrace=True))
-                flips.append(flip_block(block))
-            kept = min(whole[i], n)
-            yield from tags[:kept]
-            yield from body[kept:]
-            yield last._replace(retrace=True) if n < whole[i] else last
+            new = body[len(tags) :]
+            flips.extend(map(flip_block, new))
+            yield from tags
+            yield from new
+            tags.extend(block if block.retrace else block._replace(retrace=True) for block in new)
+            yield last
             yield flip_block(last)
-            yield from reversed(flips[:n])
-            whole[i] = n
+            yield from reversed(flips)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +342,13 @@ def basic_cost(z: int, D: float, r: float) -> float:
 
     Folds the stream's per-segment lengths in STREAM_CHUNK pieces, in stream
     order, without building vertices, so it equals the materialized polyline
-    length bit for bit.  Spirals past SPIRAL_EXACT_SEGMENT_LIMIT instructions
+    length bit for bit.  Spirals past MAX_STREAM_SEGMENTS instructions
     take the closed form; sweeps with more than MAX_COLUMNS columns raise.
     """
     if check_advice(z) <= 1:
         k = column_count(D, r)
         n = 4 * k + 1
-        if n > SPIRAL_EXACT_SEGMENT_LIMIT:
+        if n > MAX_STREAM_SEGMENTS:
             width = 2.0 * float(k) + 1.0
             return width * width * r
         pieces = (_spiral_lengths(lo, min(lo + STREAM_CHUNK, n), r) for lo in range(0, n, STREAM_CHUNK))

@@ -96,6 +96,40 @@ class TestConfig:
                 "[sweep]\nstrategy = small\nz = 0\nD = list 4\nr = list 0.5\nplacement = random\n"
             )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("alpah = 0.3", "config line 7: unknown key 'alpah'"),
+            ("capmult = 5", "config line 7: unknown key 'capmult'"),
+            ("z = 4", "config line 7: key 'z' repeats line 3"),
+            ("D = list 4", "config line 7: key 'd' repeats line 4"),
+        ],
+    )
+    def test_unknown_and_repeated_keys_rejected(self, line, message):
+        text = "[sweep]\nstrategy = small\nz = 0\nD = list 4\nr = list 0.5\nplacement = random 1\n" + line + "\n"
+        with pytest.raises(PreconditionError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [
+            ("z", "1.5", 3),
+            ("D", "logspace 1 10 2.5", 4),
+            ("r", "list 0.5 half", 5),
+            ("placement", "random x", 6),
+            ("placement", "explicit 1 y", 6),
+            ("s", "3.0", 7),
+            ("alpha", "0.5.1", 7),
+        ],
+    )
+    def test_malformed_numbers_rejected_with_their_line(self, key, value, line):
+        lines = {"strategy": "small", "z": "0", "D": "list 4", "r": "list 0.5", "placement": "random 1"}
+        lines[key] = value  # a new key goes last, on line 7
+        text = "[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+        with pytest.raises(PreconditionError, match=f"^config line {line}: {key.lower()} = "):
+            parse_config(text)
+
 
 class TestSweep:
     def test_row_count_and_header(self, tmp_path):
@@ -307,6 +341,24 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_render_of_a_prefix_over_the_segment_budget_exits_one(self, tmp_path):
+        # Without a budget the prefix would allocate until the address-space limit stops it.
+        import resource
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "x.svg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "planehunt.cli", "render", "--strategy", "small", "--z", "2",
+             "--treasure", "1,1", "--r", "0.5", "--arc", "1e12", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: stream exceeds 10000000 segments\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("r", ["0", "-0.5", "nan", "inf"])

@@ -143,6 +143,8 @@ class TestSpecialDot:
         assert special_dot(16.0, 8.0, 3, 2) == Dot(3, 2, 3)
         assert special_dot(5.0, 2.0, 3, 2).row == 1
         assert special_dot(300.0, 2.9, 3, 2).row == 1
+        # Range 4 alone asks for column 2, whose 2 rows hold fewer than 3 dots; fills start at column 3.
+        assert special_dot(4.0, 3.0, 3, 1) == Dot(1, first_dot_column(3, 1), 1)
 
     def test_no_row_below_two_rejected(self):
         with pytest.raises(PreconditionError):
