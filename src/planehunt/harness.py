@@ -163,6 +163,20 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise PreconditionError("must be positive and finite")
+    return value
+
+
+def _scale_step(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise PreconditionError("must be at least 1")
+    return value
+
+
 _CONFIG_KEYS = ("strategy", "z", "d", "r", "alpha", "s", "cap_mult", "placement", "output")
 
 
@@ -182,8 +196,9 @@ def _parse_placement(text: str) -> tuple[str, Optional[Point2], int, Optional[fl
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config (one [sweep] section).
 
-    An unknown key, a repeated key and a malformed number are refused with a
-    PreconditionError that names the line and the key.
+    An unknown key, a repeated key, a malformed number and an alpha, s or
+    cap_mult out of range are refused with a PreconditionError that names the
+    line and the key.
     """
     section = None
     fields: dict[str, tuple[int, str]] = {}
@@ -222,11 +237,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise PreconditionError("z must list nonnegative integers")
     d_values = read("d", _parse_float_list)
     r_values = read("r", _parse_float_list)
-    alpha = read("alpha", float, DEFAULT_ALPHA)
-    s = read("s", int, DEFAULT_SCALE_STEP)
-    cap_mult = read("cap_mult", float, DEFAULT_CAP_MULTIPLIER)
-    if alpha <= 0 or s < 1 or cap_mult <= 0:
-        raise PreconditionError("alpha, s, and cap_mult must be positive")
+    alpha = read("alpha", _positive_finite, DEFAULT_ALPHA)
+    s = read("s", _scale_step, DEFAULT_SCALE_STEP)
+    cap_mult = read("cap_mult", _positive_finite, DEFAULT_CAP_MULTIPLIER)
     placement, treasure, seed, grid_step = read("placement", _parse_placement)
     return ExperimentConfig(
         strategy=strategy, z_values=z_values, d_values=d_values, r_values=r_values, alpha=alpha, s=s,

@@ -21,7 +21,7 @@ from .advice import encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
-from .traversal import TrajectoryStream, _block_total
+from .traversal import TrajectoryStream
 
 # Default cost cap multiplier: caps are mandatory for infinite streams, and a
 # hit at 1e4 times the applicable ceiling is a hard failure, not noise.
@@ -139,7 +139,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
                     active, live = active[keep], live[keep]
         if not active.size:
             break
-        total = walked + _block_total(block)
+        total = walked + block.total
         if total > cap:
             if cs is None:
                 cs = np.cumsum(block.lengths)

@@ -35,7 +35,6 @@ from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
     Block,
     TrajectoryStream,
-    _sum,
     basic_cost,
     phase_trips,
     round_trip_blocks,
@@ -233,7 +232,7 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
     prev = np.array([start.x, start.y])
     while True:
         tip = np.array([start.x + (reached + step) * ux, start.y + (reached + step) * uy])
-        yield Block(np.stack([prev, tip]), np.array([step]), total=step)
+        yield Block.of(np.stack([prev, tip]), np.array([step]))
         prev = tip
         reached += step
         step *= 2.0
@@ -311,8 +310,7 @@ def large_vision(start=ORIGIN) -> TrajectoryStream:
             for i, (ux, uy) in enumerate(units):
                 pts[2 * i + 1] = (p.x + d * ux, p.y + d * uy)
                 pts[2 * i + 2] = (p.x, p.y)
-            lengths = np.full(2 * RAY_COUNT, d)
-            yield Block(pts, lengths, total=_sum(lengths))
+            yield Block.of(pts, np.full(2 * RAY_COUNT, d))
             j += 1
 
     return TrajectoryStream(p, gen)

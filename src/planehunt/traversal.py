@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,27 +52,20 @@ class Block(NamedTuple):
     ``prefix_blocks`` keeps it; user-built streams leave it ``False``.
 
     ``total`` is ``float(np.cumsum(lengths)[-1])``, the left-to-right sum of
-    the lengths, or 0.0 for an empty block.  Every block the library builds
-    sums it once, when the block is made; a flip sums its own reversed
-    lengths, since the other order can round differently.  A user-built block
-    may leave it ``None``, and ``_block_total`` then sums it where needed; a
-    user-built block that sets it must set that same sum.
+    the lengths, or 0.0 for an empty block.  Every field is required: build a
+    block with ``Block.of``, which sums it once.  A flip sums its own reversed
+    lengths, since the other order can round differently.
     """
 
     points: np.ndarray
     lengths: np.ndarray
-    retrace: bool = False
-    total: Optional[float] = None
+    retrace: bool
+    total: float
 
-
-def _sum(lengths: np.ndarray) -> float:
-    """The left-to-right sum a block's ``total`` holds: the last entry of the cumsum."""
-    return float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
-
-
-def _block_total(block: Block) -> float:
-    """The block's total; a user-built block that carries none is summed here."""
-    return _sum(block.lengths) if block.total is None else block.total
+    @classmethod
+    def of(cls, points: np.ndarray, lengths: np.ndarray, retrace: bool = False) -> Block:
+        """The block of these vertices and lengths, its total summed here."""
+        return cls(points, lengths, retrace, float(np.cumsum(lengths)[-1]) if lengths.size else 0.0)
 
 
 class TrajectoryStream:
@@ -119,13 +112,13 @@ def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
     return Polyline(verts, lengths)
 
 
-def flip_block(block: Block) -> Block:
+def flip_block(block: Block | tuple[np.ndarray, np.ndarray]) -> Block:
     """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace.
 
-    Its total sums the reversed lengths anew: the other order can round differently.
+    Takes a block or a raw ``(points, lengths)`` pair.  Its total sums the
+    reversed lengths anew: the other order can round differently.
     """
-    lengths = block.lengths[::-1]
-    return Block(block.points[::-1], lengths, True, _sum(lengths))
+    return Block.of(block[0][::-1], block[1][::-1], True)
 
 
 def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
@@ -143,10 +136,9 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
     for block in blocks:
         if block.lengths.size == 0:
             continue
-        total = _block_total(block)
-        if total < remaining:
+        if block.total < remaining:
             out.append(block)
-            remaining -= total
+            remaining -= block.total
             continue
         # The cut block's total is its cut lengths' cumsum, read off this one.
         cs = np.cumsum(block.lengths)
@@ -175,7 +167,8 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
     walk; a trip re-cuts the blocks earlier trips pulled and pulls only new
     ones.  The way back is tagged a retrace, and so is every block the previous
     trip walked whole.  Such a block stays whole on longer trips, so its tagged
-    copy and its flip are made once; only each trip's last block is flipped anew.
+    copy and its flip are made once, the flip when the way back begins; only
+    each trip's last block is flipped anew.
     """
     # Per stream: an unread tee that keeps every block pulled so far (each copy re-reads them), the tagged copies, the flips.
     state = [(itertools.tee(stream.blocks(), 1)[0], [], []) for stream in streams]
@@ -190,11 +183,11 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
                 continue
             *body, last = forward  # the last block may be cut, so it is not kept
             new = body[len(tags) :]
-            flips.extend(map(flip_block, new))
             yield from tags
             yield from new
             tags.extend(block if block.retrace else block._replace(retrace=True) for block in new)
             yield last
+            flips.extend(map(flip_block, new))
             yield flip_block(last)
             yield from reversed(flips)
 
@@ -268,18 +261,14 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
 def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, u_hi: int) -> tuple[np.ndarray, np.ndarray]:
     heights = column_heights(wedge, D, r, u_lo, u_hi)
     m = heights.size
-    u = np.arange(u_lo, u_hi, dtype=np.float64)
-    fx = np.repeat((u + 0.5) * r, 3)
-    fy = np.empty(3 * m)
-    fy[0::3] = 0.5 * r
-    fy[1::3] = (heights.astype(np.float64) + 0.5) * r
-    fy[2::3] = 0.5 * r
-    world = frame.to_world(np.column_stack((fx, fy)))
+    # Frame points: the head (the previous column's foot), then each column's foot, top and foot.
+    f = np.empty((3 * m + 1, 2))
+    f[:, 0] = np.repeat((np.arange(u_lo - 1, u_hi, dtype=np.float64) + 0.5) * r, 3)[2:]
+    f[:, 1] = 0.5 * r
+    f[2::3, 1] = (heights.astype(np.float64) + 0.5) * r
+    pts = frame.to_world(f)
     if u_lo == 0:
-        head = np.array([[frame.apex.x, frame.apex.y]])
-    else:
-        head = frame.to_world(np.array([[(u_lo - 1 + 0.5) * r, 0.5 * r]]))
-    pts = np.concatenate([head, world])
+        pts[0] = (frame.apex.x, frame.apex.y)
     return pts, _sweep_lengths(heights, r, first=(u_lo == 0))
 
 
@@ -291,8 +280,7 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
 def _chunked(n: int, chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> Iterator[Block]:
     """Blocks of the ``(points, lengths)`` that ``chunk(lo, hi)`` makes over [0, n), in STREAM_CHUNK pieces from 0."""
     for lo in range(0, n, STREAM_CHUNK):
-        points, lengths = chunk(lo, min(lo + STREAM_CHUNK, n))
-        yield Block(points, lengths, total=_sum(lengths))
+        yield Block.of(*chunk(lo, min(lo + STREAM_CHUNK, n)))
 
 
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], tuple]]:
@@ -334,7 +322,7 @@ def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Ite
         yield block
     yield flip_block(block)
     for lo in reversed(range(0, n, STREAM_CHUNK)[:-1]):
-        yield flip_block(Block(*chunk(lo, lo + STREAM_CHUNK)))
+        yield flip_block(chunk(lo, lo + STREAM_CHUNK))
 
 
 def basic_cost(z: int, D: float, r: float) -> float:

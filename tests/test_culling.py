@@ -164,7 +164,7 @@ class TestPlainWalk:
 def _line_block(a, b, n):
     """One block walking straight from ``a`` to ``b`` in ``n`` equal steps."""
     pts = np.linspace(a, b, n + 1)
-    return Block(pts, np.hypot(*np.diff(pts, axis=0).T))
+    return Block.of(pts, np.hypot(*np.diff(pts, axis=0).T))
 
 
 class TestOneCullPerBlock:

@@ -121,13 +121,15 @@ class TestConfig:
             ("placement", "explicit 1 y", 6),
             ("s", "3.0", 7),
             ("alpha", "0.5.1", 7),
-        ],
+        ]
+        # Out of range: alpha and cap_mult must be positive and finite, s at least 1.
+        + [(key, value, 7) for key in ("alpha", "s", "cap_mult") for value in ("0", "-1", "nan", "inf")],
     )
     def test_malformed_numbers_rejected_with_their_line(self, key, value, line):
         lines = {"strategy": "small", "z": "0", "D": "list 4", "r": "list 0.5", "placement": "random 1"}
         lines[key] = value  # a new key goes last, on line 7
         text = "[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
-        with pytest.raises(PreconditionError, match=f"^config line {line}: {key.lower()} = "):
+        with pytest.raises(PreconditionError, match=f"^config line {line}: {key.lower()} = {value}: "):
             parse_config(text)
 
 

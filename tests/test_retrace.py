@@ -168,8 +168,8 @@ class TestWalker:
 
     def test_tagged_block_off_the_chain_raises(self):
         def blocks():
-            yield Block(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0]))
-            yield Block(np.array([[1.0, 1e-9], [0.0, 0.0]]), np.array([1.0]), True)
+            yield Block.of(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0]))
+            yield Block.of(np.array([[1.0, 1e-9], [0.0, 0.0]]), np.array([1.0]), True)
 
         with pytest.raises(StreamChainError):
             run(TrajectoryStream((0.0, 0.0), blocks), (50.0, 0.0), 0.5, 100.0)

@@ -35,7 +35,7 @@ from planehunt.sim import MAX_CANDIDATES, _candidate_floor, disc_grid_candidates
 def one_segment_stream(a, b):
     pts = np.array([a, b], dtype=float)
     lens = np.array([math.hypot(b[0] - a[0], b[1] - a[1])])
-    return TrajectoryStream(a, lambda: iter([Block(pts, lens)]))
+    return TrajectoryStream(a, lambda: iter([Block.of(pts, lens)]))
 
 
 def _refusal_under_2gib(call):
@@ -89,8 +89,8 @@ class TestRun:
 
     def test_malformed_chain_rejected(self):
         def bad():
-            yield Block(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0]))
-            yield Block(np.array([[9.0, 9.0], [10.0, 9.0]]), np.array([1.0]))
+            yield Block.of(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0]))
+            yield Block.of(np.array([[9.0, 9.0], [10.0, 9.0]]), np.array([1.0]))
 
         stream = TrajectoryStream((0.0, 0.0), bad)
         with pytest.raises(StreamChainError):
@@ -98,8 +98,8 @@ class TestRun:
 
     def test_chain_error_prints_plain_floats(self):
         def off_by_one_ulp():
-            yield Block(np.array([[0.0, 0.0], [0.1 + 0.2, -0.5]]), np.array([0.5830951894845301]))
-            yield Block(np.array([[0.3, -0.5], [1.0, -0.5]]), np.array([0.7]))
+            yield Block.of(np.array([[0.0, 0.0], [0.1 + 0.2, -0.5]]), np.array([0.5830951894845301]))
+            yield Block.of(np.array([[0.3, -0.5], [1.0, -0.5]]), np.array([0.7]))
 
         with pytest.raises(StreamChainError) as err:
             run(TrajectoryStream((0.0, 0.0), off_by_one_ulp), (100.0, 100.0), 0.5, 1e6)
@@ -359,7 +359,7 @@ class TestAdversarialPlacement:
     def test_first_block_must_start_at_the_start(self):
         def factory(w):
             def blocks():
-                yield Block(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0]))
+                yield Block.of(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0]))
 
             return TrajectoryStream((0.0, 0.0), blocks)
 

@@ -2,9 +2,10 @@
 
 Every block the library builds holds ``total``, the left-to-right sum of its
 lengths (the last entry of their cumsum), set once when the block is made.
-The walker folds those totals and sums a block's lengths only where a target
-is seen or the cap falls; a stream whose blocks carry no total gives the same
-answers, bit for bit.
+Every field of a block is required; ``Block.of`` sums the total.  The walker
+folds those totals and sums a block's lengths only where a target is seen or
+the cap falls; a stream whose blocks are rebuilt with ``Block.of`` gives the
+same answers, bit for bit.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 import planehunt.sim as sim
 import planehunt.traversal as traversal
 from planehunt import (
+    Block,
     Point2,
     TrajectoryStream,
     adversarial_placement,
@@ -51,9 +53,9 @@ def _assert_totals(blocks) -> list:
     return blocks
 
 
-def _totalless(stream):
-    """The same stream with every block's total dropped, as a user-built stream has none."""
-    return TrajectoryStream(stream.start, lambda: (b._replace(total=None) for b in stream.blocks()))
+def _resummed(stream):
+    """The same stream with every block rebuilt by ``Block.of``, as a user-built stream makes them."""
+    return TrajectoryStream(stream.start, lambda: (Block.of(b.points, b.lengths, b.retrace) for b in stream.blocks()))
 
 
 def _doubling():
@@ -93,9 +95,7 @@ class TestEveryBlockCarriesItsTotal:
         whole = _left_sum(first.lengths)
         for arc in (0.0, float(cs[0]), float(cs[len(cs) // 2]), 0.3 * whole, 0.7 * whole, whole, 1.7 * whole, 1e12):
             cut = prefix_blocks(stream.blocks(), arc)
-            # A user-built block passes whole without a total; every block made here has one.
-            made = _assert_totals(b for b in cut if b.lengths is not first.lengths)
-            assert arc >= whole or made[-1] is cut[-1]
+            _assert_totals(cut)
 
     @pytest.mark.parametrize("name, make, segments", [
         ("small z=0", lambda: small_vision(0, ""), 200_000),
@@ -114,6 +114,13 @@ class TestEveryBlockCarriesItsTotal:
             seen[id(b)] = seen.get(id(b), 0) + 1
         assert max(seen.values()) > 2  # a kept block or flip, yielded on several trips
 
+    def test_every_field_is_required(self):
+        points, lengths = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0])
+        with pytest.raises(TypeError):
+            Block(points, lengths)
+        with pytest.raises(TypeError):
+            Block(points, lengths, True)
+
     @pytest.mark.parametrize("angle", [0.0, math.pi / 6.0, 2.0])
     def test_ray_probe(self, angle):
         assert len(_assert_totals(itertools.islice(_ray_blocks(Point2(0.3, -0.1), angle), 60))) == 60
@@ -121,11 +128,11 @@ class TestEveryBlockCarriesItsTotal:
 
 def _assert_same_run(make, treasure, r, cap=1e9):
     out = run(make(), treasure, r, cap)
-    assert out == run(_totalless(make()), treasure, r, cap)
+    assert out == run(_resummed(make()), treasure, r, cap)
     return out
 
 
-class TestTotallessStreamsWalkAlike:
+class TestResummedStreamsWalkAlike:
     @pytest.mark.parametrize("z, treasure", [(0, (1.3, -0.7)), (3, (1.3, 0.4))])
     def test_small_vision(self, z, treasure):
         w = encode_advice((0.0, 0.0), treasure, z)
@@ -139,11 +146,11 @@ class TestTotallessStreamsWalkAlike:
         w = encode_advice(FAR, q, 3)
         assert _assert_same_run(lambda: basic_traversal(3, w, 400.0, 0.07, FAR), q, 0.07).found
 
-    def test_universal_with_totalless_components(self):
+    def test_universal_with_resummed_components(self):
         q = (-5.0, 3.0)
         w = encode_advice((0.0, 0.0), q, 2)
         parts = (small_vision(2, w), medium_vision(2, w, 0.5, 3), large_vision())
-        bare = [_totalless(p) for p in parts]
+        bare = [_resummed(p) for p in parts]
         out = _assert_same_run(lambda: universal(2, w, 0.5, 3), q, 0.3)
         assert out.found
         assert out == run(TrajectoryStream((0.0, 0.0), lambda: phase_trips(bare, _doubling())), q, 0.3, 1e9)
@@ -155,7 +162,7 @@ class TestTotallessStreamsWalkAlike:
 
     def test_adversarial_placement(self):
         with_totals = adversarial_placement(lambda w: small_vision(3, w), 3, 6.0, 0.5, 0.5)
-        assert with_totals == adversarial_placement(lambda w: _totalless(small_vision(3, w)), 3, 6.0, 0.5, 0.5)
+        assert with_totals == adversarial_placement(lambda w: _resummed(small_vision(3, w)), 3, 6.0, 0.5, 0.5)
 
 
 class _CountingNumpy:

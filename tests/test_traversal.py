@@ -127,6 +127,28 @@ class TestSectorSweep:
                     center = ((u + 0.5) * r, (v + 0.5) * r)
                     assert _min_distance_to_polyline(fpoly, center) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_chunk_vertex_is_its_frame_point_mapped_alone(self, seed):
+        """Every vertex of a sweep chunk, its head included, is ``to_world`` of
+        its own frame point (the apex for the first chunk), bit for bit."""
+        from planehunt.tiling import column_heights
+
+        rng = np.random.default_rng(seed)
+        apex = Point2(*rng.uniform(-1e3, 1e3, size=2))
+        frame = TileFrame(apex, float(rng.uniform(0.0, math.tau)), 0.1 + float(rng.uniform(0.0, 0.2)))
+        r, wedge = frame.tile_size, math.tau / 8.0
+        D = r * 9000.5
+        for u_lo, u_hi in ((0, 300), (4096, 4100), (int(rng.integers(1, 8000)), 9000)):
+            pts, _ = traversal._sweep_chunk(frame, wedge, D, r, u_lo, u_hi)
+            heights = column_heights(wedge, D, r, u_lo, u_hi)
+            want = [(apex.x, apex.y)] if u_lo == 0 else [((u_lo - 1 + 0.5) * r, 0.5 * r)]
+            for u, v in zip(range(u_lo, u_hi), heights):
+                want += [((u + 0.5) * r, 0.5 * r), ((u + 0.5) * r, (v + 0.5) * r), ((u + 0.5) * r, 0.5 * r)]
+            assert pts.shape == (len(want), 2)
+            for i, point in enumerate(want):
+                alone = np.array(point) if i == 0 and u_lo == 0 else frame.to_world(np.array([point]))[0]
+                assert pts[i].tobytes() == alone.tobytes()
+
     def test_zero_height_columns_emit_zero_length_moves(self):
         # A thin wedge has v_max = 0 everywhere: the up-and-back moves collapse.
         poly = basic_traversal(10, "1" * 10, 5.0, 1.0).materialize()
@@ -382,6 +404,23 @@ class TestPhaseTrips:
             for a, b in zip(back, reversed(out)):
                 assert np.array_equal(a.points, b.points[::-1]) and a.retrace
 
+    def test_a_walk_that_stops_on_the_way_out_flips_only_earlier_trips(self, monkeypatch):
+        """The flips of the blocks a trip newly walks whole are made when its way back begins."""
+        flipped = []
+        flip = traversal.flip_block
+
+        def counting(block):
+            flipped.append(block)
+            return flip(block)
+
+        monkeypatch.setattr(traversal, "flip_block", counting)
+        pieces = list(spiral(1100.0, 0.5).blocks())  # the first piece ends near arc 2.1e6
+        walk = phase_trips([TrajectoryStream((0.0, 0.0), lambda: iter(pieces))], [1.0, 3e6])
+        first_out, _, whole, cut = itertools.islice(walk, 4)  # trip 1 out and back, then trip 2 out
+        assert whole is pieces[0] and [b is first_out for b in flipped] == [True]
+        next(walk)  # trip 2's way back begins
+        assert [b is pieces[0] or b is cut for b in flipped] == [False, True, True]
+
     @pytest.mark.parametrize("name", ["small z=3", "universal z=2", "two streams"])
     def test_matches_regenerated_trips(self, name):
         """The same blocks, tags included, as cutting every trip from the start."""
@@ -428,7 +467,7 @@ class TestPhaseTrips:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams_and_growing_arcs_match_regenerated_trips(self, seed):
-        """User-built streams of random block sizes, some with no total, cut by
+        """User-built streams of random block sizes, cut by
         random non-decreasing arcs (repeats, 0.0, and cuts exactly on a block
         end among them), give the same blocks as cutting every trip afresh."""
         rng = np.random.default_rng(seed)
@@ -442,8 +481,7 @@ class TestPhaseTrips:
                 steps = np.zeros((lengths.size, 2))
                 steps[np.arange(lengths.size), axis] = lengths * rng.choice([-1.0, 1.0], size=lengths.size)
                 points = np.concatenate([at[None, :], at + np.cumsum(steps, axis=0)])
-                total = None if rng.random() < 0.5 else traversal._sum(lengths)
-                blocks.append(Block(points, lengths, total=total))
+                blocks.append(Block.of(points, lengths))
                 at, walked = points[-1], walked + float(lengths.sum())
                 ends.append(walked)
             streams.append(TrajectoryStream((0.0, 0.0), lambda blocks=blocks: iter(blocks)))
