@@ -145,25 +145,25 @@ def _parse_values(text: str) -> List[str]:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
+    """The values of ``list v ...``, bare ``v ...`` or ``logspace lo hi count``;
+    each value, and each logspace bound, must be positive and finite."""
     parts = _parse_values(text)
     if parts and parts[0] == "logspace":
         if len(parts) != 4:
             raise PreconditionError("logspace needs <lo> <hi> <count>")
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if lo <= 0 or hi <= 0 or count < 1:
-            raise PreconditionError("logspace needs positive bounds and count")
-        if count == 1:
-            return (lo,)
-        ratio = (hi / lo) ** (1.0 / (count - 1))
-        return tuple(lo * ratio**i for i in range(count))
-    if parts and parts[0] == "list":
+        lo, hi, count = _positive_finite(parts[1]), _positive_finite(parts[2]), int(parts[3])
+        if count < 1:
+            raise PreconditionError("logspace needs a positive count")
+        ratio = (hi / lo) ** (1.0 / (count - 1)) if count > 1 else 1.0
+        parts = [lo * ratio**i for i in range(count)]  # hi / lo may overflow
+    elif parts and parts[0] == "list":
         parts = parts[1:]
     if not parts:
         raise PreconditionError("empty value list")
-    return tuple(float(p) for p in parts)
+    return tuple(_positive_finite(p) for p in parts)
 
 
-def _positive_finite(text: str) -> float:
+def _positive_finite(text: str | float) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
         raise PreconditionError("must be positive and finite")
@@ -196,9 +196,10 @@ def _parse_placement(text: str) -> tuple[str, Optional[Point2], int, Optional[fl
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config (one [sweep] section).
 
-    An unknown key, a repeated key, a malformed number and an alpha, s or
-    cap_mult out of range are refused with a PreconditionError that names the
-    line and the key.
+    An unknown key, a repeated key, a malformed number, a D or r value or
+    logspace bound that is not positive and finite, an alpha or cap_mult that
+    is not positive and finite, and an s below 1 are refused with a
+    PreconditionError that names the line and the key.
     """
     section = None
     fields: dict[str, tuple[int, str]] = {}

@@ -32,6 +32,13 @@ MAX_CANDIDATES = 10**6
 # Targets tested against one block at a time; bounds the (segments, targets) arrays.
 _CAND_SLAB = 256
 
+# Segments per run: a long block culls its near targets again against each run's box.
+_RUN_LEN = 16
+
+# A block goes run by run only with at least two runs and this many near targets:
+# with fewer, one kernel call on the whole block costs less than a call per run.
+_RUN_TARGETS = 128
+
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -62,6 +69,94 @@ class _Walk(NamedTuple):
     t: np.ndarray
 
 
+def _cull_radius(r: float, scale):
+    """How far a target may lie from a box and still be seen from inside it: r,
+    plus 1e-9 * scale for the kernel's rounding, where ``scale`` (a float or an
+    array) is max(1, |coordinates of the box and the target|)."""
+    return r + 1e-9 * scale
+
+
+def _gap(x0, x1, y0, y1, qx, qy):
+    """Distance from the targets (qx, qy) to the boxes [x0, x1] x [y0, y1], broadcast."""
+    gx = np.maximum(np.maximum(x0 - qx, qx - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - qy, qy - y1), 0.0)
+    return np.hypot(gx, gy)
+
+
+def _run_boxes(pts: np.ndarray):
+    """Bounding boxes (x0, x1, y0, y1) of the chain's runs of ``_RUN_LEN`` segments.
+
+    A run's box holds its first vertices and its last, which is the next run's first.
+    """
+    m = pts.shape[0] - 1
+    first = np.arange(0, m, _RUN_LEN)
+    last = pts[np.minimum(first + _RUN_LEN, m)]
+    lo = np.minimum(np.minimum.reduceat(pts[:-1], first), last)
+    hi = np.maximum(np.maximum.reduceat(pts[:-1], first), last)
+    return lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]
+
+
+def _first_hit(t: np.ndarray):
+    """The columns of a kernel result that detect, their first detecting rows, and the
+    arc lengths there; None when no column detects."""
+    hit = ~np.isnan(t)
+    col = np.flatnonzero(hit.any(axis=0))
+    if not col.size:
+        return None
+    row = hit.argmax(axis=0)[col]
+    return col, row, t[row, col]
+
+
+def _slab_hits(pts: np.ndarray, xy: np.ndarray, r: float):
+    """``_first_hit`` of the chain ``pts`` on the targets ``xy``, ``_CAND_SLAB``
+    targets per kernel call, as (rows of ``xy``, segments, arc lengths)."""
+    found = []
+    for lo in range(0, xy.shape[0], _CAND_SLAB):
+        hits = _first_hit(detection_lengths(pts, xy[lo : lo + _CAND_SLAB], r))
+        if hits is not None:
+            found.append((lo + hits[0], hits[1], hits[2]))
+    return _joined(found)
+
+
+def _joined(found: list):
+    """One (rows, segments, arc lengths) triple from a list of them; None from none."""
+    if len(found) < 2:
+        return found[0] if found else None
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _block_hits(pts: np.ndarray, xy: np.ndarray, r: float, reach):
+    """The first hits of one block ``pts`` on the near targets ``xy``, as (rows of
+    ``xy``, segments, arc lengths), or None.
+
+    A block of at least two runs of ``_RUN_LEN`` segments and at least
+    ``_RUN_TARGETS`` near targets goes run by run, in order: each run tests
+    only its targets within ``reach`` (one radius per target) of its box that
+    no earlier run detected.  Any other block goes to the kernel whole.
+    """
+    k = xy.shape[0]
+    m = pts.shape[0] - 1
+    if m < 2 * _RUN_LEN or k < _RUN_TARGETS:
+        return _slab_hits(pts, xy, r)
+    runs = [c[:, None] for c in _run_boxes(pts)]
+    near = np.concatenate(
+        [_gap(*runs, xy[lo : lo + _CAND_SLAB, 0], xy[lo : lo + _CAND_SLAB, 1]) <= reach[lo : lo + _CAND_SLAB]
+         for lo in range(0, k, _CAND_SLAB)],
+        axis=1,
+    )  # (runs, targets)
+    unseen = np.ones(k, dtype=bool)
+    found = []
+    for j in np.flatnonzero(near.any(axis=1)):
+        lo = j * _RUN_LEN
+        test = np.flatnonzero(near[j] & unseen)
+        hits = _slab_hits(pts[lo : lo + _RUN_LEN + 1], xy[test], r) if test.size else None
+        if hits is not None:
+            rows = test[hits[0]]
+            unseen[rows] = False
+            found.append((rows, lo + hits[1], hits[2]))
+    return _joined(found)
+
+
 def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -> _Walk:
     """First detection of each of the (k, 2) ``targets`` along one walk of ``stream``.
 
@@ -73,8 +168,9 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     tagged ``retrace`` repeats ground already tested, so it is folded and
     counted but not tested.  Any other block culls the live targets once
     against its bounding box, and only those within reach go to the kernel,
-    ``_CAND_SLAB`` at a time; the live set narrows only where a slab
-    detects.  Lengths fold as block totals, ``walked + total``, left to right.
+    ``_CAND_SLAB`` at a time; a long block with many near targets culls them
+    again per run (``_block_hits``).  The live set narrows only where a block detects.
+    Lengths fold as block totals, ``walked + total``, left to right.
     """
     if not (0.0 < cap < math.inf):
         raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
@@ -104,30 +200,25 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
             box = max(1.0, abs(x0), abs(x1), abs(y0), abs(y1))
             # Cull the live targets farther than r from the block's bounding box: the
-            # kernel cannot see them.  The margin covers the kernel's rounding.
+            # kernel cannot see them.  ``reach`` keeps the cull radii of the near ones.
             if active.size == 1:
                 qx, qy = float(live[0, 0]), float(live[0, 1])
                 gap = math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0))
-                near = slice(None) if gap <= r + 1e-9 * max(box, abs(qx), abs(qy)) else slice(0)
+                reach = _cull_radius(r, max(box, abs(qx), abs(qy)))  # floats: numpy costs more here
+                near = slice(None) if gap <= reach else slice(0)
             else:
                 qx, qy = live[:, 0], live[:, 1]
-                gx = np.maximum(np.maximum(x0 - qx, qx - x1), 0.0)
-                gy = np.maximum(np.maximum(y0 - qy, qy - y1), 0.0)
-                near = np.hypot(gx, gy) <= r + 1e-9 * np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box)
+                reach = _cull_radius(r, np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box))
+                near = _gap(x0, x1, y0, y1, qx, qy) <= reach
+                reach = reach[near]
             idx, xy = active[near], live[near]
-            for lo in range(0, idx.size, _CAND_SLAB):
-                t = detection_lengths(pts, xy[lo : lo + _CAND_SLAB], r)
-                hit = ~np.isnan(t)
-                col = np.flatnonzero(hit.any(axis=0))
-                if not col.size:
-                    continue
-                if cs is None:
-                    cs = np.cumsum(block.lengths)
-                seg = hit.argmax(axis=0)[col]
-                tt = t[seg, col]
+            hits = _block_hits(pts, xy, r, reach) if idx.size else None
+            if hits is not None:
+                col, seg, tt = hits
+                cs = np.cumsum(block.lengths)
                 c = walked + np.where(seg > 0, cs[seg - 1], 0.0) + tt
                 ok = c <= cap
-                sel, seg = idx[lo + col[ok]], seg[ok]
+                sel, seg = idx[col[ok]], seg[ok]
                 cost[sel] = c[ok]
                 found[sel] = True
                 segments[sel] = done + seg + 1

@@ -1,8 +1,10 @@
 """Reach culling: the walker sends the detection kernel only the targets
-within reach of each block's bounding box.
+within reach of each block's bounding box, and of a long block with many
+near targets only those within reach of each run's box, run by run.
 
-These tests check that a culled (block, target) pair never has a kernel hit,
-that the walker agrees bit for bit with a plain walk that tests every block
+These tests check that a withheld (segment, target) pair never has a kernel
+hit, that a target within reach of a run's box is tested on that run, that
+the walker agrees bit for bit with a plain walk that tests every block
 against every unseen target, and that targets far beyond any block never
 reach the kernel's arithmetic.
 """
@@ -45,11 +47,43 @@ def _spy_kernel(monkeypatch):
     return calls
 
 
-def _margin_targets(block, r, rng, n):
-    """Targets around the block's box at gaps just inside, at and just beyond the
-    cull margin r + 1e-9 * max(1, |coords|), and a few well within r."""
-    lo, hi = block.points.min(axis=0), block.points.max(axis=0)
-    margin = 1e-9 * max(1.0, float(np.abs(block.points).max()) + r)
+def _tested(calls, block, targets):
+    """(targets, segments): was the target tested on that segment of ``block``,
+    over kernel calls on the block's points or a run of them?"""
+    base = block.points
+    index = {}
+    for j, q in enumerate(map(tuple, targets.tolist())):
+        index.setdefault(q, []).append(j)
+    out = np.zeros((targets.shape[0], block.lengths.size), dtype=bool)
+    for points, passed in calls:
+        first = (points.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // base.strides[0]
+        assert np.shares_memory(points, base)
+        assert np.array_equal(points, base[first : first + points.shape[0]])
+        rows = [j for q in map(tuple, passed.tolist()) for j in index[q]]
+        out[np.ix_(rows, range(first, first + points.shape[0] - 1))] = True
+    return out
+
+
+def _near_runs(points, targets, r):
+    """The walker's reach test on an untagged block, for each of the (k, 2)
+    ``targets``: the (first, end) segment ranges of the block's runs of
+    ``_RUN_LEN`` segments whose bounding box lies within r + 1e-9 * max(1,
+    |coordinates of the block and the target|) of it; none when the block's
+    own box lies farther."""
+    m = points.shape[0] - 1
+    spans = [(lo, min(lo + sim._RUN_LEN, m)) for lo in range(0, m, sim._RUN_LEN)]
+    boxes = np.array([(p.min(axis=0), p.max(axis=0)) for p in [points[lo : hi + 1] for lo, hi in spans] + [points]])
+    gaps = np.maximum(np.maximum(boxes[:, :1] - targets, targets - boxes[:, 1:]), 0.0)  # (runs + 1, k, 2)
+    scale = np.maximum(np.abs(targets).max(axis=1), max(1.0, float(np.abs(points).max())))
+    within = np.hypot(gaps[..., 0], gaps[..., 1]) <= r + 1e-9 * scale
+    return [[s for s, w in zip(spans, within[:-1, j]) if w] if within[-1, j] else [] for j in range(len(targets))]
+
+
+def _margin_targets(points, scale, r, rng, n):
+    """Targets around the bounding box of ``points`` at gaps just inside, at and
+    just beyond the cull margin r + 1e-9 * scale, and a few well within r."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    margin = 1e-9 * scale
     gaps = np.array([0.5 * r, r, r + 0.5 * margin, r + margin, r + 1.001 * margin, r + 2.0 * margin, r + 1e-12])
     out = []
     for _ in range(n):
@@ -67,34 +101,94 @@ def _margin_targets(block, r, rng, n):
     return np.array(out)
 
 
+def _assert_culls_soundly(calls, block, targets, r, step=1):
+    """Walk the one-block stream with all ``targets`` at once and with every
+    ``step``-th alone.  Up to a target's first detection, a segment withheld from the
+    kernel never detects it, and every segment of a run within reach of it is
+    tested; no kernel call holds more than ``_CAND_SLAB`` targets.  Returns the
+    counts of withheld and tested (segment, target) pairs, and of kernel calls
+    on one run of the block."""
+    m = block.lengths.size
+    start = block.points[0]
+    targets = targets[np.hypot(*(targets - start).T) > r + DETECTION_TOL]  # seen before the walk starts
+    hit = ~np.isnan(detection_lengths(block.points, targets, r))
+    first = np.where(hit.any(axis=0), hit.argmax(axis=0), m - 1)  # the last segment each target needs
+    stream = TrajectoryStream(tuple(start), lambda: iter([block]))
+    cap = 2.0 * block.total + 1.0
+    near = _near_runs(block.points, targets, r)
+    withheld = tested = runs = 0
+    for cols in [np.arange(targets.shape[0])] + [[j] for j in range(0, targets.shape[0], step)]:
+        calls.clear()
+        walk = sim._walk(stream, targets[cols], r, cap)
+        assert walk.found.tolist() == hit[:, cols].any(axis=0).tolist()
+        assert (walk.segments[walk.found] == first[cols][walk.found] + 1).all()
+        assert all(0 < passed.shape[0] <= sim._CAND_SLAB for _, passed in calls)
+        runs += sum(points.shape[0] <= sim._RUN_LEN + 1 < block.points.shape[0] for points, _ in calls)
+        given = _tested(calls, block, targets)
+        for j in cols:
+            upto = np.arange(m) <= first[j]
+            got = given[j] & upto
+            assert not hit[upto & ~got, j].any(), targets[j]
+            for lo, hi in near[j]:
+                assert got[lo : min(hi, first[j] + 1)].all(), (targets[j], lo)
+            withheld += int((upto & ~got).sum())
+            tested += int(got.sum())
+    return withheld, tested, runs
+
+
 @pytest.mark.parametrize("name, make, r, segments", _STRATEGY_STREAMS, ids=[s[0] for s in _STRATEGY_STREAMS])
 def test_culling_is_sound(monkeypatch, name, make, r, segments):
-    """A (block, target) pair the walker culls never has a kernel hit, on the
-    one-target path and the many-target path alike."""
+    """Culling against block and run boxes withholds no (segment, target) pair
+    that detects, and withholds none within reach, on the one-target path and
+    the many-target path alike.  Each block has enough near targets to go run
+    by run when it is long enough."""
     fresh = [b for b in _walked_blocks(make(), segments) if not b.retrace]
     rng = np.random.default_rng(2025)
     blocks = [fresh[i] for i in rng.choice(len(fresh), size=min(12, len(fresh)), replace=False)]
     calls = _spy_kernel(monkeypatch)
-    culled = kept = 0
+    withheld = tested = runs = 0
     for block in blocks:
-        targets = _margin_targets(block, r, rng, 24)
-        start = block.points[0]
-        targets = targets[np.hypot(*(targets - start).T) > r + DETECTION_TOL]  # seen before the walk starts
-        lo, hi = block.points.min(axis=0), block.points.max(axis=0)
-        within_r = {tuple(q) for q in targets[np.hypot(*np.maximum(np.maximum(lo - targets, targets - hi), 0.0).T) <= r]}
-        cap = 2.0 * float(block.lengths.sum()) + 1.0
-        stream = TrajectoryStream(tuple(start), lambda: iter([block]))
-        for xy in [targets] + [targets[i : i + 1] for i in range(targets.shape[0])]:
-            calls.clear()
-            sim._walk(stream, xy, r, cap)
-            given = {tuple(q) for _, passed in calls for q in passed}
-            cut = np.array([q for q in xy if tuple(q) not in given]).reshape(-1, 2)
-            if cut.size:
-                assert np.isnan(detection_lengths(block.points, cut, r)).all(), (name, cut[:3])
-            assert within_r & {tuple(q) for q in xy} <= given
-            culled += cut.shape[0]
-            kept += len(given)
-    assert culled > 0 and kept > 0
+        pts = block.points
+        scale = max(1.0, float(np.abs(pts).max()) + r)
+        lo = int(rng.integers(0, block.lengths.size)) // sim._RUN_LEN * sim._RUN_LEN  # one of its runs
+        n = sim._RUN_TARGETS
+        targets = np.concatenate([_margin_targets(pts, scale, r, rng, n),
+                                  _margin_targets(pts[lo : lo + sim._RUN_LEN + 1], scale, r, rng, n)])
+        w, t, u = _assert_culls_soundly(calls, block, targets, r, step=5)
+        withheld, tested, runs = withheld + w, tested + t, runs + u
+    assert withheld > 0 and tested > 0
+    assert runs > 0 or all(b.lengths.size < 2 * sim._RUN_LEN for b in blocks)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (3e5, -7e5)])
+def test_run_box_holds_the_run_last_vertex(monkeypatch, offset):
+    """The last segment of the first run climbs to the second run's first
+    vertex.  Targets at the cull margin around that climb and that vertex lie
+    within reach of the first run's box only because the box holds the run's
+    last vertex; each is tested on the climb, and the walk equals the plain
+    walk.  Targets along the later runs make the block go run by run."""
+    r = 0.5
+    steps = [(0.5, 0.0)] * 15 + [(0.0, 4.0)] + [(0.5, 0.0)] * (2 * sim._RUN_LEN)
+    pts = np.asarray(offset) + np.concatenate([[(0.0, 0.0)], np.cumsum(steps, axis=0)])
+    block = Block.of(pts, np.hypot(*np.diff(pts, axis=0).T))
+    top = pts[16]  # the climb's end: the second run's first vertex
+    scale = max(1.0, float(np.abs(pts).max()) + r)
+    margin = 1e-9 * scale
+    gaps = np.array([0.5 * r, r - 1e-12, r, r + 1e-12, r + 0.5 * margin, r + margin, r + 2.0 * margin])
+    rng = np.random.default_rng(16)
+    targets = np.concatenate([
+        top + np.column_stack((np.zeros_like(gaps), gaps)),  # above the climb's end
+        top + np.column_stack((-gaps, rng.uniform(-3.0, -0.5, gaps.size))),  # beside the climb
+        top + np.column_stack((gaps, rng.uniform(-3.0, -0.5, gaps.size))),
+        top + gaps[:, None] * np.array([[-0.6, 0.8]]),  # off the vertex, up and back
+        top + np.column_stack((rng.uniform(4.5, 15.5, sim._RUN_TARGETS), np.full(sim._RUN_TARGETS, -0.25))),
+    ])
+    calls = _spy_kernel(monkeypatch)
+    withheld, tested, runs = _assert_culls_soundly(calls, block, targets, r)
+    assert withheld > 0 and tested > 0 and runs > 0
+    stream = TrajectoryStream(tuple(pts[0]), lambda: iter([block]))
+    for cols in [np.arange(targets.shape[0])] + [[j] for j in range(targets.shape[0])]:
+        _assert_walk_is_plain(sim._walk(stream, targets[cols], r, 1e3), stream, targets[cols], r, 1e3)
 
 
 def _assert_walk_is_plain(walk, stream, targets, r, cap):
@@ -169,7 +263,8 @@ def _line_block(a, b, n):
 
 class TestOneCullPerBlock:
     """The walker culls all its live targets once per block, then sends the
-    kernel only the near ones, at most ``_CAND_SLAB`` at a time."""
+    kernel only the near ones, at most ``_CAND_SLAB`` at a time; a block with
+    many near targets is culled once more per run of ``_RUN_LEN`` segments."""
 
     def test_near_targets_meet_in_one_kernel_call(self, monkeypatch):
         # Only the first and the last of 300 targets lie within reach of the
@@ -187,10 +282,13 @@ class TestOneCullPerBlock:
         _assert_walk_is_plain(walk, stream, targets, 1.0, 1e3)
 
     def test_many_near_targets_go_in_slabs(self, monkeypatch):
-        # 700 targets lie within reach of the first block and 60 only of the
-        # second: each kernel call holds at most _CAND_SLAB targets, all near.
+        # 700 targets lie within reach of the first block's first run and are
+        # all seen there, and 60 only of the third block.  The first block goes
+        # run by run, the third, with fewer than _RUN_TARGETS near targets,
+        # whole; each kernel call holds at most _CAND_SLAB targets, all within
+        # reach of its points.
         rng = np.random.default_rng(13)
-        near = np.column_stack((rng.uniform(1.0, 40.0, 700), rng.uniform(-0.9, 0.9, 700)))
+        near = np.column_stack((rng.uniform(1.0, 7.9, 700), rng.uniform(-0.9, 0.9, 700)))
         high = np.column_stack((rng.uniform(1.0, 40.0, 60), rng.uniform(6.5, 7.5, 60)))
         targets = rng.permutation(np.concatenate((near, high)))
         blocks = [_line_block((0.0, 0.0), (40.0, 0.0), 80), _line_block((40.0, 0.0), (40.0, 7.0), 7),
@@ -205,8 +303,12 @@ class TestOneCullPerBlock:
             lo, hi = points.min(axis=0), points.max(axis=0)
             gap = np.hypot(*np.maximum(np.maximum(lo - passed, passed - hi), 0.0).T)
             assert (gap <= r + 1e-9 * max(1.0, float(np.abs(points).max()), float(np.abs(passed).max()))).all()
-        first = [passed.shape[0] for points, passed in calls if points is blocks[0].points]
-        assert first == [256, 256, 188]
+        first = [(points.shape[0], passed.shape[0]) for points, passed in calls
+                 if np.shares_memory(points, blocks[0].points)]
+        assert first == [(sim._RUN_LEN + 1, 256), (sim._RUN_LEN + 1, 256), (sim._RUN_LEN + 1, 188)]
+        third = [passed.shape[0] for points, passed in calls if np.shares_memory(points, blocks[2].points)]
+        assert len(third) == 1 and 0 < third[0] <= 60
+        assert calls[-1][0] is blocks[2].points
         _assert_walk_is_plain(walk, stream, targets, r, 1e3)
 
 

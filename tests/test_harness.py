@@ -123,7 +123,10 @@ class TestConfig:
             ("alpha", "0.5.1", 7),
         ]
         # Out of range: alpha and cap_mult must be positive and finite, s at least 1.
-        + [(key, value, 7) for key in ("alpha", "s", "cap_mult") for value in ("0", "-1", "nan", "inf")],
+        + [(key, value, 7) for key in ("alpha", "s", "cap_mult") for value in ("0", "-1", "nan", "inf")]
+        # So must every D and r value, and a logspace bound.
+        + [(key, value, line) for key, line in (("D", 4), ("r", 5))
+           for value in ("list 0", "list -1", "list nan", "list inf", "list 1e400", "logspace 1 inf 3")],
     )
     def test_malformed_numbers_rejected_with_their_line(self, key, value, line):
         lines = {"strategy": "small", "z": "0", "D": "list 4", "r": "list 0.5", "placement": "random 1"}
