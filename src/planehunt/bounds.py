@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .advice import check_advice
-from .errors import PreconditionError
+from .errors import PreconditionError, positive_finite
 
 # Tiles met by a wedge of angle 2*pi/2**z: <= 69 * (D^2/(2^z r^2) + D/r).
 TILE_COUNT_FACTOR = 69.0
@@ -93,9 +93,7 @@ def regime_of(D: float, r: float) -> str:
 
 def branch_count(alpha: float) -> int:
     """ceil(1/alpha), with a tiny slack so representable fractions round true."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise PreconditionError("alpha must be a positive real")
-    return max(1, math.ceil(1.0 / alpha - 1e-9))
+    return max(1, math.ceil(1.0 / positive_finite("alpha", alpha) - 1e-9))
 
 
 def small_ceiling(z: int, D: float, r: float) -> float:
@@ -109,4 +107,4 @@ def medium_ceiling(z: int, D: float, r: float, alpha: float, s: int) -> float:
     try:  # ldexp scales by 2**(7 s) exactly and raises where the product would reach inf
         return math.ldexp(2.0 * branch_count(alpha) * sweep_cost_bound(z, D, r) * D**alpha, 7 * s)
     except OverflowError:
-        raise PreconditionError(f"the medium ceiling overflows binary64 at scale step {s}") from None
+        raise PreconditionError(f"the medium ceiling overflows binary64 at alpha {alpha} and scale step {s}") from None

@@ -7,13 +7,12 @@ Exit codes: 0 success (simulate: treasure found), 1 usage or input error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
 from .advice import decode_sector, encode_advice
 from .bounds import MEDIUM_LB_RADIUS_LIMIT, lower_bounds, regime_of
-from .errors import BudgetExceededError, PreconditionError, StreamChainError
+from .errors import BudgetExceededError, PreconditionError, StreamChainError, positive_finite, positive_int
 from .geom import ORIGIN, Point2
 from .harness import (
     STRATEGIES,
@@ -46,16 +45,13 @@ def _point(text: str) -> Point2:
         raise argparse.ArgumentTypeError(f"expected x,y — got {text!r}") from exc
 
 
-def _positive(what: str):
-    """An argparse type for a positive, finite number: the rule ``run`` applies to r."""
-    def parse(text: str) -> float:
+def _positive(name: str, rule=positive_finite):
+    """An argparse type that applies the library's range ``rule`` of ``name`` to a flag's text."""
+    def parse(text: str):
         try:
-            x = float(text)
-        except ValueError:
-            x = math.nan
-        if not (x > 0.0 and math.isfinite(x)):
-            raise argparse.ArgumentTypeError(f"{what} must be positive and finite, got {text!r}")
-        return x
+            return rule(name, text)
+        except PreconditionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -76,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--z", required=True, type=int, help="advice size in bits")
     sim.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
     sim.add_argument("--r", required=True, type=_positive("vision radius"), help="vision radius")
-    sim.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    sim.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
+    sim.add_argument("--alpha", type=_positive("alpha"), default=DEFAULT_ALPHA)
+    sim.add_argument("--s", type=_positive("scale step", positive_int), default=DEFAULT_SCALE_STEP)
     sim.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
-    sim.add_argument("--cap-mult", type=float, default=DEFAULT_CAP_MULTIPLIER)
+    sim.add_argument("--cap-mult", type=_positive("cost cap multiplier"), default=DEFAULT_CAP_MULTIPLIER)
     sim.add_argument("--D", type=_positive("range bound"), help="range bound (default: the actual distance)")
 
     swp = sub.add_parser("sweep", help="run a parameter sweep from a config file")
@@ -93,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--z", required=True, type=int)
     adv.add_argument("--D", required=True, type=_positive("range bound"))
     adv.add_argument("--r", required=True, type=_positive("vision radius"))
-    adv.add_argument("--grid-step", required=True, type=float)
-    adv.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    adv.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
-    adv.add_argument("--cap-mult", type=float, default=DEFAULT_CAP_MULTIPLIER)
+    adv.add_argument("--grid-step", required=True, type=_positive("grid step"))
+    adv.add_argument("--alpha", type=_positive("alpha"), default=DEFAULT_ALPHA)
+    adv.add_argument("--s", type=_positive("scale step", positive_int), default=DEFAULT_SCALE_STEP)
+    adv.add_argument("--cap-mult", type=_positive("cost cap multiplier"), default=DEFAULT_CAP_MULTIPLIER)
 
     ren = sub.add_parser("render", help="render a trajectory prefix to SVG")
     ren.set_defaults(handler=_cmd_render)
@@ -106,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--r", required=True, type=_positive("vision radius"))
     ren.add_argument("--arc", required=True, type=float, help="prefix arc length to draw")
     ren.add_argument("--out", required=True, help="output SVG path")
-    ren.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    ren.add_argument("--s", type=int, default=DEFAULT_SCALE_STEP)
+    ren.add_argument("--alpha", type=_positive("alpha"), default=DEFAULT_ALPHA)
+    ren.add_argument("--s", type=_positive("scale step", positive_int), default=DEFAULT_SCALE_STEP)
     ren.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
     ren.add_argument("--disc", type=_positive("disc radius"), help="disc radius to draw")
     ren.add_argument("--tiles", action="store_true", help="draw the sector tile grid")

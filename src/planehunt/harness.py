@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import sim
 from .advice import check_advice, encode_advice
 from .bounds import LARGE_COST_FACTOR, UNIVERSAL_FACTOR, medium_ceiling, regime_of, small_ceiling, sweep_cost_bound
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, positive_finite, positive_int
 from .geom import ORIGIN, Point2, Polyline, as_point, direction_of
 from .sim import DEFAULT_CAP_MULTIPLIER, run
 from .strategies import (
@@ -89,7 +90,10 @@ def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -
 
 
 def _setup(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start=ORIGIN):
-    """The ceiling, the cost cap (``cap_mult`` times the larger of ceiling and D), the stream per advice."""
+    """The ceiling, the cost cap (``cap_mult`` times the larger of ceiling and D), the stream per advice;
+    each parameter's range rule runs first, whatever the strategy reads."""
+    D, r, alpha = positive_finite("range bound", D), positive_finite("vision radius", r), positive_finite("alpha", alpha)
+    s, cap_mult = positive_int("scale step", s), positive_finite("cost cap multiplier", cap_mult)
     ceiling = bound_for(strategy, z, D, r, alpha, s)
     return ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
 
@@ -144,37 +148,22 @@ def _parse_values(text: str) -> List[str]:
     return text.replace(",", " ").split()
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_float_list(name: str, text: str) -> tuple[float, ...]:
     """The values of ``list v ...``, bare ``v ...`` or ``logspace lo hi count``;
-    each value, and each logspace bound, must be positive and finite."""
+    each value, and each logspace bound, must pass ``positive_finite(name, ...)``."""
     parts = _parse_values(text)
     if parts and parts[0] == "logspace":
         if len(parts) != 4:
             raise PreconditionError("logspace needs <lo> <hi> <count>")
-        lo, hi, count = _positive_finite(parts[1]), _positive_finite(parts[2]), int(parts[3])
-        if count < 1:
-            raise PreconditionError("logspace needs a positive count")
+        lo, hi = positive_finite(name, parts[1]), positive_finite(name, parts[2])
+        count = positive_int("logspace count", parts[3])
         ratio = (hi / lo) ** (1.0 / (count - 1)) if count > 1 else 1.0
         parts = [lo * ratio**i for i in range(count)]  # hi / lo may overflow
     elif parts and parts[0] == "list":
         parts = parts[1:]
     if not parts:
         raise PreconditionError("empty value list")
-    return tuple(_positive_finite(p) for p in parts)
-
-
-def _positive_finite(text: str | float) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise PreconditionError("must be positive and finite")
-    return value
-
-
-def _scale_step(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise PreconditionError("must be at least 1")
-    return value
+    return tuple(positive_finite(name, p) for p in parts)
 
 
 _CONFIG_KEYS = ("strategy", "z", "d", "r", "alpha", "s", "cap_mult", "placement", "output")
@@ -190,16 +179,16 @@ def _parse_placement(text: str) -> tuple[str, Optional[Point2], int, Optional[fl
         return mode, Point2(float(args[0]), float(args[1])), 0, None
     if mode == "random":
         return mode, None, int(args[0]), None
-    return mode, None, 0, float(args[0])
+    return mode, None, 0, positive_finite("grid step", args[0])
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config (one [sweep] section).
 
-    An unknown key, a repeated key, a malformed number, a D or r value or
-    logspace bound that is not positive and finite, an alpha or cap_mult that
-    is not positive and finite, and an s below 1 are refused with a
-    PreconditionError that names the line and the key.
+    An unknown key, a repeated key, a malformed number, and a value outside
+    its parameter's range rule (``positive_finite`` for each D and r value, a
+    logspace bound, alpha, cap_mult and the grid step; ``positive_int`` for s)
+    are refused with a PreconditionError that names the line and the key.
     """
     section = None
     fields: dict[str, tuple[int, str]] = {}
@@ -236,11 +225,11 @@ def parse_config(text: str) -> ExperimentConfig:
     z_values = read("z", lambda text: tuple(int(v) for v in _parse_values(text)))
     if not z_values or any(z < 0 for z in z_values):
         raise PreconditionError("z must list nonnegative integers")
-    d_values = read("d", _parse_float_list)
-    r_values = read("r", _parse_float_list)
-    alpha = read("alpha", _positive_finite, DEFAULT_ALPHA)
-    s = read("s", _scale_step, DEFAULT_SCALE_STEP)
-    cap_mult = read("cap_mult", _positive_finite, DEFAULT_CAP_MULTIPLIER)
+    d_values = read("d", partial(_parse_float_list, "range bound"))
+    r_values = read("r", partial(_parse_float_list, "vision radius"))
+    alpha = read("alpha", partial(positive_finite, "alpha"), DEFAULT_ALPHA)
+    s = read("s", partial(positive_int, "scale step"), DEFAULT_SCALE_STEP)
+    cap_mult = read("cap_mult", partial(positive_finite, "cost cap multiplier"), DEFAULT_CAP_MULTIPLIER)
     placement, treasure, seed, grid_step = read("placement", _parse_placement)
     return ExperimentConfig(
         strategy=strategy, z_values=z_values, d_values=d_values, r_values=r_values, alpha=alpha, s=s,
@@ -261,16 +250,14 @@ def _random_placement(rng: Lcg64, D: float) -> Point2:
 
 
 def sweep(config: ExperimentConfig) -> List[SweepRow]:
-    """One SweepRow per (z, D, r), in deterministic iteration order."""
-    rows: List[SweepRow] = []
+    """One SweepRow per (z, D, r), in deterministic iteration order; every cell is checked before the first runs."""
+    cells = [(z, D, r) for z in config.z_values for D in config.d_values for r in config.r_values]
+    for z, D, r in cells:
+        _setup(config.strategy, z, D, r, config.alpha, config.s, config.cap_mult)
+        if not r <= D:
+            raise PreconditionError(f"sweep cell needs r <= D, got D={D} r={r}")
     rng = Lcg64(config.seed)
-    for z in config.z_values:
-        for D in config.d_values:
-            for r in config.r_values:
-                if not (0.0 < r <= D):
-                    raise PreconditionError(f"sweep cell needs 0 < r <= D, got D={D} r={r}")
-                rows.append(_sweep_cell(config, rng, z, D, r))
-    return rows
+    return [_sweep_cell(config, rng, *cell) for cell in cells]
 
 
 def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float) -> SweepRow:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .advice import encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
-from .errors import PreconditionError, StreamChainError
+from .errors import PreconditionError, StreamChainError, positive_finite
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
 from .traversal import TrajectoryStream
 
@@ -172,8 +172,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     again per run (``_block_hits``).  The live set narrows only where a block detects.
     Lengths fold as block totals, ``walked + total``, left to right.
     """
-    if not (0.0 < cap < math.inf):
-        raise PreconditionError(f"cost cap must be positive and finite, got {cap}")
+    cap = positive_finite("cost cap", cap)
     k = targets.shape[0]
     start = stream.start
     cost = np.zeros(k)
@@ -246,8 +245,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
 
 def run(stream: TrajectoryStream, treasure, r: float, cost_cap: float) -> RunOutcome:
     """Walk the stream until first detection, cap hit, or exhaustion."""
-    if not (r > 0.0 and math.isfinite(r)):
-        raise PreconditionError("vision radius must be positive and finite")
+    r = positive_finite("vision radius", r)
     q = as_point(treasure)
     walk = _walk(stream, np.array([[q.x, q.y]]), r, cost_cap)
     point = None
@@ -324,10 +322,13 @@ def adversarial_placement(
     break toward the lexicographically smallest candidate.  Unfound candidates
     count at the cap.
     """
-    if not (0.0 < r < D < math.inf):
-        raise PreconditionError("adversarial search needs 0 < r < D < inf")
-    if not (0.0 < grid_step <= r):
-        raise PreconditionError("grid step must be positive and at most r")
+    if not positive_finite("vision radius", r) < positive_finite("range bound", D):
+        raise PreconditionError(f"adversarial search needs r < D, got D={D} r={r}")
+    if not positive_finite("grid step", grid_step) <= r:
+        raise PreconditionError(f"grid step must be at most r, got {grid_step} with r={r}")
+    if cost_cap is None:
+        cost_cap = DEFAULT_CAP_MULTIPLIER * 2.0 * sweep_cost_bound(z, D, r)
+    cap = positive_finite("cost cap", cost_cap)
     start = as_point(strategy_factory(encode_advice((0.0, 0.0), (0.0, 1.0), z)).start)
     floor = _candidate_floor(D, grid_step, start)  # the shaded lattice can only add to it
     if floor > MAX_CANDIDATES:
@@ -340,9 +341,6 @@ def adversarial_placement(
     cands = np.unique(cands, axis=0)  # sorts lexicographically: the tie-break order
     if cands.shape[0] > MAX_CANDIDATES:
         raise PreconditionError(f"{cands.shape[0]} candidates exceed the budget {MAX_CANDIDATES}")
-    if cands.shape[0] == 0:
-        raise PreconditionError("no candidate placements (disc too small for the grid)")
-    cap = cost_cap if cost_cap is not None else DEFAULT_CAP_MULTIPLIER * 2.0 * sweep_cost_bound(z, D, r)
 
     sector = sector_indices(start, cands, z)
     costs = np.full(cands.shape[0], cap)

@@ -30,7 +30,7 @@ from .bounds import (
     medium_regime_lower_bound,
     sweep_cost_bound,
 )
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, positive_int
 from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
     Block,
@@ -104,9 +104,8 @@ def dots_of_column(j: int, c: int, s: int) -> List[Dot]:
     The column's j*s rows split into c contiguous runs, the first p of length
     floor(j*s/c) and the remaining q of length ceil(j*s/c), where q = j*s mod c.
     """
-    if j < 1 or c < 1 or s < 1:
-        raise PreconditionError("column, dot count, and scale step must be positive")
-    rows = j * s
+    c = positive_int("dot count", c)
+    rows = positive_int("column", j) * positive_int("scale step", s)
     if rows < c:
         raise PreconditionError(f"column {j} has {rows} rows, fewer than {c} dots")
     return [Dot(row=_dot_row(j, k, c, s), col=j, thread=k) for k in range(1, c + 1)]
@@ -144,14 +143,13 @@ def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[F
     consecutive dots while their out-and-back cost stays within budget.
     Costs are exact basic_cost values; ties with the budget fill the dot.
     """
-    if not isinstance(s, int) or s < 1:
-        raise PreconditionError("scale step must be a positive integer")
+    s = positive_int("scale step", s)
     c = branch_count(alpha)
     j0 = first_dot_column(c, s)
-    cursor = {k: j0 for k in range(1, c + 1)}
+    cursor = {}  # thread -> next column; a thread not yet here starts at j0, so no c-entry table is built up front
     phase = 1
     while True:
-        col = cursor[c]
+        col = cursor.get(c, j0)
         dot = Dot(_dot_row(col, c, c, s), col, c)
         cell = dot.cell(s)
         budget = 2.0 * sweep_cost_bound(z, *cell)  # twice the opening cell's sweep ceiling
@@ -159,7 +157,7 @@ def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[F
         cursor[c] = col + 1
         for k in range(c - 1, 0, -1):
             while True:
-                jc = cursor[k]
+                jc = cursor.get(k, j0)
                 dot = Dot(_dot_row(jc, k, c, s), jc, k)
                 cell = dot.cell(s)
                 if _certainly_over_budget(z, *cell, budget):
@@ -181,8 +179,7 @@ def medium_schedule(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP, max_phase
     schedule returned holds everything computed so far and is flagged
     ``guard_tripped``; streaming consumers see the raised guard instead.
     """
-    if max_phases < 1:
-        raise PreconditionError("need at least one phase")
+    positive_int("max_phases", max_phases)
     events: List[FillEvent] = []
     tripped = False
     try:
@@ -337,8 +334,7 @@ def multi_agent_stream(k: int, label: int, alpha: float = DEFAULT_ALPHA, s: int 
     With z = floor(log2 k), agents labeled 1..2**z each run the universal
     strategy as if advised their own sector (label - 1); the rest stay idle.
     """
-    if not isinstance(k, int) or k < 1:
-        raise PreconditionError("agent count must be a positive integer")
+    k = positive_int("agent count", k)
     if not isinstance(label, int) or not (1 <= label <= k):
         raise PreconditionError(f"label must lie in [1, {k}]")
     z = k.bit_length() - 1

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .advice import check_advice
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, positive_finite
 from .geom import Point2, direction_of
 
 # Hard guard: column enumerations beyond this raise instead of approximating.
@@ -71,9 +71,7 @@ class TileFrame:
 
 def column_count(radius: float, r: float) -> int:
     """ceil(radius / r): tile columns of a wedge, or spiral turns of a disc."""
-    if not (r > 0.0 and math.isfinite(r) and math.isfinite(radius)):
-        raise PreconditionError("tile size and radius must be positive and finite")
-    if r > radius:
+    if positive_finite("vision radius", r) > positive_finite("range bound", radius):
         raise PreconditionError(f"tile size {r} exceeds region radius {radius}")
     return math.ceil(radius / r)
 

@@ -126,7 +126,9 @@ class TestConfig:
         + [(key, value, 7) for key in ("alpha", "s", "cap_mult") for value in ("0", "-1", "nan", "inf")]
         # So must every D and r value, and a logspace bound.
         + [(key, value, line) for key, line in (("D", 4), ("r", 5))
-           for value in ("list 0", "list -1", "list nan", "list inf", "list 1e400", "logspace 1 inf 3")],
+           for value in ("list 0", "list -1", "list nan", "list inf", "list 1e400", "logspace 1 inf 3")]
+        # And the adversary's grid step.
+        + [("placement", f"adversarial {value}", 6) for value in ("nan", "-1", "inf", "0")],
     )
     def test_malformed_numbers_rejected_with_their_line(self, key, value, line):
         lines = {"strategy": "small", "z": "0", "D": "list 4", "r": "list 0.5", "placement": "random 1"}
@@ -137,6 +139,14 @@ class TestConfig:
 
 
 class TestSweep:
+    def test_every_cell_is_checked_before_the_first_row_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *args: calls.append(args))
+        cfg = parse_config("[sweep]\nstrategy = small\nz = 0\nD = list 64 0.25\nr = list 0.5\nplacement = random 1\n")
+        with pytest.raises(PreconditionError, match="^sweep cell needs r <= D, got D=0.25 r=0.5$"):
+            sweep(cfg)
+        assert calls == []
+
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "rows.csv"
         cfg = parse_config(GOOD_CONFIG.format(out=out))
@@ -209,6 +219,11 @@ class TestBounds:
                 bound_for("medium", 2, 5.0, 1.5, 0.5, s)
         with pytest.raises(PreconditionError):
             bound_for("universal", 2, 5.0, 1.5, 0.5, 200)
+
+    def test_medium_ceiling_overflow_names_alpha_and_s(self):
+        # Here ceil(1/alpha) = 1e300 overflows the product, not the scale step.
+        with pytest.raises(PreconditionError, match="^the medium ceiling overflows binary64 at alpha 1e-300 and scale step 20$"):
+            bound_for("medium", 2, 5.0, 1.5, 1e-300, 20)
 
 
 class TestStrategyTable:

@@ -3,7 +3,11 @@ of the small/universal streams, ray probes, and the k-agent partition."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,25 @@ class TestSchedule:
                 list(islice(fill_events(z, 1.0, 20), 60))
             sched = medium_schedule(z, 1.0, 20, max_phases=60)
             assert sched.guard_tripped and len(sched.events) == 51
+
+    def test_tiny_alpha_overflows_before_any_thread_state(self):
+        # ceil(1/alpha) = 10**9 threads open at column 5 * 10**7, whose range overflows
+        # at the first fill; under a 1 GiB address-space limit no per-thread table fits.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from planehunt import BudgetExceededError, fill_events\n"
+            "try:\n"
+            "    next(fill_events(2, 1e-9, 20))\n"
+            "except BudgetExceededError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "refused: dot range 2**1000000000 overflows binary64\n"
 
     def test_first_sixty_fills_pinned(self):
         """The repr hash of the first 60 fills at s = 20, the scale step whose
