@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError, PreconditionError, as_integer, shown
 from .geom import TWO_PI, Point2, as_point, ccw_angle_from_north
 
 # Sizes above this would lose sector-index exactness in binary64 angles.
@@ -30,18 +30,18 @@ _SIZE_ONLY = object()
 
 
 def check_advice(z: int, w=_SIZE_ONLY) -> int:
-    """The advice rule: z is an int (not a bool) in [0, MAX_ADVICE_SIZE], and w,
-    when given, a str of exactly z '0'/'1' symbols.  Returns z."""
-    if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z <= MAX_ADVICE_SIZE:
-        raise PreconditionError(f"advice size must be an integer in [0, {MAX_ADVICE_SIZE}], got {z!r}")
-    if w is not _SIZE_ONLY and not (isinstance(w, str) and len(w) == z and not w.strip("01")):
-        raise PreconditionError(f"advice must be a string of {z} symbols 0/1, got {w!r}")
-    return z
+    """The advice rule: z, read by ``as_integer``, in [0, MAX_ADVICE_SIZE], and w,
+    when given, a str of exactly z '0'/'1' symbols.  Returns z as an int."""
+    if (n := as_integer(z)) is None or not 0 <= n <= MAX_ADVICE_SIZE:
+        raise PreconditionError(f"advice size must be an integer in [0, {MAX_ADVICE_SIZE}], got {shown(z)}")
+    if w is not _SIZE_ONLY and not (isinstance(w, str) and len(w) == n and not w.strip("01")):
+        raise PreconditionError(f"advice must be a string of {n} symbols 0/1, got {shown(w)}")
+    return n
 
 
 def sector_index(p, q, z: int) -> int:
     """Index of the sector with apex p containing q, for advice size z."""
-    check_advice(z)
+    z = check_advice(z)
     theta = ccw_angle_from_north(p, q)  # raises for coincident points
     if z == 0:
         return 0
@@ -57,7 +57,7 @@ def sector_indices(apex, points: np.ndarray, z: int) -> np.ndarray:
     on a boundary ray into the next sector, so points near a boundary take
     ``sector_index`` itself.
     """
-    check_advice(z)
+    z = check_advice(z)
     a = as_point(apex)
     theta = np.arctan2(a.x - points[:, 0], points[:, 1] - a.y) % TWO_PI
     theta[theta == 0.0] = TWO_PI
@@ -74,7 +74,7 @@ def encode_advice(p, q, z: int) -> AdviceString:
     z = 0 encodes as the empty string.  Raises DegenerateInputError when p == q
     (the hunt costs nothing there; callers should short-circuit).
     """
-    check_advice(z)
+    z = check_advice(z)
     pp = as_point(p)
     qq = as_point(q)
     if pp.x == qq.x and pp.y == qq.y:

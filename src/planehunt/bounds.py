@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .advice import check_advice
-from .errors import PreconditionError, positive_finite
+from .errors import PreconditionError, positive_finite, positive_int
 
 # Tiles met by a wedge of angle 2*pi/2**z: <= 69 * (D^2/(2^z r^2) + D/r).
 TILE_COUNT_FACTOR = 69.0
@@ -72,9 +72,8 @@ def medium_regime_lower_bound(z: int, D: float, r: float) -> float:
 def lower_bounds(z: int, D: float, r: float) -> LowerBoundReport:
     if not (0.0 < r < D):
         raise PreconditionError("lower bounds need 0 < r < D")
-    check_advice(z)
     trivial = D - r
-    small = SMALL_LB_FACTOR * (D * D / (float(1 << z) * r)) * (math.log2(D) + math.log2(1.0 / r))
+    small = SMALL_LB_FACTOR * (D * D / (float(1 << check_advice(z)) * r)) * (math.log2(D) + math.log2(1.0 / r))
     return LowerBoundReport(
         medium_bound=medium_regime_lower_bound(z, D, r),
         medium_applicable=r < MEDIUM_LB_RADIUS_LIMIT * D,
@@ -104,6 +103,7 @@ def small_ceiling(z: int, D: float, r: float) -> float:
 
 def medium_ceiling(z: int, D: float, r: float, alpha: float, s: int) -> float:
     """The medium-vision ceiling 2 ceil(1/alpha) 2^(7 s) D^alpha times the sweep ceiling."""
+    alpha, s = positive_finite("alpha", alpha), positive_int("scale step", s)
     try:  # ldexp scales by 2**(7 s) exactly and raises where the product would reach inf
         return math.ldexp(2.0 * branch_count(alpha) * sweep_cost_bound(z, D, r) * D**alpha, 7 * s)
     except OverflowError:

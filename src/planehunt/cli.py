@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .advice import decode_sector, encode_advice
+from .advice import check_advice, decode_sector, encode_advice
 from .bounds import MEDIUM_LB_RADIUS_LIMIT, lower_bounds, regime_of
 from .errors import BudgetExceededError, PreconditionError, StreamChainError, positive_finite, positive_int
 from .geom import ORIGIN, Point2
@@ -45,11 +45,11 @@ def _point(text: str) -> Point2:
         raise argparse.ArgumentTypeError(f"expected x,y — got {text!r}") from exc
 
 
-def _positive(name: str, rule=positive_finite):
-    """An argparse type that applies the library's range ``rule`` of ``name`` to a flag's text."""
+def _typed(rule, *names):
+    """An argparse type that applies a library rule, ``rule(*names, text)``, to a flag's text."""
     def parse(text: str):
         try:
-            return rule(name, text)
+            return rule(*names, text)
         except PreconditionError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -65,47 +65,39 @@ def _distance_and_range(args, given: Optional[float]) -> tuple[float, float]:
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="planehunt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    hunt = argparse.ArgumentParser(add_help=False)  # every hunt command
+    hunt.add_argument("--z", required=True, type=_typed(check_advice), help="advice size in bits")
+    hunt.add_argument("--r", required=True, type=_typed(positive_finite, "vision radius"), help="vision radius")
+    hunt.add_argument("--alpha", type=_typed(positive_finite, "alpha"), default=DEFAULT_ALPHA)
+    hunt.add_argument("--s", type=_typed(positive_int, "scale step"), default=DEFAULT_SCALE_STEP)
+    placed = argparse.ArgumentParser(add_help=False)  # simulate and render
+    placed.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
+    placed.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
+    capped = argparse.ArgumentParser(add_help=False)  # simulate and adversary
+    capped.add_argument("--cap-mult", type=_typed(positive_finite, "cost cap multiplier"), default=DEFAULT_CAP_MULTIPLIER)
 
-    sim = sub.add_parser("simulate", help="run one strategy against one treasure")
+    sim = sub.add_parser("simulate", parents=[hunt, placed, capped], help="run one strategy against one treasure")
     sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--strategy", required=True, choices=STRATEGIES)
-    sim.add_argument("--z", required=True, type=int, help="advice size in bits")
-    sim.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    sim.add_argument("--r", required=True, type=_positive("vision radius"), help="vision radius")
-    sim.add_argument("--alpha", type=_positive("alpha"), default=DEFAULT_ALPHA)
-    sim.add_argument("--s", type=_positive("scale step", positive_int), default=DEFAULT_SCALE_STEP)
-    sim.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
-    sim.add_argument("--cap-mult", type=_positive("cost cap multiplier"), default=DEFAULT_CAP_MULTIPLIER)
-    sim.add_argument("--D", type=_positive("range bound"), help="range bound (default: the actual distance)")
+    sim.add_argument("--D", type=_typed(positive_finite, "range bound"), help="range bound (default: the actual distance)")
 
     swp = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     swp.set_defaults(handler=_cmd_sweep)
     swp.add_argument("config", help="path to a [sweep] key=value config")
     swp.add_argument("--output", default=None, help="override the config's output path")
 
-    adv = sub.add_parser("adversary", help="brute-force the worst treasure placement")
+    adv = sub.add_parser("adversary", parents=[hunt, capped], help="brute-force the worst treasure placement")
     adv.set_defaults(handler=_cmd_adversary)
     adv.add_argument("--strategy", default="medium", choices=STRATEGIES)
-    adv.add_argument("--z", required=True, type=int)
-    adv.add_argument("--D", required=True, type=_positive("range bound"))
-    adv.add_argument("--r", required=True, type=_positive("vision radius"))
-    adv.add_argument("--grid-step", required=True, type=_positive("grid step"))
-    adv.add_argument("--alpha", type=_positive("alpha"), default=DEFAULT_ALPHA)
-    adv.add_argument("--s", type=_positive("scale step", positive_int), default=DEFAULT_SCALE_STEP)
-    adv.add_argument("--cap-mult", type=_positive("cost cap multiplier"), default=DEFAULT_CAP_MULTIPLIER)
+    adv.add_argument("--D", required=True, type=_typed(positive_finite, "range bound"))
+    adv.add_argument("--grid-step", required=True, type=_typed(positive_finite, "grid step"))
 
-    ren = sub.add_parser("render", help="render a trajectory prefix to SVG")
+    ren = sub.add_parser("render", parents=[hunt, placed], help="render a trajectory prefix to SVG")
     ren.set_defaults(handler=_cmd_render)
     ren.add_argument("--strategy", required=True, choices=STRATEGIES)
-    ren.add_argument("--z", required=True, type=int)
-    ren.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    ren.add_argument("--r", required=True, type=_positive("vision radius"))
     ren.add_argument("--arc", required=True, type=float, help="prefix arc length to draw")
     ren.add_argument("--out", required=True, help="output SVG path")
-    ren.add_argument("--alpha", type=_positive("alpha"), default=DEFAULT_ALPHA)
-    ren.add_argument("--s", type=_positive("scale step", positive_int), default=DEFAULT_SCALE_STEP)
-    ren.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
-    ren.add_argument("--disc", type=_positive("disc radius"), help="disc radius to draw")
+    ren.add_argument("--disc", type=_typed(positive_finite, "disc radius"), help="disc radius to draw")
     ren.add_argument("--tiles", action="store_true", help="draw the sector tile grid")
     return top
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the library, and the one range rule of each hunt parameter."""
+"""Exception types shared across the library, the one range rule of each hunt parameter, and the one integer reading."""
 
 import math
 import operator
+
+import numpy as np
 
 
 class DegenerateInputError(ValueError):
@@ -23,23 +25,32 @@ class StreamChainError(RuntimeError):
     """A trajectory stream produced segments that do not chain end-to-start."""
 
 
+def shown(value) -> str:
+    """``value`` as a refusal prints it: a numpy scalar as the number it holds, text in quotes."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def positive_finite(name: str, value) -> float:
-    """``value``, a number or its text, as a positive finite float: the rule of D, r, alpha, the cap and the grid step."""
+    """``value``, a number or its text (never a bool), as a positive finite float: the rule of D, r, alpha, the cap and the grid step."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not 0.0 < x < math.inf:
-        raise PreconditionError(f"{name} must be positive and finite, got {value!r}")
+        raise PreconditionError(f"{name} must be positive and finite, got {shown(value)}")
     return x
 
 
-def positive_int(name: str, value) -> int:
-    """``value``, an integer or its text (never a float), as an int of at least 1: the rule of s."""
+def as_integer(value):
+    """The one integer reading: an int, a numpy integer or the text of one, as an int; None for anything else (a bool, a float)."""
     try:
-        n = int(value) if isinstance(value, str) else operator.index(value)
+        return None if isinstance(value, bool) else int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
-        n = 0
-    if n < 1:
-        raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+        return None
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` read by ``as_integer`` as an int of at least 1: the rule of s and every count."""
+    if (n := as_integer(value)) is None or n < 1:
+        raise PreconditionError(f"{name} must be a positive integer, got {shown(value)}")
     return n

@@ -104,12 +104,9 @@ class Polyline:
         if lengths.size:
             if (lengths < 0.0).any():
                 raise PreconditionError("segment lengths must be nonnegative")
-            total = cumulative[-1]
-            geo_total = float(np.cumsum(geo)[-1])
+            total, geo_total = float(cumulative[-1]), float(np.cumsum(geo)[-1])
             if abs(total - geo_total) > 1e-9 * max(1.0, geo_total):
-                raise PreconditionError(
-                    f"cached length {total!r} disagrees with geometry {geo_total!r}"
-                )
+                raise PreconditionError(f"cached length {total!r} disagrees with geometry {geo_total!r}")
         self.vertices = verts
         self.seg_lengths = lengths
         self.cumulative = cumulative

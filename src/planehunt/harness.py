@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import sim
-from .advice import check_advice, encode_advice
+from .advice import check_advice, encode_advice, sector_advice
 from .bounds import LARGE_COST_FACTOR, UNIVERSAL_FACTOR, medium_ceiling, regime_of, small_ceiling, sweep_cost_bound
 from .errors import BudgetExceededError, PreconditionError, positive_finite, positive_int
 from .geom import ORIGIN, Point2, Polyline, as_point, direction_of
@@ -85,29 +85,29 @@ def build_stream(strategy: str, z: int, w: str, D: float, r: float, alpha: float
 
 def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -> float:
     """The documented cost ceiling the sweep's ratio column is measured against."""
-    check_advice(z)
+    z = check_advice(z)
     return _strategy(strategy)[1](z=z, D=D, r=r, alpha=alpha, s=s)
 
 
 def _setup(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start=ORIGIN):
-    """The ceiling, the cost cap (``cap_mult`` times the larger of ceiling and D), the stream per advice;
-    each parameter's range rule runs first, whatever the strategy reads."""
+    """z as its rule reads it, the ceiling, the cost cap (``cap_mult`` times the larger of ceiling and D)
+    and the stream per advice; each parameter's rule runs first, whatever the strategy reads."""
     D, r, alpha = positive_finite("range bound", D), positive_finite("vision radius", r), positive_finite("alpha", alpha)
-    s, cap_mult = positive_int("scale step", s), positive_finite("cost cap multiplier", cap_mult)
+    s, cap_mult, z = positive_int("scale step", s), positive_finite("cost cap multiplier", cap_mult), check_advice(z)
     ceiling = bound_for(strategy, z, D, r, alpha, s)
-    return ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
+    return z, ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
 
 
 def hunt(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start, treasure):
-    """One hunt from ``start``, as the sweep and the CLI run it: ``(advice, ceiling, RunOutcome)``."""
-    ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
-    w = encode_advice(start, treasure, z)
+    """One hunt from ``start`` as the sweep and the CLI run it, a treasure at the start too: ``(advice, ceiling, RunOutcome)``."""
+    z, ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
+    w = sector_advice(0, z) if as_point(start) == as_point(treasure) else encode_advice(start, treasure, z)
     return w, ceiling, run(stream_for(w), treasure, r, cap)
 
 
 def worst_placement(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, grid_step: float):
     """Brute-force worst placement from the origin: ``(ceiling, cap, point, cost)``."""
-    ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult)
+    z, ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult)
     point, cost = sim.adversarial_placement(stream_for, z, D, r, grid_step, cost_cap=cap)
     return ceiling, cap, point, cost
 
@@ -185,10 +185,10 @@ def _parse_placement(text: str) -> tuple[str, Optional[Point2], int, Optional[fl
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config (one [sweep] section).
 
-    An unknown key, a repeated key, a malformed number, and a value outside
-    its parameter's range rule (``positive_finite`` for each D and r value, a
-    logspace bound, alpha, cap_mult and the grid step; ``positive_int`` for s)
-    are refused with a PreconditionError that names the line and the key.
+    An unknown key, a repeated key, a malformed number, and a value outside its
+    parameter's rule (``check_advice`` for each z value; ``positive_finite`` for each
+    D and r value, a logspace bound, alpha, cap_mult and the grid step; ``positive_int``
+    for s) are refused with a PreconditionError that names the line and the key.
     """
     section = None
     fields: dict[str, tuple[int, str]] = {}
@@ -222,9 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     strategy = read("strategy", str.lower)
     _strategy(strategy)
-    z_values = read("z", lambda text: tuple(int(v) for v in _parse_values(text)))
-    if not z_values or any(z < 0 for z in z_values):
-        raise PreconditionError("z must list nonnegative integers")
+    z_values = read("z", lambda text: tuple(check_advice(v) for v in _parse_values(text) or [""]))
     d_values = read("d", partial(_parse_float_list, "range bound"))
     r_values = read("r", partial(_parse_float_list, "vision radius"))
     alpha = read("alpha", partial(positive_finite, "alpha"), DEFAULT_ALPHA)
@@ -264,14 +262,11 @@ def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float
     setup = (config.strategy, z, D, r, config.alpha, config.s, config.cap_mult)
     if config.placement == "adversarial":
         bound, cap, point, cost = worst_placement(*setup, config.grid_step)
-        found = cost < cap or cost == 0.0
+        found = cost < cap
     else:
         point = config.treasure if config.placement == "explicit" else _random_placement(rng, D)
-        if ORIGIN.distance_to(point) == 0.0:
-            bound, found, cost = bound_for(config.strategy, z, D, r, config.alpha, config.s), True, 0.0
-        else:
-            _, bound, outcome = hunt(*setup, ORIGIN, point)
-            found, cost = outcome.found, outcome.cost
+        _, bound, outcome = hunt(*setup, ORIGIN, point)
+        found, cost = outcome.found, outcome.cost
     return SweepRow(
         strategy=config.strategy,
         z=z,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .advice import encode_advice, sector_advice, sector_indices
+from .advice import check_advice, encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError, positive_finite
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
@@ -322,13 +322,14 @@ def adversarial_placement(
     break toward the lexicographically smallest candidate.  Unfound candidates
     count at the cap.
     """
-    if not positive_finite("vision radius", r) < positive_finite("range bound", D):
+    r, D = positive_finite("vision radius", r), positive_finite("range bound", D)
+    if not r < D:
         raise PreconditionError(f"adversarial search needs r < D, got D={D} r={r}")
-    if not positive_finite("grid step", grid_step) <= r:
+    if not (grid_step := positive_finite("grid step", grid_step)) <= r:
         raise PreconditionError(f"grid step must be at most r, got {grid_step} with r={r}")
     if cost_cap is None:
         cost_cap = DEFAULT_CAP_MULTIPLIER * 2.0 * sweep_cost_bound(z, D, r)
-    cap = positive_finite("cost cap", cost_cap)
+    z, cap = check_advice(z), positive_finite("cost cap", cost_cap)
     start = as_point(strategy_factory(encode_advice((0.0, 0.0), (0.0, 1.0), z)).start)
     floor = _candidate_floor(D, grid_step, start)  # the shaded lattice can only add to it
     if floor > MAX_CANDIDATES:

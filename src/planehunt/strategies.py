@@ -30,7 +30,7 @@ from .bounds import (
     medium_regime_lower_bound,
     sweep_cost_bound,
 )
-from .errors import BudgetExceededError, PreconditionError, positive_int
+from .errors import BudgetExceededError, PreconditionError, as_integer, positive_int
 from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
     Block,
@@ -104,8 +104,8 @@ def dots_of_column(j: int, c: int, s: int) -> List[Dot]:
     The column's j*s rows split into c contiguous runs, the first p of length
     floor(j*s/c) and the remaining q of length ceil(j*s/c), where q = j*s mod c.
     """
-    c = positive_int("dot count", c)
-    rows = positive_int("column", j) * positive_int("scale step", s)
+    c, j, s = positive_int("dot count", c), positive_int("column", j), positive_int("scale step", s)
+    rows = j * s
     if rows < c:
         raise PreconditionError(f"column {j} has {rows} rows, fewer than {c} dots")
     return [Dot(row=_dot_row(j, k, c, s), col=j, thread=k) for k in range(1, c + 1)]
@@ -179,7 +179,7 @@ def medium_schedule(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP, max_phase
     schedule returned holds everything computed so far and is flagged
     ``guard_tripped``; streaming consumers see the raised guard instead.
     """
-    positive_int("max_phases", max_phases)
+    max_phases = positive_int("max_phases", max_phases)
     events: List[FillEvent] = []
     tripped = False
     try:
@@ -237,7 +237,7 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
 
 def _round_trips(z: int, w: AdviceString, start, cells: Callable[[], Iterable[tuple[float, float]]]) -> TrajectoryStream:
     """The basic traversal out and back for each (range, resolution) of a fresh ``cells()``."""
-    check_advice(z, w)
+    z = check_advice(z, w)
     p = as_point(start)
 
     def gen() -> Iterator[Block]:
@@ -266,7 +266,7 @@ def small_vision(z: int, w: AdviceString, start=ORIGIN) -> TrajectoryStream:
     boundary ray, backtracking after each (``phase_trips`` walks each one
     once); otherwise it follows the sweep alone.
     """
-    check_advice(z, w)
+    z = check_advice(z, w)
     p = as_point(start)
     if z <= 1:
         return hypothesis_sweep(z, w, p)
@@ -286,6 +286,7 @@ def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int 
     walker's fold of block totals can differ from ``2 * basic_cost``, the
     per-segment fold of ``FillEvent.cost``, in the last bits.
     """
+    s = positive_int("scale step", s)
     return _round_trips(z, w, start, lambda: (ev.dot.cell(s) for ev in fill_events(z, alpha, s)))
 
 
@@ -322,7 +323,7 @@ def universal(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DE
     bits); a treasure any single component would find at cost x is found at
     cost at most 24 x.
     """
-    check_advice(z, w)
+    z = check_advice(z, w)
     p = as_point(start)
     components = (small_vision(z, w, p), medium_vision(z, w, alpha, s, p), large_vision(p))
     return TrajectoryStream(p, lambda: phase_trips(components, (2.0**k for k in itertools.count(1))))
@@ -335,7 +336,7 @@ def multi_agent_stream(k: int, label: int, alpha: float = DEFAULT_ALPHA, s: int 
     strategy as if advised their own sector (label - 1); the rest stay idle.
     """
     k = positive_int("agent count", k)
-    if not isinstance(label, int) or not (1 <= label <= k):
+    if not 1 <= (label := as_integer(label) or 0) <= k:
         raise PreconditionError(f"label must lie in [1, {k}]")
     z = k.bit_length() - 1
     if label > (1 << z):

@@ -71,7 +71,8 @@ class TileFrame:
 
 def column_count(radius: float, r: float) -> int:
     """ceil(radius / r): tile columns of a wedge, or spiral turns of a disc."""
-    if positive_finite("vision radius", r) > positive_finite("range bound", radius):
+    r, radius = positive_finite("vision radius", r), positive_finite("range bound", radius)
+    if r > radius:
         raise PreconditionError(f"tile size {r} exceeds region radius {radius}")
     return math.ceil(radius / r)
 
@@ -106,7 +107,8 @@ def sector_columns(z: int, D: float, r: float) -> Iterator[np.ndarray]:
     Validates eagerly: z >= 2 (a wedge of at most pi/2) and a column count
     within MAX_COLUMNS.
     """
-    if check_advice(z) <= 1:
+    z, r, D = check_advice(z), positive_finite("vision radius", r), positive_finite("range bound", D)
+    if z <= 1:
         raise PreconditionError("tile columns need a wedge angle of at most pi/2")
     n = column_count(D, r)
     if n > MAX_COLUMNS:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
 import numpy as np
 
 from .advice import AdviceString, check_advice, decode_sector
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, positive_finite
 from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as traversal.sweep_cost_bound)
 from .geom import ORIGIN, Point2, Polyline, as_point
 from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
@@ -285,7 +285,7 @@ def _chunked(n: int, chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]])
 
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], tuple]]:
     """Piece count and piece maker: spiral instructions when z <= 1, sweep columns otherwise."""
-    check_advice(z, w)
+    z, r, D = check_advice(z, w), positive_finite("vision radius", r), positive_finite("range bound", D)
     k = column_count(D, r)
     p = as_point(start)
     if z <= 1:
@@ -333,7 +333,8 @@ def basic_cost(z: int, D: float, r: float) -> float:
     length bit for bit.  Spirals past MAX_STREAM_SEGMENTS instructions
     take the closed form; sweeps with more than MAX_COLUMNS columns raise.
     """
-    if check_advice(z) <= 1:
+    z, r = check_advice(z), positive_finite("vision radius", r)
+    if z <= 1:
         k = column_count(D, r)
         n = 4 * k + 1
         if n > MAX_STREAM_SEGMENTS:

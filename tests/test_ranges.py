@@ -1,6 +1,9 @@
-"""One range rule per hunt parameter: every entry point that takes D, r, alpha,
-s, the cost cap multiplier, the cost cap or the grid step refuses the same bad
-values, before any work, with a message that names the parameter."""
+"""One range rule per hunt parameter: every entry point that takes the advice
+size z, D, r, alpha, s, the cost cap multiplier, the cost cap or the grid step
+refuses the same bad values, before any work, with a message that names the
+parameter."""
+
+import re
 
 import pytest
 
@@ -147,3 +150,52 @@ def test_good_values_still_hunt():
     assert outcome.found and ceiling > 0
     assert run(spiral(4.0, 1.0), (1.0, 1.0), 0.5, 100.0).found
     assert adversarial_placement(lambda w: small_vision(1, w), 1, 6.0, 0.5, 0.5)[1] > 0
+
+
+# The advice size z: one rule (advice.check_advice), read at every entry point.
+BAD_Z = ("-1", "61", "1.5")
+
+
+def _z_refusal(value):
+    return f"advice size must be an integer in [0, 60], got {value!r}"
+
+
+@pytest.mark.parametrize("value", BAD_Z)
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "small", "--treasure", "3,4", "--r", "0.5"],
+    ["adversary", "--strategy", "small", "--D", "8", "--r", "0.5", "--grid-step", "0.5"],
+    ["render", "--strategy", "small", "--treasure", "3,4", "--r", "0.5", "--arc", "10"],
+], ids=["simulate", "adversary", "render"])
+def test_cli_z(argv, value, capsys, tmp_path):
+    out = tmp_path / "prefix.svg"
+    if argv[0] == "render":
+        argv = argv + ["--out", str(out)]
+    assert main(argv + [f"--z={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument --z: {_z_refusal(value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", BAD_Z)
+def test_config_z(value):
+    text = f"[sweep]\nstrategy = small\nz = 0 {value}\nD = list 8\nr = list 0.5\nplacement = random 1\n"
+    with pytest.raises(PreconditionError) as err:
+        parse_config(text)
+    assert str(err.value) == f"config line 3: z = 0 {value}: {_z_refusal(value)}"
+
+
+@pytest.mark.parametrize("strategy", ["small", "basic"])
+@pytest.mark.parametrize("z", [-1, 61, 1.5, True])
+def test_harness_hunt_z(strategy, z, no_streams):
+    args = dict(GOOD)
+    del args["grid_step"]
+    with pytest.raises(PreconditionError, match=f"^{re.escape(_z_refusal(z))}$"):
+        harness.hunt(strategy, z, start=(0.0, 0.0), treasure=(3.0, 4.0), **args)
+
+
+@pytest.mark.parametrize("strategy", ["small", "basic"])
+@pytest.mark.parametrize("z", [-1, 61, 1.5, True])
+def test_harness_worst_placement_z(strategy, z, no_streams):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(_z_refusal(z))}$"):
+        harness.worst_placement(strategy, z, **GOOD)
