@@ -70,10 +70,11 @@ def medium_regime_lower_bound(z: int, D: float, r: float) -> float:
 
 
 def lower_bounds(z: int, D: float, r: float) -> LowerBoundReport:
-    if not (0.0 < r < D):
+    z, D, r = check_advice(z), positive_finite("range bound", D), positive_finite("vision radius", r)
+    if not r < D:
         raise PreconditionError("lower bounds need 0 < r < D")
     trivial = D - r
-    small = SMALL_LB_FACTOR * (D * D / (float(1 << check_advice(z)) * r)) * (math.log2(D) + math.log2(1.0 / r))
+    small = SMALL_LB_FACTOR * (D * D / (float(1 << z) * r)) * (math.log2(D) + math.log2(1.0 / r))
     return LowerBoundReport(
         medium_bound=medium_regime_lower_bound(z, D, r),
         medium_applicable=r < MEDIUM_LB_RADIUS_LIMIT * D,

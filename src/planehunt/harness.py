@@ -9,6 +9,7 @@ order, so identical config + seed reproduces byte-identical CSV everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import partial
@@ -31,6 +32,7 @@ from .strategies import (
     small_vision,
     universal,
 )
+from .tiling import TileFrame
 from .traversal import TrajectoryStream, basic_traversal
 
 LCG_MULT = 6364136223846793005
@@ -90,24 +92,24 @@ def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -
 
 
 def _setup(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start=ORIGIN):
-    """z as its rule reads it, the ceiling, the cost cap (``cap_mult`` times the larger of ceiling and D)
-    and the stream per advice; each parameter's rule runs first, whatever the strategy reads."""
+    """``(z, D, r, alpha, s)`` as their rules read them, the ceiling, the cost cap (``cap_mult`` times the larger
+    of ceiling and D) and the stream per advice; each parameter's rule runs first, whatever the strategy reads."""
     D, r, alpha = positive_finite("range bound", D), positive_finite("vision radius", r), positive_finite("alpha", alpha)
     s, cap_mult, z = positive_int("scale step", s), positive_finite("cost cap multiplier", cap_mult), check_advice(z)
     ceiling = bound_for(strategy, z, D, r, alpha, s)
-    return z, ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
+    return (z, D, r, alpha, s), ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
 
 
 def hunt(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start, treasure):
     """One hunt from ``start`` as the sweep and the CLI run it, a treasure at the start too: ``(advice, ceiling, RunOutcome)``."""
-    z, ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
+    (z, *_), ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
     w = sector_advice(0, z) if as_point(start) == as_point(treasure) else encode_advice(start, treasure, z)
     return w, ceiling, run(stream_for(w), treasure, r, cap)
 
 
 def worst_placement(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, grid_step: float):
     """Brute-force worst placement from the origin: ``(ceiling, cap, point, cost)``."""
-    z, ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult)
+    (z, D, r, _, _), ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult)
     point, cost = sim.adversarial_placement(stream_for, z, D, r, grid_step, cost_cap=cap)
     return ceiling, cap, point, cost
 
@@ -248,18 +250,20 @@ def _random_placement(rng: Lcg64, D: float) -> Point2:
 
 
 def sweep(config: ExperimentConfig) -> List[SweepRow]:
-    """One SweepRow per (z, D, r), in deterministic iteration order; every cell is checked before the first runs."""
-    cells = [(z, D, r) for z in config.z_values for D in config.d_values for r in config.r_values]
-    for z, D, r in cells:
-        _setup(config.strategy, z, D, r, config.alpha, config.s, config.cap_mult)
+    """One SweepRow per (z, D, r), in deterministic iteration order; every cell is read and checked before the
+    first runs, and runs on ``(z, D, r, alpha, s)`` as the rules read them."""
+    cells = []
+    for cell in itertools.product(config.z_values, config.d_values, config.r_values):
+        _, D, r, _, _ = read = _setup(config.strategy, *cell, config.alpha, config.s, config.cap_mult)[0]
         if not r <= D:
             raise PreconditionError(f"sweep cell needs r <= D, got D={D} r={r}")
+        cells.append(read)
     rng = Lcg64(config.seed)
     return [_sweep_cell(config, rng, *cell) for cell in cells]
 
 
-def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float) -> SweepRow:
-    setup = (config.strategy, z, D, r, config.alpha, config.s, config.cap_mult)
+def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float, alpha: float, s: int) -> SweepRow:
+    setup = (config.strategy, z, D, r, alpha, s, config.cap_mult)
     if config.placement == "adversarial":
         bound, cap, point, cost = worst_placement(*setup, config.grid_step)
         found = cost < cap
@@ -272,8 +276,8 @@ def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float
         z=z,
         D=D,
         r=r,
-        alpha=config.alpha,
-        s=config.s,
+        alpha=alpha,
+        s=s,
         seed=config.seed,
         actual_distance=ORIGIN.distance_to(point),
         found=found,
@@ -325,6 +329,8 @@ def render_svg(
         raise BudgetExceededError(
             f"{trajectory.segment_count} segments exceed the render guard {MAX_RENDER_SEGMENTS}"
         )
+    if disc_radius is not None:  # the rule the CLI applies to --disc
+        disc_radius = positive_finite("disc radius", disc_radius)
     xs = [trajectory.vertices[:, 0]]
     ys = [trajectory.vertices[:, 1]]
     q = as_point(treasure) if treasure is not None else None
@@ -397,23 +403,19 @@ def render_svg(
 
 
 def _tile_grid_svg(sector, disc_radius: float, tile_size: float, stroke: float) -> str:
-    from .tiling import TileFrame
-
-    frame = TileFrame(sector.apex, sector.cw_ray_angle, tile_size)
-    n = int(disc_radius // tile_size) + 1
-    lines = []
+    """The n + 1 column lines and rows + 2 row lines of the sector's tiling, refused past the render guard."""
     top = disc_radius if sector.wedge_angle >= math.pi / 2 else disc_radius * math.sin(sector.wedge_angle)
-    rows = int(top // tile_size) + 1
-    for i in range(n + 1):
-        seg = frame.to_world(np.array([[i * tile_size, 0.0], [i * tile_size, (rows + 1) * tile_size]]))
-        lines.append(seg)
-    for v in range(rows + 2):
-        seg = frame.to_world(np.array([[0.0, v * tile_size], [(n + 1) * tile_size, v * tile_size]]))
-        lines.append(seg)
-    bits = []
-    for seg in lines:
-        bits.append(
-            f'<line x1="{seg[0, 0]:.6g}" y1="{-seg[0, 1]:.6g}" x2="{seg[1, 0]:.6g}" '
-            f'y2="{-seg[1, 1]:.6g}" stroke="#ddd" stroke-width="{stroke * 0.6:.6g}"/>'
-        )
-    return "\n".join(bits)
+    n, rows = disc_radius // tile_size + 1.0, top // tile_size + 1.0  # floats, so a huge grid is counted, not built
+    if not (count := n + rows + 3.0) <= MAX_RENDER_SEGMENTS:
+        raise BudgetExceededError(f"{count:.4g} tile grid lines exceed the render guard {MAX_RENDER_SEGMENTS}")
+    n, rows = int(n), int(rows)
+    ends = np.zeros((n + rows + 3, 2, 2))  # per line: its two endpoints in the sector frame
+    ends[: n + 1, :, 0] = np.arange(n + 1)[:, None] * tile_size
+    ends[: n + 1, 1, 1] = (rows + 1) * tile_size
+    ends[n + 1 :, 1, 0] = (n + 1) * tile_size
+    ends[n + 1 :, :, 1] = np.arange(rows + 2)[:, None] * tile_size
+    world = TileFrame(sector.apex, sector.cw_ray_angle, tile_size).to_world(ends.reshape(-1, 2)).reshape(-1, 4)
+    return "\n".join(
+        f'<line x1="{x1:.6g}" y1="{-y1:.6g}" x2="{x2:.6g}" y2="{-y2:.6g}" stroke="#ddd" stroke-width="{stroke * 0.6:.6g}"/>'
+        for x1, y1, x2, y2 in world.tolist()
+    )

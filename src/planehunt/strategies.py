@@ -24,13 +24,8 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
 import numpy as np
 
 from .advice import AdviceString, check_advice, decode_sector, sector_advice
-from .bounds import (
-    MEDIUM_LB_RADIUS_LIMIT,
-    branch_count,
-    medium_regime_lower_bound,
-    sweep_cost_bound,
-)
-from .errors import BudgetExceededError, PreconditionError, as_integer, positive_int
+from .bounds import branch_count, medium_regime_lower_bound, sweep_cost_bound
+from .errors import BudgetExceededError, PreconditionError, as_integer, positive_finite, positive_int
 from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
     Block,
@@ -122,19 +117,6 @@ def _dot_row(j: int, k: int, c: int, s: int) -> int:
     return p * x + (k - 1 - p) * (x + 1) + 1
 
 
-def _certainly_over_budget(z: int, D: float, r: float, budget: float) -> bool:
-    """True when the proven cost floor alone puts a fill of cell (D, r) over the budget.
-
-    Where the medium-regime floor applies, any hunt with advice size z costs at
-    least that floor, so a fill whose floor exceeds the budget can be
-    rejected without the exact sweep cost.  This never changes a decision; it
-    only avoids enumerating columns for hopeless cells far past the frontier.
-    """
-    if not r < MEDIUM_LB_RADIUS_LIMIT * D:
-        return False  # floor hypothesis fails; the cell is cheap to cost exactly
-    return 2.0 * medium_regime_lower_bound(z, D, r) > budget
-
-
 def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[FillEvent]:
     """The infinite dot-filling order, one event per fill.
 
@@ -160,7 +142,9 @@ def fill_events(z: int, alpha: float, s: int = DEFAULT_SCALE_STEP) -> Iterator[F
                 jc = cursor.get(k, j0)
                 dot = Dot(_dot_row(jc, k, c, s), jc, k)
                 cell = dot.cell(s)
-                if _certainly_over_budget(z, *cell, budget):
+                # A lower-thread row is at most col * s - 1, so r <= D / 2 and the medium-regime floor holds:
+                # a fill whose floor alone exceeds the budget is refused without costing its columns.
+                if 2.0 * medium_regime_lower_bound(z, *cell) > budget:
                     break
                 cost = 2.0 * basic_cost(z, *cell)
                 if cost <= budget:
@@ -201,7 +185,9 @@ def special_dot(D: float, r: float, c: int, s: int) -> Dot:
     matrix has no finer resolution row), and raises BudgetExceededError when
     the column's range 2**(j*s) overflows binary64.
     """
-    if not (1.0 < r < D < math.inf):
+    D, r = positive_finite("range bound", D), positive_finite("vision radius", r)
+    c, s = positive_int("dot count", c), positive_int("scale step", s)
+    if not 1.0 < r < D:
         raise PreconditionError("special dot needs 1 < r < D < inf")
     mantissa, exponent = math.frexp(D)
     k = exponent - 1 if mantissa == 0.5 else exponent  # smallest integer with 2**k >= D

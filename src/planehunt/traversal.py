@@ -72,8 +72,8 @@ class TrajectoryStream:
     """Deterministic, restartable sequence of straight moves.
 
     ``blocks()`` returns a fresh generator each call; regenerating a stream
-    yields bit-identical geometry.  Streams may be infinite: use ``prefix``
-    or ``materialize`` with a budget to obtain a Polyline.
+    yields bit-identical geometry.  Streams may be infinite: ``prefix`` and
+    ``materialize`` give a Polyline within MAX_STREAM_SEGMENTS.
     """
 
     def __init__(self, start, block_factory: Callable[[], Iterator[Block]]):
@@ -87,9 +87,9 @@ class TrajectoryStream:
         """Materialize the leading ``arc`` of the stream (may split a segment), within the segment budget."""
         return blocks_to_polyline(prefix_blocks(_budgeted(self.blocks(), MAX_STREAM_SEGMENTS), arc), self.start)
 
-    def materialize(self, max_segments: int = MAX_STREAM_SEGMENTS) -> Polyline:
-        """Materialize the whole (finite) stream, guarded by a segment budget."""
-        return blocks_to_polyline(_budgeted(self.blocks(), max_segments), self.start)
+    def materialize(self) -> Polyline:
+        """Materialize the whole (finite) stream, within the segment budget."""
+        return blocks_to_polyline(_budgeted(self.blocks(), MAX_STREAM_SEGMENTS), self.start)
 
 
 def _budgeted(blocks: Iterable[Block], max_segments: int) -> Iterator[Block]:

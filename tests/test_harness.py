@@ -1,6 +1,9 @@
 """Harness tests: config parsing, the documented LCG, CSV sweeps, SVG output,
 and the CLI exit-code contract."""
 
+import dataclasses
+import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -18,19 +21,23 @@ from planehunt import (
     StreamChainError,
     bound_for,
     build_stream,
+    decode_sector,
     parse_config,
     regime_of,
     render_svg,
     rows_to_csv,
+    small_vision,
     spiral,
     sweep,
     sweep_cost_bound,
     write_csv,
 )
 from planehunt import harness
+from planehunt.advice import sector_advice
 from planehunt.cli import main
 from planehunt.bounds import SMALL_ENVELOPE_FACTOR, branch_count
 from planehunt.harness import CSV_HEADER
+from planehunt.tiling import TileFrame
 
 GOOD_CONFIG = """
 # three advice sizes against four ranges
@@ -146,6 +153,22 @@ class TestSweep:
         with pytest.raises(PreconditionError, match="^sweep cell needs r <= D, got D=0.25 r=0.5$"):
             sweep(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("number, integer", [(str, str), (np.float64, np.int64)], ids=["text", "numpy"])
+    @pytest.mark.parametrize("text", [
+        "strategy = universal\nz = 2\nD = list 8\nr = list 0.5\ns = 2\nplacement = random 3\n",
+        "strategy = small\nz = 1\nD = list 4\nr = list 0.5\nplacement = adversarial 0.5\n",
+    ], ids=["random", "adversarial"])
+    def test_a_built_config_runs_on_the_values_its_rules_read(self, text, number, integer):
+        plain = parse_config("[sweep]\n" + text)
+        other = dataclasses.replace(
+            plain, z_values=tuple(map(integer, plain.z_values)), d_values=tuple(map(number, plain.d_values)),
+            r_values=tuple(map(number, plain.r_values)), alpha=number(plain.alpha), s=integer(plain.s),
+            cap_mult=number(plain.cap_mult),
+        )
+        rows, want = sweep(other), sweep(plain)
+        assert rows == want and rows_to_csv(rows) == rows_to_csv(want)
+        assert [type(v) for v in dataclasses.astuple(rows[0])] == [type(v) for v in dataclasses.astuple(want[0])]
 
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -287,6 +310,13 @@ class TestSvg:
         assert "<polyline" not in text
         assert "<circle" in text
 
+    @pytest.mark.parametrize("disc", [-3.0, 0.0, math.inf, math.nan, "x"])
+    @pytest.mark.parametrize("tiles", [None, 0.5], ids=["no-tiles", "tiles"])
+    def test_disc_radius_takes_the_range_rule(self, disc, tiles):
+        sector = decode_sector("01", (0.0, 0.0))
+        with pytest.raises(PreconditionError, match="^disc radius must be positive and finite"):
+            render_svg(spiral(4.0, 1.0).materialize(), sector=sector, disc_radius=disc, tile_size=tiles)
+
     def test_segment_budget(self):
         poly = spiral(4.0, 1.0).materialize()
         import planehunt.harness as hz
@@ -298,6 +328,58 @@ class TestSvg:
                 render_svg(poly)
         finally:
             hz.MAX_RENDER_SEGMENTS = old
+
+
+class TestTileGrid:
+    """The tile grid of the sector frame: its bytes, its one frame mapping and its guard."""
+
+    # z, (disc radius, tile size), start: 24 figures, each a 20-arc small-vision prefix in sector 1.
+    FIGURES = list(itertools.product((2, 3, 5), ((4.0, 1.0), (10.0, 0.3), (7.5, 0.5), (100.0, 0.7)),
+                                     ((0.0, 0.0), (3.25, -1.5))))
+    SECTOR = decode_sector(sector_advice(1, 2), (3.25, -1.5))
+
+    @staticmethod
+    def _figure(z, disc, tile, start):
+        w = sector_advice(1, z)
+        return render_svg(small_vision(z, w, start).prefix(20.0), sector=decode_sector(w, start),
+                          disc_radius=disc, tile_size=tile)
+
+    def test_figures_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        for z, (disc, tile), start in self.FIGURES:
+            digest.update(self._figure(z, disc, tile, start).encode())
+        assert digest.hexdigest() == "18042edae8fdd9f76112ca0d0ee4a195fb06e0cea78c5c839488c9151ddc93a9"
+
+    def test_grid_is_mapped_by_one_frame_call(self, monkeypatch):
+        calls = []
+        to_world = TileFrame.to_world
+        monkeypatch.setattr(TileFrame, "to_world", lambda frame, pts: calls.append(len(pts)) or to_world(frame, pts))
+        lines = harness._tile_grid_svg(self.SECTOR, 10.0, 0.3, 0.01).count("<line ")
+        assert lines == 35 + 36 and calls == [2 * lines]  # n + 1 columns and rows + 2 rows of 10 / 0.3
+
+    def test_grid_over_the_render_guard_is_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(TileFrame, "to_world", lambda *_: pytest.fail("the grid was mapped"))
+        with pytest.raises(BudgetExceededError, match=r"^4e\+300 tile grid lines exceed the render guard 100000$"):
+            harness._tile_grid_svg(self.SECTOR, 1e300, 0.5, 0.01)
+        monkeypatch.setattr(harness, "MAX_RENDER_SEGMENTS", 70)
+        with pytest.raises(BudgetExceededError, match="^71 tile grid lines"):
+            harness._tile_grid_svg(self.SECTOR, 10.0, 0.3, 0.01)
+
+    @pytest.mark.parametrize("disc, r", [("1e300", "0.5"), ("10000", "0.01")], ids=["disc-1e300", "disc-1e4-r-0.01"])
+    def test_render_of_a_grid_over_the_guard_exits_one_at_once(self, disc, r, tmp_path):
+        # Unguarded, the first grid never finishes and the second takes seconds and most of a GB.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "x.svg"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "planehunt.cli", "render",
+             "--strategy", "small", "--z", "2", "--treasure", "1,1", "--r", r, "--arc", "4",
+             "--out", str(out), "--disc", disc, "--tiles"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "render guard" in proc.stderr and not out.exists()
 
 
 class TestCli:

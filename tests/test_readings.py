@@ -34,6 +34,7 @@ from planehunt import (
     run,
     sector_index,
     small_vision,
+    special_dot,
     spiral,
     sweep_cost_bound,
     tile_count_bound,
@@ -60,7 +61,7 @@ CASES = {
     "tile_count_bound": (lambda z: tile_count_bound(z, 8.0, 0.5), {"z": 2}),
     "sweep_cost_bound": (lambda z: sweep_cost_bound(z, 8.0, 0.5), {"z": 2}),
     "medium_regime_lower_bound": (lambda z: medium_regime_lower_bound(z, 8.0, 0.5), {"z": 2}),
-    "lower_bounds": (lambda z: lower_bounds(z, 8.0, 0.5), {"z": 2}),
+    "lower_bounds": (lower_bounds, {"z": 2, "D": 8.0, "r": 0.5}),
     "small_ceiling": (lambda z: small_ceiling(z, 8.0, 0.5), {"z": 2}),
     "branch_count": (branch_count, {"alpha": 0.3}),
     "medium_ceiling": (lambda z, alpha, s: medium_ceiling(z, 8.0, 0.5, alpha, s), {"z": 2, "alpha": 0.3, "s": 2}),
@@ -74,6 +75,7 @@ CASES = {
     "basic_cost spiral": (basic_cost, {"z": 0, "D": 8.0, "r": 0.5}),
     "basic_cost sweep": (basic_cost, {"z": 2, "D": 8.0, "r": 0.5}),
     "dots_of_column": (dots_of_column, {"j": 3, "c": 2, "s": 2}),
+    "special_dot": (special_dot, {"D": 64.0, "r": 4.0, "c": 2, "s": 2}),
     "fill_events": (fill_events, {"z": 0, "alpha": 0.5, "s": 2}),
     "medium_schedule": (medium_schedule, {"z": 0, "alpha": 0.5, "s": 2, "max_phases": 3}),
     "hypothesis_sweep": (lambda z: hypothesis_sweep(z, "01"), {"z": 2}),

@@ -31,7 +31,7 @@ from planehunt import (
     spiral,
     universal,
 )
-from planehunt.strategies import Dot, branch_count, first_dot_column
+from planehunt.strategies import Dot, _dot_row, branch_count, first_dot_column
 
 A_THIRD = 1.0 / 3.0
 
@@ -55,6 +55,16 @@ class TestDots:
         assert first_dot_column(3, 2) == 2
         assert first_dot_column(2, 20) == 1
         assert first_dot_column(7, 3) == 3
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, A_THIRD, 0.2, 0.1, 0.03, 0.01])
+    def test_lower_thread_dots_lie_in_the_medium_regime(self, alpha):
+        # fill_events prunes lower-thread fills by the medium-regime floor, which needs r < 0.9 D:
+        # a row of at most col * s - 1 puts r = 2**row at or below D / 2 = 2**(col * s - 1).
+        c = branch_count(alpha)
+        for s in range(1, 21):
+            j0 = first_dot_column(c, s)
+            for j in range(j0, j0 + 60):
+                assert max((_dot_row(j, k, c, s) for k in range(1, c)), default=0) <= j * s - 1
 
     def test_branch_count_rounds_reciprocals(self):
         assert branch_count(0.5) == 2

@@ -317,9 +317,10 @@ class TestStreamMechanics:
             first, second = (float(np.cumsum(b.lengths)[-1]) for b in whole[:2])
             _assert_trips(stream, [(0.5 * first, 1), (first, 1), (first + 0.5 * second, 2), (1e12, len(whole))])
 
-    def test_materialize_guard(self):
+    def test_materialize_guard(self, monkeypatch):
+        monkeypatch.setattr(traversal, "MAX_STREAM_SEGMENTS", 10)
         with pytest.raises(BudgetExceededError):
-            spiral(1e5, 1.0).materialize(max_segments=10)
+            spiral(1e5, 1.0).materialize()
 
     def test_prefix_guard(self, monkeypatch):
         """``prefix`` pulls no more than the segment budget, plus the block that crosses it."""
