@@ -33,7 +33,7 @@ print(f"full report: medium={report.medium_bound:.3f} (applicable={report.medium
 # render the stretch of trajectory that finally reaches the worst placement
 w = ph.encode_advice((0, 0), worst, z)
 stream = ph.medium_vision(z, w, alpha, s)
-prefix = stream.prefix(min(cost * 1.02, cost + 50.0))
+prefix = ph.render_prefix(stream, min(cost * 1.02, cost + 50.0))
 ph.render_svg(
     prefix,
     OUT / "worst_case.svg",

@@ -42,6 +42,7 @@ from .harness import (
     build_stream,
     hunt,
     parse_config,
+    render_prefix,
     render_svg,
     rows_to_csv,
     sweep,

@@ -19,6 +19,7 @@ from .harness import (
     build_stream,
     hunt,
     load_config,
+    render_prefix,
     render_svg,
     sweep,
     worst_placement,
@@ -159,8 +160,7 @@ def _cmd_render(args) -> int:
         print("error: treasure coincides with the start", file=sys.stderr)
         return 1
     w = encode_advice(args.start, args.treasure, args.z)
-    stream = build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, args.start)
-    prefix = stream.prefix(args.arc)
+    prefix = render_prefix(build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, args.start), args.arc)
     sector = decode_sector(w, args.start) if args.z >= 2 and STRATEGIES[args.strategy][2] else None
     render_svg(
         prefix,

@@ -77,15 +77,16 @@ def ccw_angle_from_north(origin, target) -> Radians:
 
 
 class Polyline:
-    """Polygonal chain with cached cumulative arc length.
+    """Polygonal chain with its cached total length.
 
     Builders that know segment lengths exactly (axis-aligned moves, analytic
     truncations) may supply them; otherwise lengths default to Euclidean
-    vertex distances.  The cached total must agree with the coordinate-derived
-    total to 1e-9 relative tolerance, which construction verifies.
+    vertex distances.  ``length`` is ``float(np.cumsum(seg_lengths)[-1])``, or
+    0.0 for an empty chain; it must agree with the coordinate-derived total to
+    1e-9 relative tolerance, which construction verifies.
     """
 
-    __slots__ = ("vertices", "seg_lengths", "cumulative")
+    __slots__ = ("vertices", "seg_lengths", "length")
 
     def __init__(self, vertices, seg_lengths=None):
         verts = np.asarray(vertices, dtype=np.float64)
@@ -100,20 +101,16 @@ class Polyline:
             lengths = np.asarray(seg_lengths, dtype=np.float64)
             if lengths.shape != (verts.shape[0] - 1,):
                 raise PreconditionError("segment length array does not match vertex count")
-        cumulative = np.concatenate(([0.0], np.cumsum(lengths)))
+        total = 0.0
         if lengths.size:
             if (lengths < 0.0).any():
                 raise PreconditionError("segment lengths must be nonnegative")
-            total, geo_total = float(cumulative[-1]), float(np.cumsum(geo)[-1])
+            total, geo_total = float(np.cumsum(lengths)[-1]), float(np.cumsum(geo)[-1])
             if abs(total - geo_total) > 1e-9 * max(1.0, geo_total):
                 raise PreconditionError(f"cached length {total!r} disagrees with geometry {geo_total!r}")
         self.vertices = verts
         self.seg_lengths = lengths
-        self.cumulative = cumulative
-
-    @property
-    def length(self) -> float:
-        return float(self.cumulative[-1])
+        self.length = total
 
     @property
     def segment_count(self) -> int:

@@ -33,7 +33,7 @@ from .strategies import (
     universal,
 )
 from .tiling import TileFrame
-from .traversal import TrajectoryStream, basic_traversal
+from .traversal import TrajectoryStream, _budgeted, basic_traversal, blocks_to_polyline, prefix_blocks
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -309,6 +309,11 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def render_prefix(stream: TrajectoryStream, arc: float) -> Polyline:
+    """The leading ``arc`` of a stream, cut as ``stream.prefix`` cuts it, pulled only up to the render guard."""
+    return blocks_to_polyline(prefix_blocks(_budgeted(stream.blocks(), MAX_RENDER_SEGMENTS), arc), stream.start)
+
+
 def render_svg(
     trajectory: Polyline,
     out_path=None,
@@ -324,25 +329,24 @@ def render_svg(
     Optional layers: the advice sector's boundary rays and disc arc, the tile
     grid of the sector frame, the treasure with its vision circle.  The
     viewBox fits all geometry with a 5% margin; world +y (North) points up.
+    Each radius is None (not drawn) or positive and finite; a figure whose
+    extent overflows binary64 is refused before any text is built.
     """
     if trajectory.segment_count > MAX_RENDER_SEGMENTS:
-        raise BudgetExceededError(
-            f"{trajectory.segment_count} segments exceed the render guard {MAX_RENDER_SEGMENTS}"
-        )
-    if disc_radius is not None:  # the rule the CLI applies to --disc
-        disc_radius = positive_finite("disc radius", disc_radius)
-    xs = [trajectory.vertices[:, 0]]
-    ys = [trajectory.vertices[:, 1]]
+        raise BudgetExceededError(f"{trajectory.segment_count} segments exceed the render guard {MAX_RENDER_SEGMENTS}")
+    radii = (("vision radius", vision_radius), ("disc radius", disc_radius), ("tile size", tile_size))
+    vision_radius, disc_radius, tile_size = (None if v is None else positive_finite(name, v) for name, v in radii)
+    disc = sector is not None and disc_radius is not None  # the sector's rays, arc and tile grid are drawn
+    xs, ys = [trajectory.vertices[:, 0]], [trajectory.vertices[:, 1]]
     q = as_point(treasure) if treasure is not None else None
     if q is not None:
-        rr = vision_radius or 0.0
+        rr = 0.0 if vision_radius is None else vision_radius
         xs.append(np.array([q.x - rr, q.x + rr]))
         ys.append(np.array([q.y - rr, q.y + rr]))
-    if sector is not None and disc_radius is not None:  # the disc's box holds the sector's rays
+    if disc:  # the disc's box holds the sector's rays
         xs.append(np.array([sector.apex.x - disc_radius, sector.apex.x + disc_radius]))
         ys.append(np.array([sector.apex.y - disc_radius, sector.apex.y + disc_radius]))
-    all_x = np.concatenate(xs)
-    all_y = np.concatenate(ys)
+    all_x, all_y = np.concatenate(xs), np.concatenate(ys)
     lo_x, hi_x = float(all_x.min()), float(all_x.max())
     lo_y, hi_y = float(all_y.min()), float(all_y.max())
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
@@ -351,6 +355,9 @@ def render_svg(
     min_x, width = lo_x - pad, (hi_x - lo_x) + 2 * pad
     min_y, height = -(hi_y + pad), (hi_y - lo_y) + 2 * pad
     stroke = span / 400.0
+    if not all(map(math.isfinite, (min_x, min_y, width, height, stroke))):
+        raise BudgetExceededError("the figure's extent overflows binary64")
+    grid = _tile_grid_svg(sector, disc_radius, tile_size, stroke) if disc and tile_size is not None else None
 
     def pt(x: float, y: float) -> str:
         return f"{x:.6g},{-y:.6g}"
@@ -360,7 +367,7 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{min_x:.6g} {min_y:.6g} {width:.6g} {height:.6g}">',
     ]
-    if sector is not None and disc_radius is not None:
+    if disc:
         a = sector.apex
         rims = []  # where the cw and ccw boundary rays meet the disc
         for ang in (sector.cw_ray_angle, sector.ccw_ray_angle):
@@ -378,8 +385,8 @@ def render_svg(
             f'{pt(*rims[1])}" '
             f'fill="none" stroke="#888" stroke-width="{stroke:.6g}"/>'
         )
-        if tile_size is not None and tile_size > 0:
-            parts.append(_tile_grid_svg(sector, disc_radius, tile_size, stroke))
+        if grid is not None:
+            parts.append(grid)
     if trajectory.segment_count:
         coords = " ".join(pt(x, y) for x, y in trajectory.vertices)
         parts.append(
@@ -389,7 +396,7 @@ def render_svg(
     sx, sy = trajectory.vertices[0]
     parts.append(f'<circle cx="{sx:.6g}" cy="{-sy:.6g}" r="{2.5 * stroke:.6g}" fill="#000"/>')
     if q is not None:
-        if vision_radius:
+        if vision_radius is not None:
             parts.append(
                 f'<circle cx="{q.x:.6g}" cy="{-q.y:.6g}" r="{vision_radius:.6g}" '
                 f'fill="none" stroke="#2e7d32" stroke-width="{stroke:.6g}"/>'
@@ -403,18 +410,21 @@ def render_svg(
 
 
 def _tile_grid_svg(sector, disc_radius: float, tile_size: float, stroke: float) -> str:
-    """The n + 1 column lines and rows + 2 row lines of the sector's tiling, refused past the render guard."""
+    """The n + 1 column lines and rows + 2 row lines of the sector's tiling, refused past the render guard or binary64."""
     top = disc_radius if sector.wedge_angle >= math.pi / 2 else disc_radius * math.sin(sector.wedge_angle)
     n, rows = disc_radius // tile_size + 1.0, top // tile_size + 1.0  # floats, so a huge grid is counted, not built
     if not (count := n + rows + 3.0) <= MAX_RENDER_SEGMENTS:
         raise BudgetExceededError(f"{count:.4g} tile grid lines exceed the render guard {MAX_RENDER_SEGMENTS}")
     n, rows = int(n), int(rows)
     ends = np.zeros((n + rows + 3, 2, 2))  # per line: its two endpoints in the sector frame
-    ends[: n + 1, :, 0] = np.arange(n + 1)[:, None] * tile_size
-    ends[: n + 1, 1, 1] = (rows + 1) * tile_size
-    ends[n + 1 :, 1, 0] = (n + 1) * tile_size
-    ends[n + 1 :, :, 1] = np.arange(rows + 2)[:, None] * tile_size
-    world = TileFrame(sector.apex, sector.cw_ray_angle, tile_size).to_world(ends.reshape(-1, 2)).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # an endpoint past binary64 is refused below
+        ends[: n + 1, :, 0] = np.arange(n + 1)[:, None] * tile_size
+        ends[: n + 1, 1, 1] = (rows + 1) * tile_size
+        ends[n + 1 :, 1, 0] = (n + 1) * tile_size
+        ends[n + 1 :, :, 1] = np.arange(rows + 2)[:, None] * tile_size
+        world = TileFrame(sector.apex, sector.cw_ray_angle, tile_size).to_world(ends.reshape(-1, 2)).reshape(-1, 4)
+    if not np.isfinite(world).all():
+        raise BudgetExceededError("the tile grid's extent overflows binary64")
     return "\n".join(
         f'<line x1="{x1:.6g}" y1="{-y1:.6g}" x2="{x2:.6g}" y2="{-y2:.6g}" stroke="#ddd" stroke-width="{stroke * 0.6:.6g}"/>'
         for x1, y1, x2, y2 in world.tolist()

@@ -31,9 +31,9 @@ from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as travers
 from .geom import ORIGIN, Point2, Polyline, as_point
 from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
 
-# The most segments ``prefix`` and ``materialize`` pull from a stream.  Spiral
-# costs fold the exact instruction lengths up to that many instructions; beyond
-# that the closed form (2k+1)^2 * r is used.
+# The segments ``prefix`` and ``materialize`` pull before the block that crosses
+# it (``prefix`` keeps that block when it cuts it short).  Spiral costs fold the
+# exact instruction lengths up to that many instructions, then (2k+1)^2 * r.
 MAX_STREAM_SEGMENTS = 10**7
 
 _DIR_X = np.array([1.0, 0.0, -1.0, 0.0])  # E, S, W, N
@@ -73,7 +73,7 @@ class TrajectoryStream:
 
     ``blocks()`` returns a fresh generator each call; regenerating a stream
     yields bit-identical geometry.  Streams may be infinite: ``prefix`` and
-    ``materialize`` give a Polyline within MAX_STREAM_SEGMENTS.
+    ``materialize`` give a Polyline within the MAX_STREAM_SEGMENTS guard.
     """
 
     def __init__(self, start, block_factory: Callable[[], Iterator[Block]]):
@@ -93,13 +93,13 @@ class TrajectoryStream:
 
 
 def _budgeted(blocks: Iterable[Block], max_segments: int) -> Iterator[Block]:
-    """The blocks, refused with BudgetExceededError once they pull more than ``max_segments`` segments."""
+    """The blocks; asking for one after they hold more than ``max_segments`` segments raises BudgetExceededError."""
     seg = 0
     for block in blocks:
+        yield block
         seg += block.lengths.size
         if seg > max_segments:
             raise BudgetExceededError(f"stream exceeds {max_segments} segments")
-        yield block
 
 
 def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:

@@ -168,10 +168,6 @@ class TestPolyline:
         p = spiral(2 * r, r).materialize()
         assert p.length == pytest.approx(25 * r, rel=1e-12)
 
-    def test_cumulative_is_nondecreasing(self):
-        p = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 5.0]]))
-        assert (np.diff(p.cumulative) >= 0).all()
-
     def test_rejects_inconsistent_cached_lengths(self):
         with pytest.raises(PreconditionError):
             Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([2.0]))

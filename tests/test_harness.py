@@ -6,12 +6,16 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planehunt import (
     BudgetExceededError,
@@ -19,9 +23,11 @@ from planehunt import (
     Polyline,
     PreconditionError,
     StreamChainError,
+    TrajectoryStream,
     bound_for,
     build_stream,
     decode_sector,
+    encode_advice,
     parse_config,
     regime_of,
     render_svg,
@@ -34,7 +40,7 @@ from planehunt import (
 )
 from planehunt import harness
 from planehunt.advice import sector_advice
-from planehunt.cli import main
+from planehunt.cli import build_parser, main
 from planehunt.bounds import SMALL_ENVELOPE_FACTOR, branch_count
 from planehunt.harness import CSV_HEADER
 from planehunt.tiling import TileFrame
@@ -382,6 +388,130 @@ class TestTileGrid:
         assert "render guard" in proc.stderr and not out.exists()
 
 
+# Radii and coordinates mixed with values a rule must refuse, or read, and extents past binary64.
+_EDGES = (0, 0.0, -1.0, -1e308, math.nan, math.inf, -math.inf, 1e308, 1.7e308, "x", "0.5", np.float64(0.5), True)
+_radii = st.one_of(st.none(), st.sampled_from(_EDGES), st.floats(0.05, 50.0))
+_coordinates = st.one_of(st.sampled_from((0.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308)), st.floats(-50.0, 50.0))
+_sectors = st.one_of(st.none(), st.builds(
+    lambda z, i, apex: decode_sector(sector_advice(i % (1 << z), z), apex),
+    st.integers(0, 5), st.integers(0, 31), st.tuples(_coordinates, _coordinates),
+))
+# Every number an SVG attribute holds: coordinates, sizes, path data (its letters dropped).
+_NUMERIC = re.compile(r'\b(viewBox|x1|y1|x2|y2|cx|cy|r|stroke-width|stroke-dasharray|points|d)="([^"]*)"')
+
+
+class TestSvgNumbers:
+    """Every number a figure draws takes its rule: an SVG holds only finite numbers and positive radii, or the
+    figure is refused with a PreconditionError (a bad radius) or a BudgetExceededError (an extent past binary64)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(treasure=st.one_of(st.none(), st.tuples(_coordinates, _coordinates)), vision=_radii, disc=_radii,
+           tile=_radii, sector=_sectors)
+    def test_a_figure_holds_finite_numbers_or_is_refused(self, treasure, vision, disc, tile, sector):
+        try:
+            text = render_svg(spiral(4.0, 1.0).prefix(30.0), treasure=treasure, vision_radius=vision, sector=sector,
+                              disc_radius=disc, tile_size=tile)
+        except (PreconditionError, BudgetExceededError):
+            return
+        for name, value in _NUMERIC.findall(text):
+            numbers = [float(v) for v in re.split(r"[\s,]+", value) if v not in ("M", "A")]
+            assert all(map(math.isfinite, numbers)), (name, value)
+            if name in ("r", "stroke-width"):
+                assert numbers[0] > 0.0, (name, value)
+
+    @pytest.mark.parametrize("parameter", ["vision_radius", "tile_size"])
+    def test_numpy_radii_are_read_as_the_float_they_hold(self, parameter):
+        scene = dict(treasure=(1.0, 1.0), sector=decode_sector("01", (0.0, 0.0)), disc_radius=4.0)
+        figure = partial(render_svg, spiral(4.0, 1.0).materialize(), **scene)
+        assert figure(**{parameter: np.float64(0.5)}) == figure(**{parameter: 0.5})
+
+    def test_a_tile_grid_past_binary64_is_refused(self):
+        sector = decode_sector("01", (0.0, 0.0))
+        with pytest.raises(BudgetExceededError, match="^the tile grid's extent overflows binary64$"):
+            render_svg(spiral(4.0, 1.0).materialize(), sector=sector, disc_radius=4.0, tile_size=1.7e308)
+
+    def test_a_huge_treasure_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        argv = ["render", "--strategy", "large", "--z", "0", "--treasure", "1.7e308,0", "--r", "0.5", "--arc", "4",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: the figure's extent overflows binary64")
+        assert not out.exists()
+
+
+class TestRenderPull:
+    """The render prefix is pulled only up to the render guard, and the figures near it keep their bytes."""
+
+    @staticmethod
+    def _near_guard_arcs(z):
+        """Nine arcs of the CLI's small-vision stream whose prefixes hold 98k to just over 10^5 segments:
+        the midpoints of segments 98000, 99000, 99999, 100000, 100001, 100002 and 100500, the end of
+        segment 100000, and a midpoint 50 segments past the block that crosses 10^5."""
+        blocks = build_stream("small", z, encode_advice((0.0, 0.0), (1.0, 1.0), z), 2.0, 0.5, 0.5, 20).blocks()
+        lengths = []
+        while sum(map(len, lengths)) <= 10**5:
+            lengths.append(next(blocks).lengths)
+        crossing = sum(map(len, lengths))
+        lengths.append(next(blocks).lengths)
+        ends = np.cumsum(np.concatenate(lengths))
+        mids = [float(0.5 * (ends[n - 2] + ends[n - 1])) for n in (98000, 99000, 99999, 10**5, 10**5 + 1, 10**5 + 2,
+                                                                   100500, crossing + 50)]
+        return mids + [float(ends[10**5 - 1])]
+
+    def test_figures_near_the_guard_keep_their_bytes_and_refusals(self, tmp_path):
+        """Pinned before the pull was bounded by the render guard: sha256 over each figure's bytes, or its
+        refusal class."""
+        out = tmp_path / "x.svg"
+        digest, outcomes = hashlib.sha256(), []
+        for z in (0, 2, 3, 5):
+            for arc in self._near_guard_arcs(z):
+                args = build_parser().parse_args(["render", "--strategy", "small", "--z", str(z), "--treasure", "1,1",
+                                                  "--r", "0.5", "--arc", repr(arc), "--out", str(out)])
+                try:
+                    args.handler(args)
+                    digest.update(out.read_bytes())
+                    outcomes.append("svg")
+                    out.unlink()
+                except BudgetExceededError:
+                    digest.update(b"BudgetExceededError")
+                    outcomes.append("refused")
+        last = {0: "svg", 2: "refused", 3: "refused", 5: "svg"}  # the end of segment 100000 folds to 100001 for z 2, 3
+        assert outcomes == [outcome for z in (0, 2, 3, 5) for outcome in ["svg"] * 4 + ["refused"] * 4 + [last[z]]]
+        assert digest.hexdigest() == "73ed9d844e9ee1b6a320b46ebd22047f2e77dd8ea3efa8f75e6583fb22b12a2b"
+
+    def test_the_pull_stops_at_the_render_guard(self):
+        """At most MAX_RENDER_SEGMENTS segments are pulled before the last block, and a prefix whose last
+        block is cut short is drawn as ``stream.prefix`` cuts it."""
+        pulled = []
+
+        def counted():
+            for block in small_vision(2, "11").blocks():
+                pulled.append(block.lengths.size)
+                yield block
+
+        with pytest.raises(BudgetExceededError, match="^stream exceeds 100000 segments$"):
+            harness.render_prefix(TrajectoryStream((0.0, 0.0), counted), 1e12)
+        assert sum(pulled[:-1]) <= harness.MAX_RENDER_SEGMENTS < sum(pulled)
+        pulled.clear()
+        cut = harness.render_prefix(TrajectoryStream((0.0, 0.0), counted), 2000.0)
+        whole = small_vision(2, "11").prefix(2000.0)
+        assert cut.vertices.tolist() == whole.vertices.tolist() and cut.length == whole.length
+        assert sum(pulled[:-1]) < cut.segment_count <= sum(pulled)
+
+    @pytest.mark.parametrize("arc", ["3e7", "7e7", "1e12"])
+    def test_a_render_past_the_guard_exits_one_at_once(self, arc, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "x.svg"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "planehunt.cli", "render", "--strategy", "small",
+             "--z", "2", "--treasure", "1,1", "--r", "0.5", "--arc", arc, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: stream exceeds 100000 segments\n" and not out.exists()
+
+
 class TestCli:
     def test_simulate_found_exits_zero(self, capsys):
         th = 5.5 * math.tau / 16
@@ -460,7 +590,7 @@ class TestCli:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: stream exceeds 10000000 segments\n"
+        assert proc.stderr == "error: stream exceeds 100000 segments\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("r", ["0", "-0.5", "nan", "inf"])

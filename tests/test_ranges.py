@@ -1,13 +1,16 @@
 """One range rule per hunt parameter: every entry point that takes the advice
-size z, D, r, alpha, s, the cost cap multiplier, the cost cap or the grid step
-refuses the same bad values, before any work, with a message that names the
-parameter."""
+size z, D, r, alpha, s, the cost cap multiplier, the cost cap, the grid step or
+a figure's radius refuses the same bad values, before any work, with a message
+that names the parameter."""
 
+import math
 import re
 
 import pytest
 
-from planehunt import PreconditionError, adversarial_placement, harness, parse_config, run, small_vision, spiral
+from planehunt import (
+    PreconditionError, adversarial_placement, decode_sector, harness, parse_config, run, small_vision, spiral,
+)
 from planehunt.cli import main
 from planehunt.errors import positive_finite, positive_int
 from planehunt.traversal import TrajectoryStream
@@ -143,6 +146,14 @@ def test_sim_adversarial_placement(param, value):
     name = "cost cap" if param == "cap" else PARAMS[param][0]
     with pytest.raises(PreconditionError, match=f"^{name} must be positive and finite, got "):
         adversarial_placement(factory, 2, **args)
+
+
+@pytest.mark.parametrize("param, name", [("vision_radius", "vision radius"), ("tile_size", "tile size")])
+@pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, -math.inf, "x"])
+def test_render_svg(param, name, value):
+    scene = {"treasure": (1.0, 1.0), "sector": decode_sector("01", (0.0, 0.0)), "disc_radius": 4.0, param: value}
+    with pytest.raises(PreconditionError, match=f"^{name} must be positive and finite, got {re.escape(repr(value))}$"):
+        harness.render_svg(spiral(4.0, 1.0).materialize(), **scene)
 
 
 def test_good_values_still_hunt():

@@ -1,8 +1,8 @@
 """One reading per parameter: every public function that applies a rule reads
 a numpy integer or the text of an integer as that integer (the advice size z,
 s and every count), and the text of a number as that number (D, r, alpha, the
-cost cap, the cap multiplier and the grid step), and goes on with what its
-rule read.  A bool is none of these: it is refused with a PreconditionError."""
+cost cap, the cap multiplier, the grid step and a figure's radii), and goes on
+with what its rule read.  A bool is none of these: it is refused with a PreconditionError."""
 
 import itertools
 from collections.abc import Iterator
@@ -20,6 +20,7 @@ from planehunt import (
     bound_for,
     column_count,
     count_tiles,
+    decode_sector,
     dots_of_column,
     encode_advice,
     fill_events,
@@ -101,6 +102,13 @@ CASES = {
     "harness.worst_placement": (
         lambda z, D, r, alpha, s, cap_mult, grid_step: harness.worst_placement("small", z, D, r, alpha, s, cap_mult, grid_step),
         {"z": 1, "D": 4.0, "r": 0.5, "alpha": 0.5, "s": 2, "cap_mult": 1e4, "grid_step": 0.5},
+    ),
+    "harness.render_svg": (
+        lambda vision_radius, tile_size: harness.render_svg(
+            spiral(4.0, 1.0).materialize(), treasure=(1.0, 1.0), vision_radius=vision_radius,
+            sector=decode_sector("01", ORIGIN), disc_radius=4.0, tile_size=tile_size,
+        ),
+        {"vision_radius": 0.5, "tile_size": 0.5},
     ),
 }
 

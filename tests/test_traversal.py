@@ -337,6 +337,16 @@ class TestStreamMechanics:
         assert sum(pulled[:-1]) <= 1000 < sum(pulled)
         assert small_vision(2, "11").prefix(100.0).length == 100.0  # a short prefix stays in budget
 
+    def test_a_prefix_that_cuts_the_crossing_block_is_kept(self, monkeypatch):
+        """The budget is checked when a further block is asked for, so the block that crosses it, cut short,
+        is kept, and ``materialize`` is still refused for a stream that ends with that block."""
+        whole = spiral(30.0, 1.0).materialize()  # 121 instructions in one block
+        monkeypatch.setattr(traversal, "MAX_STREAM_SEGMENTS", 100)
+        cut = spiral(30.0, 1.0).prefix(0.5 * whole.length)
+        assert 0 < cut.segment_count < whole.segment_count and cut.length == 0.5 * whole.length
+        with pytest.raises(BudgetExceededError, match="exceeds 100 segments"):
+            spiral(30.0, 1.0).materialize()
+
 
 class TestPhaseTrips:
     def test_each_stream_is_walked_once(self):
