@@ -75,16 +75,18 @@ def encode_advice(p, q, z: int) -> AdviceString:
     (the hunt costs nothing there; callers should short-circuit).
     """
     z = check_advice(z)
-    pp = as_point(p)
-    qq = as_point(q)
+    pp, qq = as_point(p), as_point(q)
     if pp.x == qq.x and pp.y == qq.y:
         raise DegenerateInputError("treasure coincides with the start point")
     return sector_advice(sector_index(pp, qq, z), z)
 
 
 def sector_advice(j: int, z: int) -> AdviceString:
-    """Sector index j as z big-endian bits ('' when z = 0)."""
-    return format(j, f"0{z}b") if z else ""
+    """Sector index j, read by ``as_integer`` in [0, 2^z), as z big-endian bits ('' when z = 0); z takes its rule."""
+    z = check_advice(z)
+    if (i := as_integer(j)) is None or not 0 <= i < 1 << z:
+        raise PreconditionError(f"sector index must be an integer in [0, {1 << z}), got {shown(j)}")
+    return format(i, f"0{z}b") if z else ""
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from typing import Optional, Sequence
 
 from .advice import check_advice, decode_sector, encode_advice
 from .bounds import MEDIUM_LB_RADIUS_LIMIT, lower_bounds, regime_of
-from .errors import BudgetExceededError, PreconditionError, StreamChainError, positive_finite, positive_int
-from .geom import ORIGIN, Point2
+from .errors import BudgetExceededError, DegenerateInputError, PreconditionError, StreamChainError
+from .errors import nonnegative_finite, positive_finite, positive_int
+from .geom import ORIGIN, as_point
 from .harness import (
     STRATEGIES,
     build_stream,
@@ -38,20 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _point(text: str) -> Point2:
-    try:
-        x, y = text.split(",")
-        return Point2(float(x), float(y))
-    except Exception as exc:
-        raise argparse.ArgumentTypeError(f"expected x,y — got {text!r}") from exc
-
-
 def _typed(rule, *names):
     """An argparse type that applies a library rule, ``rule(*names, text)``, to a flag's text."""
     def parse(text: str):
         try:
             return rule(*names, text)
-        except PreconditionError as exc:
+        except (PreconditionError, DegenerateInputError) as exc:  # a point's non-finite coordinate is the latter
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
@@ -72,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--alpha", type=_typed(positive_finite, "alpha"), default=DEFAULT_ALPHA)
     hunt.add_argument("--s", type=_typed(positive_int, "scale step"), default=DEFAULT_SCALE_STEP)
     placed = argparse.ArgumentParser(add_help=False)  # simulate and render
-    placed.add_argument("--treasure", required=True, type=_point, metavar="X,Y")
-    placed.add_argument("--start", type=_point, default=ORIGIN, metavar="X,Y")
+    point = _typed(lambda text: as_point(text.split(",")))
+    placed.add_argument("--treasure", required=True, type=point, metavar="X,Y")
+    placed.add_argument("--start", type=point, default=ORIGIN, metavar="X,Y")
     capped = argparse.ArgumentParser(add_help=False)  # simulate and adversary
     capped.add_argument("--cap-mult", type=_typed(positive_finite, "cost cap multiplier"), default=DEFAULT_CAP_MULTIPLIER)
 
@@ -96,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren = sub.add_parser("render", parents=[hunt, placed], help="render a trajectory prefix to SVG")
     ren.set_defaults(handler=_cmd_render)
     ren.add_argument("--strategy", required=True, choices=STRATEGIES)
-    ren.add_argument("--arc", required=True, type=float, help="prefix arc length to draw")
+    ren.add_argument("--arc", required=True, type=_typed(nonnegative_finite, "prefix arc"), help="prefix arc to draw")
     ren.add_argument("--out", required=True, help="output SVG path")
     ren.add_argument("--disc", type=_typed(positive_finite, "disc radius"), help="disc radius to draw")
     ren.add_argument("--tiles", action="store_true", help="draw the sector tile grid")

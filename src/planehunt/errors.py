@@ -1,4 +1,4 @@
-"""Exception types shared across the library, the one range rule of each hunt parameter, and the one integer reading."""
+"""Exception types, the one range rule of each hunt parameter and of a prefix arc, and the real and integer readings."""
 
 import math
 import operator
@@ -30,14 +30,25 @@ def shown(value) -> str:
     return repr(value.item() if isinstance(value, np.generic) else value)
 
 
-def positive_finite(name: str, value) -> float:
-    """``value``, a number or its text (never a bool), as a positive finite float: the rule of D, r, alpha, the cap and the grid step."""
+def as_real(value):
+    """The one real reading: a number or the text of one as a float; None for anything else (a bool, 2**2000)."""
     try:
-        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+        return None if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not 0.0 < x < math.inf:
+        return None
+
+
+def positive_finite(name: str, value) -> float:
+    """``value`` read by ``as_real`` as a positive finite float: the rule of D, r, alpha, the cap and the grid step."""
+    if (x := as_real(value)) is None or not 0.0 < x < math.inf:
         raise PreconditionError(f"{name} must be positive and finite, got {shown(value)}")
+    return x
+
+
+def nonnegative_finite(name: str, value) -> float:
+    """``value`` read by ``as_real`` as a nonnegative finite float: the rule of a prefix arc."""
+    if (x := as_real(value)) is None or not 0.0 <= x < math.inf:
+        raise PreconditionError(f"{name} must be nonnegative and finite, got {shown(value)}")
     return x
 
 

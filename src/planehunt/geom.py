@@ -8,13 +8,14 @@ ray on the boundary of exactly one angular sector.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError, PreconditionError, as_real, shown
 
 Radians = float
 
@@ -49,11 +50,16 @@ ORIGIN = Point2(0.0, 0.0)
 
 
 def as_point(p) -> Point2:
-    """Coerce a Point2 or an (x, y) pair into a Point2."""
+    """The one point reading: a Point2 as it is, or a pair (not text) of numbers ``as_real`` reads; else a refusal."""
     if isinstance(p, Point2):
         return p
-    x, y = p
-    return Point2(float(x), float(y))
+    try:
+        xy = () if isinstance(p, (str, bytes)) else [as_real(c) for c in itertools.islice(p, 3)]
+    except TypeError:  # not iterable
+        xy = ()
+    if len(xy) != 2 or None in xy:
+        raise PreconditionError(f"a point must be a pair of numbers (x, y), got {shown(p)}")
+    return Point2(*xy)
 
 
 def direction_of(angle: Radians) -> tuple[float, float]:
@@ -66,8 +72,7 @@ def ccw_angle_from_north(origin, target) -> Radians:
 
     Due North maps to 2*pi.  Raises DegenerateInputError for coincident points.
     """
-    o = as_point(origin)
-    t = as_point(target)
+    o, t = as_point(origin), as_point(target)
     dx = t.x - o.x
     dy = t.y - o.y
     if dx == 0.0 and dy == 0.0:

@@ -178,7 +178,7 @@ def _parse_placement(text: str) -> tuple[str, Optional[Point2], int, Optional[fl
     if len(args) != {"explicit": 2, "random": 1, "adversarial": 1}.get(mode):
         raise PreconditionError("placement must be explicit x y | random seed | adversarial step")
     if mode == "explicit":
-        return mode, Point2(float(args[0]), float(args[1])), 0, None
+        return mode, as_point(args), 0, None
     if mode == "random":
         return mode, None, int(args[0]), None
     return mode, None, 0, positive_finite("grid step", args[0])

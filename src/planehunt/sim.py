@@ -263,8 +263,8 @@ def shaded_tile_candidates(D: float, r: float, start=Point2(0.0, 0.0)) -> np.nda
     The tiling covers the axis-aligned square of side sqrt(2) D / 2 whose
     south-west corner sits at the start; rows count from the north side.
     """
-    side = math.sqrt(2.0) * D / 2.0
-    m = int(side // (2.0 * r))
+    D, r = positive_finite("range bound", D), positive_finite("vision radius", r)
+    m = int(math.sqrt(2.0) * D / 2.0 // (2.0 * r))  # tiles of side 2r along the square's side
     p = as_point(start)
     odd = np.arange(1, m + 1, 2)
     cx = (2 * odd - 1) * r + p.x  # every other column from the west
@@ -275,6 +275,7 @@ def shaded_tile_candidates(D: float, r: float, start=Point2(0.0, 0.0)) -> np.nda
 
 def disc_grid_candidates(D: float, grid_step: float, start=Point2(0.0, 0.0)) -> np.ndarray:
     """Uniform grid of the given pitch over the disc of radius D."""
+    D, grid_step = positive_finite("range bound", D), positive_finite("grid step", grid_step)
     k = int(D // grid_step)
     coords = np.arange(-k, k + 1, dtype=np.float64) * grid_step
     gx, gy = np.meshgrid(coords, coords, indexing="ij")

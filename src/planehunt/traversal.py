@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
 import numpy as np
 
 from .advice import AdviceString, check_advice, decode_sector
-from .errors import BudgetExceededError, PreconditionError, positive_finite
+from .errors import BudgetExceededError, PreconditionError, nonnegative_finite, positive_finite
 from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as traversal.sweep_cost_bound)
 from .geom import ORIGIN, Point2, Polyline, as_point
 from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
@@ -105,8 +105,7 @@ def _budgeted(blocks: Iterable[Block], max_segments: int) -> Iterator[Block]:
 def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
     blocks = [b for b in blocks if b.lengths.size]
     if not blocks:
-        p = as_point(start)
-        return Polyline(np.array([[p.x, p.y]]), np.zeros(0))
+        return Polyline(np.array([tuple(as_point(start))]), np.zeros(0))
     verts = np.concatenate([blocks[0].points] + [b.points[1:] for b in blocks[1:]])
     lengths = np.concatenate([b.lengths for b in blocks])
     return Polyline(verts, lengths)
@@ -129,10 +128,8 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
     retrace tag.  A finite sequence shorter than ``arc`` is returned whole.
     No block past the cut is pulled, and only the block cut is summed again.
     """
-    if not 0.0 <= arc < math.inf:
-        raise PreconditionError(f"prefix arc must be nonnegative and finite, got {arc}")
     out: List[Block] = []
-    remaining = arc
+    remaining = nonnegative_finite("prefix arc", arc)
     for block in blocks:
         if block.lengths.size == 0:
             continue
@@ -174,7 +171,7 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
     state = [(itertools.tee(stream.blocks(), 1)[0], [], []) for stream in streams]
     previous = -math.inf
     for arc in arcs:
-        if arc < previous:
+        if (arc := nonnegative_finite("prefix arc", arc)) < previous:
             raise PreconditionError(f"phase trip arcs must not shrink, got {arc} after {previous}")
         previous = arc
         for blocks, tags, flips in state:

@@ -98,7 +98,9 @@ class TestCliLines:
     def test_malformed_point(self, capsys):
         assert main(["simulate", "--strategy", "small", "--z", "2", "--treasure", "1;1", "--r", "0.5"]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "usage error: argument --treasure: expected x,y — got '1;1'\n")
+        assert (captured.out, captured.err) == (
+            "", "usage error: argument --treasure: a point must be a pair of numbers (x, y), got ['1;1']\n"
+        )
 
     def test_simulate_at_the_start(self, capsys):
         argv = ["simulate", "--strategy", "small", "--z", "2", "--treasure", "1,1", "--start", "1,1", "--r", "0.5"]

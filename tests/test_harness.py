@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from planehunt import (
     BudgetExceededError,
+    DegenerateInputError,
     Lcg64,
     Polyline,
     PreconditionError,
@@ -392,6 +393,16 @@ class TestTileGrid:
 _EDGES = (0, 0.0, -1.0, -1e308, math.nan, math.inf, -math.inf, 1e308, 1.7e308, "x", "0.5", np.float64(0.5), True)
 _radii = st.one_of(st.none(), st.sampled_from(_EDGES), st.floats(0.05, 50.0))
 _coordinates = st.one_of(st.sampled_from((0.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308)), st.floats(-50.0, 50.0))
+# Treasures: numeric pairs, their text, and values the point reading must refuse (text, bools, non-pairs, overflow)
+# or pass on to Point2's refusal of a non-finite coordinate.
+_treasures = st.one_of(
+    st.none(),
+    st.tuples(_coordinates, _coordinates),
+    st.tuples(_coordinates, _coordinates).map(lambda p: tuple(map(repr, p))),
+    st.tuples(st.sampled_from(_EDGES), _coordinates),
+    st.sampled_from(("12", "1,2", b"12", 5, 1.5, (1.0,), (1.0, 2.0, 3.0), (True, False), [np.True_, 1.0],
+                     ("x", 1.0), ("1e400", 0.0), (2**2000, 0.0), np.array([1.0, 2.0]))),
+)
 _sectors = st.one_of(st.none(), st.builds(
     lambda z, i, apex: decode_sector(sector_advice(i % (1 << z), z), apex),
     st.integers(0, 5), st.integers(0, 31), st.tuples(_coordinates, _coordinates),
@@ -402,16 +413,16 @@ _NUMERIC = re.compile(r'\b(viewBox|x1|y1|x2|y2|cx|cy|r|stroke-width|stroke-dasha
 
 class TestSvgNumbers:
     """Every number a figure draws takes its rule: an SVG holds only finite numbers and positive radii, or the
-    figure is refused with a PreconditionError (a bad radius) or a BudgetExceededError (an extent past binary64)."""
+    figure is refused with a PreconditionError (a bad radius or treasure), a DegenerateInputError (a treasure
+    coordinate that reads as nan or infinite) or a BudgetExceededError (an extent past binary64)."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-    @given(treasure=st.one_of(st.none(), st.tuples(_coordinates, _coordinates)), vision=_radii, disc=_radii,
-           tile=_radii, sector=_sectors)
+    @given(treasure=_treasures, vision=_radii, disc=_radii, tile=_radii, sector=_sectors)
     def test_a_figure_holds_finite_numbers_or_is_refused(self, treasure, vision, disc, tile, sector):
         try:
             text = render_svg(spiral(4.0, 1.0).prefix(30.0), treasure=treasure, vision_radius=vision, sector=sector,
                               disc_radius=disc, tile_size=tile)
-        except (PreconditionError, BudgetExceededError):
+        except (PreconditionError, DegenerateInputError, BudgetExceededError):
             return
         for name, value in _NUMERIC.findall(text):
             numbers = [float(v) for v in re.split(r"[\s,]+", value) if v not in ("M", "A")]
@@ -572,7 +583,7 @@ class TestCli:
             capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage error: argument --arc") and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_render_of_a_prefix_over_the_segment_budget_exits_one(self, tmp_path):

@@ -12,7 +12,9 @@ from planehunt import (
     PreconditionError, adversarial_placement, decode_sector, harness, parse_config, run, small_vision, spiral,
 )
 from planehunt.cli import main
+from planehunt.advice import sector_advice
 from planehunt.errors import positive_finite, positive_int
+from planehunt.sim import disc_grid_candidates, shaded_tile_candidates
 from planehunt.traversal import TrajectoryStream
 
 BAD = ("0", "-1", "nan", "inf", "1e400")
@@ -156,6 +158,22 @@ def test_render_svg(param, name, value):
         harness.render_svg(spiral(4.0, 1.0).materialize(), **scene)
 
 
+@pytest.mark.parametrize("param, value", _cases("D", "r"))
+@pytest.mark.parametrize("form", [str, float])
+def test_shaded_tile_candidates(param, value, form):
+    args = dict({"D": 8.0, "r": 0.5}, **{param: form(value)})
+    with pytest.raises(PreconditionError, match=f"^{re.escape(_refusal(param, form(value)))}$"):
+        shaded_tile_candidates(**args)
+
+
+@pytest.mark.parametrize("param, value", _cases("D", "grid_step"))
+@pytest.mark.parametrize("form", [str, float])
+def test_disc_grid_candidates(param, value, form):
+    args = dict({"D": 8.0, "grid_step": 0.5}, **{param: form(value)})
+    with pytest.raises(PreconditionError, match=f"^{re.escape(_refusal(param, form(value)))}$"):
+        disc_grid_candidates(**args)
+
+
 def test_good_values_still_hunt():
     w, ceiling, outcome = harness.hunt("small", 2, 8.0, 0.5, 0.5, 2, 1e4, (0.0, 0.0), (3.0, 4.0))
     assert outcome.found and ceiling > 0
@@ -210,3 +228,25 @@ def test_harness_hunt_z(strategy, z, no_streams):
 def test_harness_worst_placement_z(strategy, z, no_streams):
     with pytest.raises(PreconditionError, match=f"^{re.escape(_z_refusal(z))}$"):
         harness.worst_placement(strategy, z, **GOOD)
+
+
+# The sector index of an advice string: an integer in [0, 2^z), read by as_integer; z takes the advice rule.
+@pytest.mark.parametrize("j, z, message", [
+    (8, 3, "sector index must be an integer in [0, 8), got 8"),
+    (-1, 3, "sector index must be an integer in [0, 8), got -1"),
+    (1, 0, "sector index must be an integer in [0, 1), got 1"),
+    (True, 3, "sector index must be an integer in [0, 8), got True"),
+    (1.0, 3, "sector index must be an integer in [0, 8), got 1.0"),
+    ("1.5", 3, "sector index must be an integer in [0, 8), got '1.5'"),
+    (None, 3, "sector index must be an integer in [0, 8), got None"),
+    (1, 61, _z_refusal(61)),
+    (0, -1, _z_refusal(-1)),
+    (0, True, _z_refusal(True)),
+])
+def test_sector_advice(j, z, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        sector_advice(j, z)
+
+
+def test_sector_advice_reads_its_integers():
+    assert [sector_advice(j, z) for j, z in [(5, 3), ("5", "3"), (7, 3), (0, 0), (1, 1)]] == ["101", "101", "111", "", "1"]

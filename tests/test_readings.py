@@ -1,8 +1,9 @@
 """One reading per parameter: every public function that applies a rule reads
 a numpy integer or the text of an integer as that integer (the advice size z,
-s and every count), and the text of a number as that number (D, r, alpha, the
-cost cap, the cap multiplier, the grid step and a figure's radii), and goes on
-with what its rule read.  A bool is none of these: it is refused with a PreconditionError."""
+s, every count and the sector index), and the text of a number as that number
+(D, r, alpha, the cost cap, the cap multiplier, the grid step, a figure's radii,
+a prefix arc and each coordinate of a point), and goes on with what its rule
+read.  A bool is none of these: it is refused with a PreconditionError."""
 
 import itertools
 from collections.abc import Iterator
@@ -41,9 +42,11 @@ from planehunt import (
     tile_count_bound,
     universal,
 )
-from planehunt.advice import check_advice, sector_indices
+from planehunt.advice import check_advice, sector_advice, sector_indices
 from planehunt.bounds import branch_count, medium_ceiling, small_ceiling
-from planehunt.errors import as_integer, positive_finite, positive_int
+from planehunt.errors import as_integer, nonnegative_finite, positive_finite, positive_int
+from planehunt.geom import as_point
+from planehunt.sim import disc_grid_candidates, shaded_tile_candidates
 from planehunt.tiling import sector_columns
 
 # The integer parameters; every other one is a positive finite number.
@@ -55,7 +58,10 @@ ORIGIN = (0.0, 0.0)
 CASES = {
     "positive_int": (lambda count: positive_int("count", count), {"count": 7}),
     "positive_finite": (lambda D: positive_finite("range bound", D), {"D": 2.5}),
+    "nonnegative_finite": (lambda arc: nonnegative_finite("prefix arc", arc), {"arc": 2.5}),
+    "as_point": (lambda x, y: as_point((x, y)), {"x": 1.5, "y": -2.0}),
     "check_advice": (check_advice, {"z": 3}),
+    "sector_advice": (sector_advice, {"j": 5, "z": 3}),
     "sector_index": (lambda z: sector_index(ORIGIN, (3.0, 4.0), z), {"z": 3}),
     "sector_indices": (lambda z: sector_indices(ORIGIN, np.array([[3.0, 4.0], [-1.0, -2.0]]), z), {"z": 3}),
     "encode_advice": (lambda z: encode_advice(ORIGIN, (3.0, 4.0), z), {"z": 3}),
@@ -85,6 +91,11 @@ CASES = {
     "universal": (lambda z, alpha, s: universal(z, "", alpha, s), {"z": 0, "alpha": 0.5, "s": 3}),
     "multi_agent_stream": (multi_agent_stream, {"k": 5, "label": 2, "alpha": 0.5, "s": 3}),
     "run": (lambda r, cost_cap: run(spiral(8.0, 1.0), (5.0, 5.0), r, cost_cap), {"r": 1.5, "cost_cap": 1e6}),
+    "run treasure": (lambda x, y: run(spiral(8.0, 1.0), (x, y), 1.5, 1e6), {"x": 5.0, "y": -3.0}),
+    "prefix": (lambda arc: spiral(8.0, 1.0).prefix(arc).vertices, {"arc": 7.5}),
+    "render_prefix": (lambda arc: harness.render_prefix(small_vision(2, "01"), arc).vertices, {"arc": 7.5}),
+    "shaded_tile_candidates": (shaded_tile_candidates, {"D": 8.0, "r": 0.5}),
+    "disc_grid_candidates": (disc_grid_candidates, {"D": 4.0, "grid_step": 0.5}),
     "run medium_vision": (
         lambda s, r, cost_cap: run(medium_vision(0, "", 0.5, s), (5.0, 5.0), r, cost_cap),
         {"s": 3, "r": 1.5, "cost_cap": 1e6},
@@ -104,11 +115,11 @@ CASES = {
         {"z": 1, "D": 4.0, "r": 0.5, "alpha": 0.5, "s": 2, "cap_mult": 1e4, "grid_step": 0.5},
     ),
     "harness.render_svg": (
-        lambda vision_radius, tile_size: harness.render_svg(
-            spiral(4.0, 1.0).materialize(), treasure=(1.0, 1.0), vision_radius=vision_radius,
+        lambda vision_radius, tile_size, x: harness.render_svg(
+            spiral(4.0, 1.0).materialize(), treasure=(x, 1.0), vision_radius=vision_radius,
             sector=decode_sector("01", ORIGIN), disc_radius=4.0, tile_size=tile_size,
         ),
-        {"vision_radius": 0.5, "tile_size": 0.5},
+        {"vision_radius": 0.5, "tile_size": 0.5, "x": 1.5},
     ),
 }
 
