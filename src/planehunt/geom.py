@@ -29,14 +29,26 @@ DETECTION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Point2:
-    """Immutable plane point in binary64 coordinates.  Coordinates must be finite."""
+    """Immutable plane point in binary64 coordinates.
+
+    Each coordinate is read by ``as_real`` and kept as that float: anything
+    it refuses (a bool, text that is no number) is a PreconditionError, and a
+    coordinate that reads as nan or an infinity a DegenerateInputError.
+    """
 
     x: float
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DegenerateInputError(f"non-finite point ({self.x}, {self.y})")
+        x, y = self.x, self.y
+        if type(x) is not float or type(y) is not float:  # a float reads as itself
+            x, y = as_real(x), as_real(y)
+            if x is None or y is None:
+                raise PreconditionError(f"a point's coordinates must be numbers, got ({shown(self.x)}, {shown(self.y)})")
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DegenerateInputError(f"non-finite point ({x}, {y})")
 
     def __iter__(self) -> Iterator[float]:
         yield self.x

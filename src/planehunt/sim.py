@@ -21,7 +21,7 @@ from .advice import check_advice, encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError, positive_finite
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
-from .traversal import TrajectoryStream
+from .traversal import Block, Piece, TrajectoryStream
 
 # Default cost cap multiplier: caps are mandatory for infinite streams, and a
 # hit at 1e4 times the applicable ceiling is a hard failure, not noise.
@@ -157,6 +157,39 @@ def _block_hits(pts: np.ndarray, xy: np.ndarray, r: float, reach):
     return _joined(found)
 
 
+def _near_part(block: Block, active: np.ndarray, live: np.ndarray, r: float):
+    """What of an untagged block the kernel must test, as (vertices, the
+    block's index of their first segment, the near targets' indices and
+    coordinates, their cull radii), or None when no live target is near.
+
+    With one live target, a piece gives the segments that can come within
+    reach of it; any other path is culled whole against its bounding box.
+    Several live targets are culled against the whole built block's box.
+    """
+    path = block.path
+    lazy = isinstance(path, Piece)
+    if active.size == 1:
+        qx, qy = float(live[0, 0]), float(live[0, 1])
+        if lazy:
+            span = path.near(qx, qy, _cull_radius(r, max(path.scale, abs(qx), abs(qy))))
+            return None if span is None else (path.vertices(*span), span[0], active, live, None)
+    pts = path.points() if lazy else path
+    x, y = pts[:, 0], pts[:, 1]
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    box = max(1.0, abs(x0), abs(x1), abs(y0), abs(y1))
+    # Cull the live targets farther than r from the block's bounding box: the
+    # kernel cannot see them.  ``reach`` keeps the cull radii of the near ones.
+    if active.size == 1:
+        gap = math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0))
+        reach = _cull_radius(r, max(box, abs(qx), abs(qy)))  # floats: numpy costs more here
+        return (pts, 0, active, live, reach) if gap <= reach else None
+    qx, qy = live[:, 0], live[:, 1]
+    reach = _cull_radius(r, np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box))
+    near = _gap(x0, x1, y0, y1, qx, qy) <= reach
+    idx = active[near]
+    return (pts, 0, idx, live[near], reach[near]) if idx.size else None
+
+
 def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -> _Walk:
     """First detection of each of the (k, 2) ``targets`` along one walk of ``stream``.
 
@@ -166,11 +199,12 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     cap, or when the stream runs out.  Within a block a target's first
     detecting segment counts; a detection past the cap does not.  A block
     tagged ``retrace`` repeats ground already tested, so it is folded and
-    counted but not tested.  Any other block culls the live targets once
-    against its bounding box, and only those within reach go to the kernel,
-    ``_CAND_SLAB`` at a time; a long block with many near targets culls them
-    again per run (``_block_hits``).  The live set narrows only where a block detects.
-    Lengths fold as block totals, ``walked + total``, left to right.
+    counted but not tested, and a piece's end points are all of it that is
+    read.  Any other block sends the kernel only what ``_near_part`` finds
+    within reach, ``_CAND_SLAB`` targets at a time; a long block with many
+    near targets is culled again per run (``_block_hits``).  The live set
+    narrows only where a block detects.  Lengths fold as block totals,
+    ``walked + total``, left to right.
     """
     cap = positive_finite("cost cap", cap)
     k = targets.shape[0]
@@ -187,46 +221,35 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     done = 0
     last = (start.x, start.y)
     for block in stream.blocks() if active.size else ():
-        pts = block.points
-        if pts[0, 0] != last[0] or pts[0, 1] != last[1]:
-            raise StreamChainError(
-                f"block starts at ({pts[0, 0]}, {pts[0, 1]}) but previous segment ended at ({last[0]}, {last[1]})"
-            )
-        last = (pts[-1, 0], pts[-1, 1])
+        path = block.path
+        if isinstance(path, Piece):
+            (x, y), end = path.first, path.last
+        else:
+            x, y, end = path[0, 0], path[0, 1], (path[-1, 0], path[-1, 1])
+        if x != last[0] or y != last[1]:
+            raise StreamChainError(f"block starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
+        last = end
         cs = None  # summed only where a detection or the cap needs the running length
-        if not block.retrace:
-            x, y = pts[:, 0], pts[:, 1]
-            x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
-            box = max(1.0, abs(x0), abs(x1), abs(y0), abs(y1))
-            # Cull the live targets farther than r from the block's bounding box: the
-            # kernel cannot see them.  ``reach`` keeps the cull radii of the near ones.
-            if active.size == 1:
-                qx, qy = float(live[0, 0]), float(live[0, 1])
-                gap = math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0))
-                reach = _cull_radius(r, max(box, abs(qx), abs(qy)))  # floats: numpy costs more here
-                near = slice(None) if gap <= reach else slice(0)
-            else:
-                qx, qy = live[:, 0], live[:, 1]
-                reach = _cull_radius(r, np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box))
-                near = _gap(x0, x1, y0, y1, qx, qy) <= reach
-                reach = reach[near]
-            idx, xy = active[near], live[near]
-            hits = _block_hits(pts, xy, r, reach) if idx.size else None
-            if hits is not None:
-                col, seg, tt = hits
-                cs = np.cumsum(block.lengths)
-                c = walked + np.where(seg > 0, cs[seg - 1], 0.0) + tt
-                ok = c <= cap
-                sel, seg = idx[col[ok]], seg[ok]
-                cost[sel] = c[ok]
-                found[sel] = True
-                segments[sel] = done + seg + 1
-                ends[sel, 0] = pts[seg]
-                ends[sel, 1] = pts[seg + 1]
-                t_hit[sel] = tt[ok]
-                if sel.size:
-                    keep = ~found[active]
-                    active, live = active[keep], live[keep]
+        hits = None
+        if not block.retrace and (part := _near_part(block, active, live, r)) is not None:
+            pts, base, idx, xy, reach = part
+            hits = _block_hits(pts, xy, r, reach)
+        if hits is not None:
+            col, seg, tt = hits
+            cs = np.cumsum(block.lengths)
+            at = base + seg  # the detecting segments' indices in the block
+            c = walked + np.where(at > 0, cs[at - 1], 0.0) + tt
+            ok = c <= cap
+            sel, seg = idx[col[ok]], seg[ok]
+            cost[sel] = c[ok]
+            found[sel] = True
+            segments[sel] = done + base + seg + 1
+            ends[sel, 0] = pts[seg]
+            ends[sel, 1] = pts[seg + 1]
+            t_hit[sel] = tt[ok]
+            if sel.size:
+                keep = ~found[active]
+                active, live = active[keep], live[keep]
         if not active.size:
             break
         total = walked + block.total
@@ -261,10 +284,14 @@ def shaded_tile_candidates(D: float, r: float, start=Point2(0.0, 0.0)) -> np.nda
     """Worst-case seeds: every other tile center of odd rows of a 2r tiling.
 
     The tiling covers the axis-aligned square of side sqrt(2) D / 2 whose
-    south-west corner sits at the start; rows count from the north side.
+    south-west corner sits at the start; rows count from the north side.  A
+    lattice of more than MAX_CANDIDATES points is refused before it is built.
     """
     D, r = positive_finite("range bound", D), positive_finite("vision radius", r)
-    m = int(math.sqrt(2.0) * D / 2.0 // (2.0 * r))  # tiles of side 2r along the square's side
+    side = math.sqrt(2.0) * D / 2.0 // (2.0 * r)  # tiles of side 2r along the square's side
+    m = int(side) if side <= 4.0 * MAX_CANDIDATES else 4 * MAX_CANDIDATES  # more cannot fit the budget either
+    if (count := ((m + 1) // 2) ** 2) > MAX_CANDIDATES:
+        raise PreconditionError(f"at least {count} shaded-tile candidates exceed the budget {MAX_CANDIDATES}")
     p = as_point(start)
     odd = np.arange(1, m + 1, 2)
     cx = (2 * odd - 1) * r + p.x  # every other column from the west
@@ -274,14 +301,21 @@ def shaded_tile_candidates(D: float, r: float, start=Point2(0.0, 0.0)) -> np.nda
 
 
 def disc_grid_candidates(D: float, grid_step: float, start=Point2(0.0, 0.0)) -> np.ndarray:
-    """Uniform grid of the given pitch over the disc of radius D."""
+    """Uniform grid of the given pitch over the disc of radius D.
+
+    A grid of more than MAX_CANDIDATES points besides the start, or whose step
+    does not resolve the start's coordinates, is refused before it is built
+    (``_candidate_floor``).
+    """
     D, grid_step = positive_finite("range bound", D), positive_finite("grid step", grid_step)
+    p = as_point(start)
+    if (floor := _candidate_floor(D, grid_step, p)) > MAX_CANDIDATES:
+        raise PreconditionError(f"at least {floor} candidates exceed the budget {MAX_CANDIDATES}")
     k = int(D // grid_step)
     coords = np.arange(-k, k + 1, dtype=np.float64) * grid_step
     gx, gy = np.meshgrid(coords, coords, indexing="ij")
     pts = np.column_stack((gx.ravel(), gy.ravel()))
     keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= D * D
-    p = as_point(start)
     return pts[keep] + np.array([p.x, p.y])
 
 

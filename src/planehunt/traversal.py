@@ -8,6 +8,11 @@ frame are exact multiples of the tile size), so costs accumulate without
 rotation noise; coordinates agree with the stored lengths to well under the
 library's 1e-9 polyline tolerance.
 
+A basic-traversal block holds a lazy ``Piece`` in place of its vertex array:
+the piece keeps its end points and builds vertices only when asked, each by
+the formula of its own index, so a vertex built alone has the bits it has in
+the whole build.
+
 Two folds measure a length, and they agree only in exact arithmetic.  The
 walker (``sim``) folds block totals left to right: walked + total, block
 after block.  ``basic_cost`` folds the per-segment lengths one by one, in
@@ -21,7 +26,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,12 +41,61 @@ from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, secto
 # exact instruction lengths up to that many instructions, then (2k+1)^2 * r.
 MAX_STREAM_SEGMENTS = 10**7
 
-_DIR_X = np.array([1.0, 0.0, -1.0, 0.0])  # E, S, W, N
-_DIR_Y = np.array([0.0, -1.0, 0.0, 1.0])
+_Span = Optional[tuple[int, int]]
+
+
+class Piece:
+    """The vertices of one basic-traversal piece of ``m`` segments, built only when asked.
+
+    ``first`` and ``last`` are its end points as floats, with the bits of the
+    built vertices, and ``scale`` (at least 1) bounds the magnitude of every
+    coordinate it builds.  ``build(s0, s1)`` makes the vertices of segments
+    [s0, s1) of the piece as it was made, and ``span(qx, qy, reach)`` gives
+    the segment range [s0, s1) of it that can come within ``reach`` of
+    (qx, qy), or None.  A flip walks the same rules backwards and shares the
+    one whole build, which ``points`` makes once.
+    """
+
+    __slots__ = ("m", "first", "last", "scale", "_build", "_span", "_whole", "_back")
+
+    def __init__(self, m: int, first, last, scale: float, build: Callable[[int, int], np.ndarray],
+                 span: Callable[[float, float, float], _Span], whole: Optional[list] = None, back: bool = False):
+        self.m, self.first, self.last, self.scale = m, first, last, scale
+        self._build, self._span, self._back = build, span, back
+        self._whole = [None] if whole is None else whole  # the whole forward build, made once
+
+    def flipped(self) -> Piece:
+        """The same piece walked backwards, still lazy."""
+        return Piece(self.m, self.last, self.first, self.scale, self._build, self._span, self._whole, not self._back)
+
+    def points(self) -> np.ndarray:
+        """All (m+1, 2) vertices, built once and shared with every flip."""
+        whole = self._whole[0]
+        if whole is None:
+            whole = self._whole[0] = self._build(0, self.m)
+        return whole[::-1] if self._back else whole
+
+    def vertices(self, s0: int, s1: int) -> np.ndarray:
+        """The vertices of segments [s0, s1): rows s0 to s1 of ``points()``, bit for bit."""
+        if self._back:
+            s0, s1 = self.m - s1, self.m - s0
+        whole = self._whole[0]
+        pts = self._build(s0, s1) if whole is None else whole[s0 : s1 + 1]
+        return pts[::-1] if self._back else pts
+
+    def near(self, qx: float, qy: float, reach: float) -> _Span:
+        """The segment range [s0, s1) that can come within ``reach`` of (qx, qy), or None."""
+        span = self._span(qx, qy, reach)
+        if span is None or not self._back:
+            return span
+        return self.m - span[1], self.m - span[0]
 
 
 class Block(NamedTuple):
-    """A run of chained segments: vertices (m+1, 2) and stored lengths (m,).
+    """A run of chained segments: its vertex path (m+1 vertices) and stored lengths (m,).
+
+    ``path`` is an (m+1, 2) array, or a ``Piece`` that builds one; ``points``
+    reads it as the array either way.  Blocks users build hold arrays.
 
     ``retrace`` promises that every segment repeats, bit for bit, geometry
     walked earlier in the same ``blocks()`` walk, forwards or backwards (a
@@ -57,15 +111,21 @@ class Block(NamedTuple):
     lengths, since the other order can round differently.
     """
 
-    points: np.ndarray
+    path: np.ndarray | Piece
     lengths: np.ndarray
     retrace: bool
     total: float
 
     @classmethod
-    def of(cls, points: np.ndarray, lengths: np.ndarray, retrace: bool = False) -> Block:
-        """The block of these vertices and lengths, its total summed here."""
-        return cls(points, lengths, retrace, float(np.cumsum(lengths)[-1]) if lengths.size else 0.0)
+    def of(cls, path: np.ndarray | Piece, lengths: np.ndarray, retrace: bool = False) -> Block:
+        """The block of this path and these lengths, its total summed here."""
+        return cls(path, lengths, retrace, float(np.cumsum(lengths)[-1]) if lengths.size else 0.0)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (m+1, 2) vertices; a piece builds them whole, once."""
+        path = self.path
+        return path.points() if isinstance(path, Piece) else path
 
 
 class TrajectoryStream:
@@ -111,13 +171,15 @@ def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
     return Polyline(verts, lengths)
 
 
-def flip_block(block: Block | tuple[np.ndarray, np.ndarray]) -> Block:
+def flip_block(block: Block | tuple[np.ndarray | Piece, np.ndarray]) -> Block:
     """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace.
 
-    Takes a block or a raw ``(points, lengths)`` pair.  Its total sums the
-    reversed lengths anew: the other order can round differently.
+    Takes a block or a raw ``(path, lengths)`` pair; a piece's flip stays
+    lazy.  Its total sums the reversed lengths anew: the other order can
+    round differently.
     """
-    return Block.of(block[0][::-1], block[1][::-1], True)
+    path = block[0]
+    return Block.of(path.flipped() if isinstance(path, Piece) else path[::-1], block[1][::-1], True)
 
 
 def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
@@ -140,16 +202,17 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
         # The cut block's total is its cut lengths' cumsum, read off this one.
         cs = np.cumsum(block.lengths)
         idx = int(np.searchsorted(cs, remaining, side="left"))
+        whole = block.points
         if cs[idx] == remaining:
-            out.append(Block(block.points[: idx + 2], block.lengths[: idx + 1], block.retrace, float(cs[idx])))
+            out.append(Block(whole[: idx + 2], block.lengths[: idx + 1], block.retrace, float(cs[idx])))
         else:
             before = float(cs[idx - 1]) if idx else 0.0
             t = min(remaining - before, float(block.lengths[idx]))
             frac = t / float(block.lengths[idx])
-            a = block.points[idx]
-            b = block.points[idx + 1]
+            a = whole[idx]
+            b = whole[idx + 1]
             split = a + frac * (b - a)
-            pts = np.concatenate([block.points[: idx + 1], split[None, :]])
+            pts = np.concatenate([whole[: idx + 1], split[None, :]])
             lens = np.concatenate([block.lengths[:idx], [t]])
             out.append(Block(pts, lens, block.retrace, before + t if idx else t))
         return out
@@ -198,7 +261,9 @@ def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> I
 # with the long eastward move of length (2k+1) * r; its total length is
 # (2k+1)^2 * r and it passes within r of every point of the square of side
 # 2kr centered on the start.  Below, instructions are counted from 0, so
-# instruction i is move n = i + 1.
+# instruction i is move n = i + 1.  Instruction i lies on ring c_i = (i+3)//4:
+# every point of it lies at L-infinity distance c_i * r to (c_i + 1) * r from
+# the start.
 
 
 def _spiral_lengths(lo: int, hi: int, r: float) -> np.ndarray:
@@ -206,30 +271,48 @@ def _spiral_lengths(lo: int, hi: int, r: float) -> np.ndarray:
     return ((i + 2) // 2).astype(np.float64) * r
 
 
-def _spiral_offset(m: int, r: float) -> tuple[float, float]:
-    """Exact displacement from the start after m instructions."""
-    t_e = (m + 3) // 4
-    t_s = (m + 2) // 4
-    t_w = (m + 1) // 4
-    t_n = m // 4
-    x = float(t_e * t_e - t_w * (t_w + 1)) * r
-    y = float(t_n * (t_n + 1) - t_s * t_s) * r
-    return x, y
+def _spiral_offset(m):
+    """Displacement from the start after m instructions, in units of r: exact
+    integers, for an int or an int64 array.
+
+    After t_e = (m+3)//4 moves east, t_s = (m+2)//4 south, t_w = (m+1)//4
+    west and t_n = m//4 north, the sums t_e^2 - t_w (t_w + 1) and
+    t_n (t_n + 1) - t_s^2 reduce to x = t_e when m % 4 is 1 or 2 (-t_e
+    otherwise) and y = t_s when m % 4 is 0 or 1 (-t_s otherwise).
+    """
+    return (((m + 1) & 2) - 1) * ((m + 3) >> 2), (1 - (m & 2)) * ((m + 2) >> 2)
 
 
-def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    ox, oy = _spiral_offset(lo, r)
-    lengths = _spiral_lengths(lo, hi, r)
-    idx = np.arange(lo, hi, dtype=np.int64) % 4
-    dx = _DIR_X[idx] * lengths
-    dy = _DIR_Y[idx] * lengths
-    m = lengths.size
-    pts = np.empty((m + 1, 2))
-    pts[0, 0] = start.x + ox
-    pts[0, 1] = start.y + oy
-    pts[1:, 0] = (start.x + ox) + np.cumsum(dx)
-    pts[1:, 1] = (start.y + oy) + np.cumsum(dy)
-    return pts, lengths
+def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.ndarray]:
+    """The piece of instructions [lo, hi) and its lengths.  Vertex m is start +
+    offset(m) * r, so every piece starts where the last one ended, bit for bit."""
+    sx, sy = start.x, start.y
+    c_lo, c_hi = (lo + 3) // 4, (hi + 2) // 4  # the rings of its first and last instructions
+
+    def vertex(m: int) -> tuple[float, float]:
+        ox, oy = _spiral_offset(m)
+        return sx + float(ox) * r, sy + float(oy) * r
+
+    def build(s0: int, s1: int) -> np.ndarray:
+        ox, oy = _spiral_offset(np.arange(lo + s0, lo + s1 + 1, dtype=np.int64))
+        pts = np.empty((s1 - s0 + 1, 2))
+        pts[:, 0] = sx + ox * r  # each integer is converted to float, then scaled, as in vertex()
+        pts[:, 1] = sy + oy * r
+        return pts
+
+    def span(qx: float, qy: float, reach: float) -> _Span:
+        # A point within reach of a target at L-infinity distance d from the
+        # start lies at d - reach to d + reach, so only rings c with
+        # d - reach <= (c + 1) r and c r <= d + reach can hold one.  Rounding
+        # is far inside the margin that ``reach`` carries.
+        d = max(abs(qx - sx), abs(qy - sy))
+        a = max(c_lo, math.ceil(min(max((d - reach) / r, c_lo), c_hi + 2)) - 1)
+        b = min(c_hi, math.floor(min(max((d + reach) / r, c_lo - 1), c_hi)))
+        s0, s1 = max(lo, 4 * a - 3) - lo, min(hi, 4 * b + 1) - lo  # ring c holds instructions 4c - 3 to 4c
+        return (s0, s1) if s0 < s1 else None
+
+    scale = max(1.0, max(abs(sx), abs(sy)) + (c_hi + 2) * r)
+    return Piece(hi - lo, vertex(lo), vertex(hi), scale, build, span), _spiral_lengths(lo, hi, r)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +323,9 @@ def _spiral_chunk(start: Point2, r: float, lo: int, hi: int) -> tuple[np.ndarray
 # column by column: approach the bottom tile center, ride the column up to
 # the top center, come back down, and step one tile size to the next column.
 # The opening move from the apex to the first center has length r/sqrt(2);
-# every other move is an exact axis move in the tiling frame.
+# every other move is an exact axis move in the tiling frame.  In that frame
+# column u's moves lie at x = (u - 1/2) r to (u + 1/2) r and y = 0 to
+# (v_max + 1/2) r.
 
 
 def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
@@ -255,18 +340,50 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     return out
 
 
-def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, u_hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, u_hi: int) -> tuple[Piece, np.ndarray]:
+    """The piece of columns [u_lo, u_hi) and its lengths.  Its vertices are the
+    head (the previous column's foot, or the apex), then each column's foot,
+    top and foot, each mapped by ``TileFrame.to_world`` from its frame point."""
     heights = column_heights(wedge, D, r, u_lo, u_hi)
-    m = heights.size
-    # Frame points: the head (the previous column's foot), then each column's foot, top and foot.
-    f = np.empty((3 * m + 1, 2))
-    f[:, 0] = np.repeat((np.arange(u_lo - 1, u_hi, dtype=np.float64) + 0.5) * r, 3)[2:]
-    f[:, 1] = 0.5 * r
-    f[2::3, 1] = (heights.astype(np.float64) + 0.5) * r
-    pts = frame.to_world(f)
-    if u_lo == 0:
-        pts[0] = (frame.apex.x, frame.apex.y)
-    return pts, _sweep_lengths(heights, r, first=(u_lo == 0))
+    n = heights.size
+    (xx, xy), (yx, yy) = frame.basis()
+    ax, ay = frame.apex.x, frame.apex.y
+    foot = 0.5 * r
+
+    def world(fx: float, fy: float) -> tuple[float, float]:  # to_world of one frame point, in its operation order
+        return ax + fx * xx + fy * yx, ay + fx * xy + fy * yy
+
+    def build(s0: int, s1: int) -> np.ndarray:
+        j0, j1 = s0 // 3, -(-s1 // 3)  # the columns whose frame rows hold vertices s0 to s1
+        f = np.empty((3 * (j1 - j0) + 1, 2))
+        f[:, 0] = np.repeat((np.arange(u_lo + j0 - 1, u_lo + j1, dtype=np.float64) + 0.5) * r, 3)[2:]
+        f[:, 1] = foot
+        f[2::3, 1] = (heights[j0:j1].astype(np.float64) + 0.5) * r
+        pts = frame.to_world(f[s0 - 3 * j0 : s1 - 3 * j0 + 1])
+        if s0 == 0 and u_lo == 0:
+            pts[0] = (ax, ay)
+        return pts
+
+    def span(qx: float, qy: float, reach: float) -> _Span:
+        dx, dy = qx - ax, qy - ay
+        fx, fy = dx * xx + dy * xy, dx * yx + dy * yy  # the target in the frame (TileFrame.to_frame)
+        lo_col, hi_col = (fx - reach) / r - 0.5, (fx + reach) / r + 0.5
+        if not (lo_col <= u_hi and hi_col >= u_lo - 1 and fy >= -reach):
+            return None
+        # The columns u with lo_col <= u <= hi_col, within reach across ...
+        j0 = max(0, math.ceil(max(lo_col, u_lo - 1)) - u_lo)
+        j1 = min(n, math.floor(min(hi_col, u_hi)) + 1 - u_lo)
+        # ... less those at either end whose top lies out of reach below the target.
+        while j0 < j1 and (heights[j0] + 0.5) * r < fy - reach:
+            j0 += 1
+        while j0 < j1 and (heights[j1 - 1] + 0.5) * r < fy - reach:
+            j1 -= 1
+        return (3 * j0, 3 * j1) if j0 < j1 else None
+
+    first = (ax, ay) if u_lo == 0 else world((float(u_lo - 1) + 0.5) * r, foot)
+    scale = max(1.0, abs(ax) + abs(ay) + 2.0 * (D + 2.0 * r))
+    piece = Piece(3 * n, first, world((float(u_hi - 1) + 0.5) * r, foot), scale, build, span)
+    return piece, _sweep_lengths(heights, r, first=(u_lo == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +391,10 @@ def _sweep_chunk(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
 # ---------------------------------------------------------------------------
 
 
-def _chunked(n: int, chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> Iterator[Block]:
-    """Blocks of the ``(points, lengths)`` that ``chunk(lo, hi)`` makes over [0, n), in STREAM_CHUNK pieces from 0."""
+def _chunked(n: int, piece: Callable[[int, int], tuple[Piece, np.ndarray]]) -> Iterator[Block]:
+    """Blocks of the ``(piece, lengths)`` that ``piece(lo, hi)`` makes over [0, n), in STREAM_CHUNK pieces from 0."""
     for lo in range(0, n, STREAM_CHUNK):
-        yield Block.of(*chunk(lo, min(lo + STREAM_CHUNK, n)))
+        yield Block.of(*piece(lo, min(lo + STREAM_CHUNK, n)))
 
 
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], tuple]]:
@@ -286,10 +403,10 @@ def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int,
     k = column_count(D, r)
     p = as_point(start)
     if z <= 1:
-        return 4 * k + 1, lambda lo, hi: _spiral_chunk(p, r, lo, hi)
+        return 4 * k + 1, lambda lo, hi: _spiral_piece(p, r, lo, hi)
     sector = decode_sector(w, p)
     frame = TileFrame(sector.apex, sector.cw_ray_angle, r)
-    return k, lambda lo, hi: _sweep_chunk(frame, sector.wedge_angle, D, r, lo, hi)
+    return k, lambda lo, hi: _sweep_piece(frame, sector.wedge_angle, D, r, lo, hi)
 
 
 def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -> TrajectoryStream:
@@ -298,8 +415,8 @@ def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -
     One-way: the stream ends wherever the sweep ends; ``round_trip_blocks``
     walks it out and back.
     """
-    n, chunk = _traversal(z, w, D, r, start)
-    return TrajectoryStream(start, lambda: _chunked(n, chunk))
+    n, piece = _traversal(z, w, D, r, start)
+    return TrajectoryStream(start, lambda: _chunked(n, piece))
 
 
 def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
@@ -310,16 +427,17 @@ def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
 def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Iterator[Block]:
     """The size-z basic traversal out, then walked back over its own pieces.
 
-    The way back flips the last piece as it was built and rebuilds the others
-    with the same ``chunk(lo, hi)`` calls, last first, so each way-back block
-    is the exact flip of a way-out block; no piece is stored.
+    The way back flips the last piece as it was made and makes the others
+    again with the same ``piece(lo, hi)`` calls, last first, so each way-back
+    block is the exact flip of a way-out block; no piece is stored, and a
+    piece made again is summed only by its flip.
     """
-    n, chunk = _traversal(z, w, D, r, start)
-    for block in _chunked(n, chunk):  # column_count rejects r > D, so n >= 1
+    n, piece = _traversal(z, w, D, r, start)
+    for block in _chunked(n, piece):  # column_count rejects r > D, so n >= 1
         yield block
     yield flip_block(block)
     for lo in reversed(range(0, n, STREAM_CHUNK)[:-1]):
-        yield flip_block(chunk(lo, lo + STREAM_CHUNK))
+        yield flip_block(piece(lo, lo + STREAM_CHUNK))
 
 
 def basic_cost(z: int, D: float, r: float) -> float:

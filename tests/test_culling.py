@@ -1,12 +1,15 @@
 """Reach culling: the walker sends the detection kernel only the targets
 within reach of each block's bounding box, and of a long block with many
-near targets only those within reach of each run's box, run by run.
+near targets only those within reach of each run's box, run by run.  A lone
+target on a basic-traversal piece goes to the kernel with only the segments
+the piece's ``near`` rule keeps.
 
 These tests check that a withheld (segment, target) pair never has a kernel
-hit, that a target within reach of a run's box is tested on that run, that
-the walker agrees bit for bit with a plain walk that tests every block
-against every unseen target, and that targets far beyond any block never
-reach the kernel's arithmetic.
+hit, that every kernel call is a contiguous slice of the block, that a target
+within reach of a run's box (or of a piece's span) is tested there, that the
+walker agrees bit for bit with a plain walk that tests every block against
+every unseen target, and that targets far beyond any block never reach the
+kernel's arithmetic.
 """
 
 import math
@@ -31,6 +34,7 @@ from planehunt import (
     universal,
 )
 from planehunt.geom import DETECTION_TOL, detection_lengths
+from planehunt.traversal import Piece
 from test_retrace import _STRATEGY_STREAMS, _walked_blocks
 
 
@@ -47,21 +51,43 @@ def _spy_kernel(monkeypatch):
     return calls
 
 
+def _slice_at(points, base):
+    """The row of ``base`` where ``points`` starts as a contiguous slice of it: the
+    one such row, found by memory when they share it and by value otherwise."""
+    if np.shares_memory(points, base):
+        first = (points.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // base.strides[0]
+        assert np.array_equal(points, base[first : first + points.shape[0]])
+        return int(first)
+    n = points.shape[0]
+    rows = [i for i in np.flatnonzero((base[: base.shape[0] - n + 1] == points[0]).all(axis=1))
+            if np.array_equal(base[i : i + n], points)]
+    assert len(rows) == 1, rows
+    return int(rows[0])
+
+
 def _tested(calls, block, targets):
     """(targets, segments): was the target tested on that segment of ``block``,
-    over kernel calls on the block's points or a run of them?"""
+    over kernel calls on contiguous slices of the block's points?"""
     base = block.points
     index = {}
     for j, q in enumerate(map(tuple, targets.tolist())):
         index.setdefault(q, []).append(j)
     out = np.zeros((targets.shape[0], block.lengths.size), dtype=bool)
     for points, passed in calls:
-        first = (points.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // base.strides[0]
-        assert np.shares_memory(points, base)
-        assert np.array_equal(points, base[first : first + points.shape[0]])
+        first = _slice_at(points, base)
         rows = [j for q in map(tuple, passed.tolist()) for j in index[q]]
         out[np.ix_(rows, range(first, first + points.shape[0] - 1))] = True
     return out
+
+
+def _piece_span(block, q, r):
+    """The segments of ``block`` the walker tests against a lone live target q:
+    its piece's ``near`` span at the cull margin r + 1e-9 * max(the piece's
+    scale, |q|), as a list of at most one range."""
+    path = block.path
+    qx, qy = float(q[0]), float(q[1])
+    span = path.near(qx, qy, r + 1e-9 * max(path.scale, abs(qx), abs(qy)))
+    return [] if span is None else [span]
 
 
 def _near_runs(points, targets, r):
@@ -103,11 +129,13 @@ def _margin_targets(points, scale, r, rng, n):
 
 def _assert_culls_soundly(calls, block, targets, r, step=1):
     """Walk the one-block stream with all ``targets`` at once and with every
-    ``step``-th alone.  Up to a target's first detection, a segment withheld from the
-    kernel never detects it, and every segment of a run within reach of it is
-    tested; no kernel call holds more than ``_CAND_SLAB`` targets.  Returns the
-    counts of withheld and tested (segment, target) pairs, and of kernel calls
-    on one run of the block."""
+    ``step``-th alone.  Every kernel call is a contiguous slice of the block.
+    Up to a target's first detection, a segment withheld from the kernel never
+    detects it, and every segment of a run within reach of it is tested (for a
+    lone target on a piece, every segment of the piece's ``near`` span); no
+    kernel call holds more than ``_CAND_SLAB`` targets.  Returns the counts of
+    withheld and tested (segment, target) pairs, and of kernel calls on one
+    run of the block in the walks with all targets."""
     m = block.lengths.size
     start = block.points[0]
     targets = targets[np.hypot(*(targets - start).T) > r + DETECTION_TOL]  # seen before the walk starts
@@ -123,13 +151,15 @@ def _assert_culls_soundly(calls, block, targets, r, step=1):
         assert walk.found.tolist() == hit[:, cols].any(axis=0).tolist()
         assert (walk.segments[walk.found] == first[cols][walk.found] + 1).all()
         assert all(0 < passed.shape[0] <= sim._CAND_SLAB for _, passed in calls)
-        runs += sum(points.shape[0] <= sim._RUN_LEN + 1 < block.points.shape[0] for points, _ in calls)
+        alone = len(cols) == 1 and isinstance(block.path, Piece)
+        if len(cols) > 1:
+            runs += sum(points.shape[0] <= sim._RUN_LEN + 1 < block.points.shape[0] for points, _ in calls)
         given = _tested(calls, block, targets)
         for j in cols:
             upto = np.arange(m) <= first[j]
             got = given[j] & upto
             assert not hit[upto & ~got, j].any(), targets[j]
-            for lo, hi in near[j]:
+            for lo, hi in _piece_span(block, targets[j], r) if alone else near[j]:
                 assert got[lo : min(hi, first[j] + 1)].all(), (targets[j], lo)
             withheld += int((upto & ~got).sum())
             tested += int(got.sum())

@@ -6,6 +6,7 @@ a prefix arc and each coordinate of a point), and goes on with what its rule
 read.  A bool is none of these: it is refused with a PreconditionError."""
 
 import itertools
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 
 from planehunt import (
     Block,
+    DegenerateInputError,
+    Point2,
     PreconditionError,
     TrajectoryStream,
     adversarial_placement,
@@ -60,6 +63,7 @@ CASES = {
     "positive_finite": (lambda D: positive_finite("range bound", D), {"D": 2.5}),
     "nonnegative_finite": (lambda arc: nonnegative_finite("prefix arc", arc), {"arc": 2.5}),
     "as_point": (lambda x, y: as_point((x, y)), {"x": 1.5, "y": -2.0}),
+    "Point2": (Point2, {"x": 1.5, "y": -2.0}),
     "check_advice": (check_advice, {"z": 3}),
     "sector_advice": (sector_advice, {"j": 5, "z": 3}),
     "sector_index": (lambda z: sector_index(ORIGIN, (3.0, 4.0), z), {"z": 3}),
@@ -187,3 +191,14 @@ def test_refusals_print_numpy_scalars_as_numbers():
         check_advice(np.int64(61))
     with pytest.raises(PreconditionError, match=r"^advice size must be an integer in \[0, 60\], got '61'$"):
         check_advice("61")
+
+
+def test_point_coordinates_take_the_real_reading():
+    assert Point2("1.5", np.float32(2.0)) == Point2(1.5, 2.0)
+    assert type(Point2(1, np.int64(2)).y) is float
+    for x, y in [("a", 1.0), (None, 0.0), (True, False), (1.0, [2.0]), (2**2000, 0.0)]:
+        with pytest.raises(PreconditionError, match=r"^a point's coordinates must be numbers, got "):
+            Point2(x, y)
+    for x, y in [(math.nan, 0.0), ("inf", 1.0), (0.0, np.float64("-inf"))]:
+        with pytest.raises(DegenerateInputError, match=r"^non-finite point "):
+            Point2(x, y)

@@ -31,6 +31,7 @@ from planehunt import (
 )
 from planehunt.geom import detection_lengths
 from planehunt.tiling import STREAM_CHUNK
+from planehunt.traversal import Piece
 from test_sim import one_segment_stream
 
 
@@ -137,16 +138,24 @@ def test_tags_are_sound(name, make, r, segments):
         assert sum(b.lengths.size for b in blocks if b.retrace) > segments // 4
 
 
-def _within_reach(points, q, r):
-    """Is the block's bounding box within the walker's cull margin of q?"""
-    lo, hi = points.min(axis=0), points.max(axis=0)
+def _kernel_span(block, q, r):
+    """The segments of an untagged block the walker tests against a lone live
+    target q, or None: its piece's ``near`` span, or the whole block when its
+    bounding box is within the cull margin r + 1e-9 * max(1, |coordinates|) of q."""
+    path, scale = block.path, max(abs(q[0]), abs(q[1]))
+    if isinstance(path, Piece):
+        return path.near(q[0], q[1], r + 1e-9 * max(path.scale, scale))
+    lo, hi = block.points.min(axis=0), block.points.max(axis=0)
     gap = math.hypot(*np.maximum(np.maximum(lo - q, np.asarray(q) - hi), 0.0))
-    return gap <= r + 1e-9 * max(1.0, float(np.abs(points).max()), abs(q[0]), abs(q[1]))
+    return (0, block.lengths.size) if gap <= r + 1e-9 * max(1.0, float(np.abs(block.points).max()), scale) else None
 
 
 class TestWalker:
     def test_kernel_sees_only_untagged_segments(self, monkeypatch):
-        """The kernel gets exactly the untagged blocks whose box is within reach of the treasure."""
+        """In walk order, the kernel gets one contiguous slice of each untagged
+        block that can come within reach of the treasure: a piece's ``near``
+        span, or a whole block whose box is within reach.  No segment it is not
+        given sees the treasure."""
         given = []
         kernel = sim.detection_lengths
 
@@ -160,10 +169,20 @@ class TestWalker:
         out = run(small_vision(3, w), q, r, 1e9)
         walked = _walked_blocks(small_vision(3, w), out.segments_executed)
         fresh = [b for b in walked if not b.retrace]
-        near = [b for b in fresh if _within_reach(b.points, q, r)]
-        assert 0 < len(given) == len(near) < len(fresh) < len(walked)
-        for points, block in zip(given, near):
-            assert np.array_equal(points, block.points)
+        want, pieces = [], 0
+        for block in fresh:
+            span = _kernel_span(block, q, r)
+            seen = np.flatnonzero(~np.isnan(detection_lengths(block.points, np.array([q]), r)[:, 0]))
+            if span is None:
+                assert not seen.size
+                continue
+            assert ((span[0] <= seen) & (seen < span[1])).all()
+            want.append(block.points[span[0] : span[1] + 1])
+            pieces += isinstance(block.path, Piece) and span[1] - span[0] < block.lengths.size
+        assert 0 < len(given) == len(want) < len(fresh) < len(walked)
+        for points, expected in zip(given, want):
+            assert np.array_equal(points, expected)
+        assert pieces > 0  # some piece went to the kernel in part
         assert sum(p.shape[0] - 1 for p in given) < out.segments_executed // 2
 
     def test_tagged_block_off_the_chain_raises(self):

@@ -119,9 +119,6 @@ class TestRun:
             with pytest.raises(PreconditionError):
                 run(large_vision(), (-5.0, 8.0), 0.1, cap)
 
-    @pytest.mark.xfail(raises=StreamChainError, strict=True,
-                       reason="spiral pieces restart at the closed-form offset, not where the "
-                       "previous piece's running sum ended (non-dyadic r)")
     def test_long_non_dyadic_spiral_chains(self):
         assert run(spiral(1000.0, 0.1), (999.0, 0.5), 0.1, 1e12).found
 
@@ -339,6 +336,28 @@ class TestAdversarialPlacement:
         near = adversarial_placement(lambda w: small_vision(1, w), 1, 6.0, 0.5, 0.5)
         far = adversarial_placement(factory, 1, 6.0, 0.5, 0.5)
         assert far[1] == near[1] and far[0] == Point2(near[0].x + 1e9, near[0].y - 1e9)
+
+    @pytest.mark.parametrize("build", [shaded_tile_candidates, disc_grid_candidates])
+    @pytest.mark.parametrize("D, step", [(1e300, 1.0), (1.7e308, 1e-300), (1e5, 1.0)])
+    def test_candidate_builders_refuse_an_over_budget_set(self, build, D, step):
+        # At the parent numpy refused the first two with a raw ValueError; the
+        # last asks for some 3e8 points.
+        with pytest.raises(PreconditionError):
+            build(D, step)
+
+    def test_candidate_builders_refuse_only_past_the_budget(self, monkeypatch):
+        shaded = shaded_tile_candidates(20.0, 0.5).shape[0]
+        grid = _candidate_floor(20.0, 0.5, Point2(0.0, 0.0))  # the disc grid's points besides the start
+        monkeypatch.setattr(sim, "MAX_CANDIDATES", shaded)
+        assert shaded_tile_candidates(20.0, 0.5).shape[0] == shaded
+        monkeypatch.setattr(sim, "MAX_CANDIDATES", shaded - 1)
+        with pytest.raises(PreconditionError, match=f"^at least {shaded} shaded-tile candidates exceed the budget {shaded - 1}$"):
+            shaded_tile_candidates(20.0, 0.5)
+        monkeypatch.setattr(sim, "MAX_CANDIDATES", grid)
+        assert disc_grid_candidates(20.0, 0.5).shape[0] == grid + 1
+        monkeypatch.setattr(sim, "MAX_CANDIDATES", grid - 1)
+        with pytest.raises(PreconditionError, match=f"^at least {grid} candidates exceed the budget {grid - 1}$"):
+            disc_grid_candidates(20.0, 0.5)
 
     def test_infinite_range_rejected(self):
         with pytest.raises(PreconditionError):

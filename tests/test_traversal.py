@@ -129,8 +129,8 @@ class TestSectorSweep:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_chunk_vertex_is_its_frame_point_mapped_alone(self, seed):
-        """Every vertex of a sweep chunk, its head included, is ``to_world`` of
-        its own frame point (the apex for the first chunk), bit for bit."""
+        """Every vertex of a sweep piece, its head included, is ``to_world`` of
+        its own frame point (the apex for the first piece), bit for bit."""
         from planehunt.tiling import column_heights
 
         rng = np.random.default_rng(seed)
@@ -139,7 +139,7 @@ class TestSectorSweep:
         r, wedge = frame.tile_size, math.tau / 8.0
         D = r * 9000.5
         for u_lo, u_hi in ((0, 300), (4096, 4100), (int(rng.integers(1, 8000)), 9000)):
-            pts, _ = traversal._sweep_chunk(frame, wedge, D, r, u_lo, u_hi)
+            pts = traversal._sweep_piece(frame, wedge, D, r, u_lo, u_hi)[0].points()
             heights = column_heights(wedge, D, r, u_lo, u_hi)
             want = [(apex.x, apex.y)] if u_lo == 0 else [((u_lo - 1 + 0.5) * r, 0.5 * r)]
             for u, v in zip(range(u_lo, u_hi), heights):
@@ -276,8 +276,6 @@ class TestStreamMechanics:
     def test_non_dyadic_spiral_retraces_each_piece_exactly(self):
         _assert_flips_piecewise(0, "", 1000.0, 0.1, (1.0, 2.0))
 
-    @pytest.mark.xfail(strict=True, reason="spiral pieces restart at the closed-form offset, "
-                       "not where the previous piece's running sum ended (non-dyadic r)")
     def test_non_dyadic_spiral_retraces_exactly_across_pieces(self):
         _assert_round_trip(0, "", 1000.0, 0.1)
 
