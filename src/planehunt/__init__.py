@@ -70,6 +70,7 @@ from .strategies import (
 from .tiling import TileFrame, column_count, count_tiles
 from .traversal import (
     Block,
+    RoundTrip,
     TrajectoryStream,
     basic_cost,
     basic_traversal,

@@ -11,6 +11,7 @@ the independent oracle for optimality-ratio claims and must not prune.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -21,7 +22,7 @@ from .advice import check_advice, encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError, positive_finite
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
-from .traversal import Block, Piece, TrajectoryStream
+from .traversal import Block, Piece, RoundTrip, TrajectoryStream
 
 # Default cost cap multiplier: caps are mandatory for infinite streams, and a
 # hit at 1e4 times the applicable ceiling is a hard failure, not noise.
@@ -190,11 +191,27 @@ def _near_part(block: Block, active: np.ndarray, live: np.ndarray, r: float):
     return (pts, 0, idx, live[near], reach[near]) if idx.size else None
 
 
+def _out_of_sight(trip: RoundTrip, live: np.ndarray, r: float) -> bool:
+    """Whether every live target lies farther than the trip's ``radius`` plus its
+    cull radius from the trip's start, so that no segment of the trip can see
+    one.  Every coordinate of the trip lies within ``radius`` of the start,
+    which bounds the scale of the cull.  A distance that overflows to inf
+    reads as far."""
+    s, radius = trip.start, trip.radius
+    box = max(1.0, abs(s.x) + radius, abs(s.y) + radius)
+    if live.shape[0] == 1:
+        qx, qy = float(live[0, 0]), float(live[0, 1])
+        return math.hypot(qx - s.x, qy - s.y) > radius + _cull_radius(r, max(box, abs(qx), abs(qy)))
+    qx, qy = live[:, 0], live[:, 1]
+    reach = radius + _cull_radius(r, np.maximum(np.maximum(np.abs(qx), np.abs(qy)), box))
+    return bool((np.hypot(qx - s.x, qy - s.y) > reach).all())
+
+
 def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -> _Walk:
     """First detection of each of the (k, 2) ``targets`` along one walk of ``stream``.
 
     The cap must be positive and finite: infinite streams would never stop.
-    Every block must start where the walk stands.  The walk stops in the
+    Every step must start where the walk stands.  The walk stops in the
     block that detects the last target, at the first block ending past the
     cap, or when the stream runs out.  Within a block a target's first
     detecting segment counts; a detection past the cap does not.  A block
@@ -204,7 +221,11 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     within reach, ``_CAND_SLAB`` targets at a time; a long block with many
     near targets is culled again per run (``_block_hits``).  The live set
     narrows only where a block detects.  Lengths fold as block totals,
-    ``walked + total``, left to right.
+    ``walked + total``, left to right.  A ``RoundTrip`` step that is tagged,
+    or that every live target is out of sight of (``_out_of_sight``), folds
+    its block totals the same way and counts its segments, building nothing;
+    when that fold would pass the cap, or a target may be in sight, the walk
+    goes through the trip's blocks.
     """
     cap = positive_finite("cost cap", cap)
     k = targets.shape[0]
@@ -220,47 +241,64 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     walked = 0.0
     done = 0
     last = (start.x, start.y)
-    for block in stream.blocks() if active.size else ():
-        path = block.path
-        if isinstance(path, Piece):
-            (x, y), end = path.first, path.last
-        else:
-            x, y, end = path[0, 0], path[0, 1], (path[-1, 0], path[-1, 1])
-        if x != last[0] or y != last[1]:
-            raise StreamChainError(f"block starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
-        last = end
-        cs = None  # summed only where a detection or the cap needs the running length
-        hits = None
-        if not block.retrace and (part := _near_part(block, active, live, r)) is not None:
-            pts, base, idx, xy, reach = part
-            hits = _block_hits(pts, xy, r, reach)
-        if hits is not None:
-            col, seg, tt = hits
-            cs = np.cumsum(block.lengths)
-            at = base + seg  # the detecting segments' indices in the block
-            c = walked + np.where(at > 0, cs[at - 1], 0.0) + tt
-            ok = c <= cap
-            sel, seg = idx[col[ok]], seg[ok]
-            cost[sel] = c[ok]
-            found[sel] = True
-            segments[sel] = done + base + seg + 1
-            ends[sel, 0] = pts[seg]
-            ends[sel, 1] = pts[seg + 1]
-            t_hit[sel] = tt[ok]
-            if sel.size:
-                keep = ~found[active]
-                active, live = active[keep], live[keep]
-        if not active.size:
-            break
-        total = walked + block.total
-        if total > cap:
-            if cs is None:
+    steps = rest = stream.steps() if active.size else None
+    while steps is not None:
+        walking, steps = steps, None
+        for block in walking:  # a block, or a RoundTrip standing for its blocks
+            if block.__class__ is RoundTrip:
+                x, y = block.first
+                if x != last[0] or y != last[1]:
+                    raise StreamChainError(f"round trip starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
+                if block.retrace or _out_of_sight(block, live, r):
+                    fold = block.fold()
+                    total = walked
+                    for t in fold.totals:
+                        total = total + t
+                    if total <= cap:
+                        walked, done, last = total, done + fold.segments, block.last
+                        continue
+                steps = itertools.chain(block.blocks(), rest)  # walk its blocks, then the rest
+                break
+            path = block.path
+            if isinstance(path, Piece):
+                (x, y), end = path.first, path.last
+            else:
+                x, y, end = path[0, 0], path[0, 1], (path[-1, 0], path[-1, 1])
+            if x != last[0] or y != last[1]:
+                raise StreamChainError(f"block starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
+            last = end
+            cs = None  # summed only where a detection or the cap needs the running length
+            hits = None
+            if not block.retrace and (part := _near_part(block, active, live, r)) is not None:
+                pts, base, idx, xy, reach = part
+                hits = _block_hits(pts, xy, r, reach)
+            if hits is not None:
+                col, seg, tt = hits
                 cs = np.cumsum(block.lengths)
-            done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
-            walked = cap
-            break
-        walked = total
-        done += block.lengths.size
+                at = base + seg  # the detecting segments' indices in the block
+                c = walked + np.where(at > 0, cs[at - 1], 0.0) + tt
+                ok = c <= cap
+                sel, seg = idx[col[ok]], seg[ok]
+                cost[sel] = c[ok]
+                found[sel] = True
+                segments[sel] = done + base + seg + 1
+                ends[sel, 0] = pts[seg]
+                ends[sel, 1] = pts[seg + 1]
+                t_hit[sel] = tt[ok]
+                if sel.size:
+                    keep = ~found[active]
+                    active, live = active[keep], live[keep]
+            if not active.size:
+                break
+            total = walked + block.total
+            if total > cap:
+                if cs is None:
+                    cs = np.cumsum(block.lengths)
+                done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
+                walked = cap
+                break
+            walked = total
+            done += block.lengths.size
     cost[active] = walked
     segments[active] = done
     return _Walk(cost, found, segments, ends, t_hit)

@@ -29,10 +29,11 @@ from .errors import BudgetExceededError, PreconditionError, as_integer, positive
 from .geom import ORIGIN, Point2, as_point, direction_of
 from .traversal import (
     Block,
+    RoundTrip,
+    Step,
     TrajectoryStream,
     basic_cost,
     phase_trips,
-    round_trip_blocks,
 )
 
 # Column scale exponent: successive range hypotheses in the medium-vision
@@ -222,13 +223,21 @@ def _ray_blocks(start: Point2, angle: float) -> Iterator[Block]:
 
 
 def _round_trips(z: int, w: AdviceString, start, cells: Callable[[], Iterable[tuple[float, float]]]) -> TrajectoryStream:
-    """The basic traversal out and back for each (range, resolution) of a fresh ``cells()``."""
+    """The basic traversal out and back for each (range, resolution) of a fresh ``cells()``.
+
+    A cell of more than one piece is one ``RoundTrip`` step, which the walker
+    can fold without building it; a cell of one piece is its two blocks.
+    """
     z = check_advice(z, w)
     p = as_point(start)
 
-    def gen() -> Iterator[Block]:
+    def gen() -> Iterator[Step]:
         for D, r in cells():
-            yield from round_trip_blocks(z, w, D, r, p)
+            trip = RoundTrip(z, w, D, r, p)
+            if trip.pieces > 1:
+                yield trip
+            else:
+                yield from trip.blocks()
 
     return TrajectoryStream(p, gen)
 

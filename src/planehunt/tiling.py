@@ -83,22 +83,38 @@ def column_heights(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi:
     The strip's maximum region height is the max over x of
     min(x*tan(phi), sqrt(radius^2 - x^2)); the rising piece peaks at the strip's
     right edge, the falling one at its left, and the crossover at radius*cos(phi).
-    A quarter-turn wedge has no upper-ray constraint.
+    A quarter-turn wedge has no upper-ray constraint.  Both strip edges grow
+    with u, so the columns whose right edge lies at or before the crossover come
+    first, and those whose left edge lies at or past it last; each formula is
+    evaluated on its own range of columns only.
     """
     u = np.arange(u_lo, u_hi, dtype=np.float64)
-    x_lo = u * r
-    x_hi = np.minimum((u + 1.0) * r, radius)
     rr = radius * radius
-    y_arc = np.sqrt(np.maximum(rr - x_lo * x_lo, 0.0))
     if wedge_angle >= math.pi / 2.0:
-        y_max = y_arc
+        x_lo = u * r
+        y_max = np.sqrt(np.maximum(rr - x_lo * x_lo, 0.0))
     else:
         tan_w = math.tan(wedge_angle)
         x_cross = radius * math.cos(wedge_angle)
         y_peak = radius * math.sin(wedge_angle)
-        y_max = np.where(x_hi <= x_cross, x_hi * tan_w, np.where(x_lo >= x_cross, y_arc, y_peak))
-    v = np.ceil(y_max / r).astype(np.int64) - 1
-    return np.maximum(v, 0)
+        y_max = u + 1.0
+        y_max *= r
+        np.minimum(y_max, radius, out=y_max)  # x_hi
+        rising = int(np.searchsorted(y_max, x_cross, side="right"))  # x_hi <= x_cross
+        u *= r  # x_lo
+        falling = max(rising, int(np.searchsorted(u, x_cross, side="left")))  # x_lo >= x_cross
+        y_max[:rising] *= tan_w
+        y_max[rising:falling] = y_peak
+        x_lo = u[falling:]
+        x_lo *= x_lo
+        np.subtract(rr, x_lo, out=x_lo)
+        np.maximum(x_lo, 0.0, out=x_lo)
+        np.sqrt(x_lo, out=y_max[falling:])
+    y_max /= r
+    np.ceil(y_max, out=y_max)
+    v = y_max.astype(np.int64)
+    v -= 1
+    return np.maximum(v, 0, out=v)
 
 
 def sector_columns(z: int, D: float, r: float) -> Iterator[np.ndarray]:

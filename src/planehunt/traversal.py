@@ -13,6 +13,10 @@ the piece keeps its end points and builds vertices only when asked, each by
 the formula of its own index, so a vertex built alone has the bits it has in
 the whole build.
 
+A cell walked out and back can be one ``RoundTrip`` step, which stands for
+its blocks without building them: ``TrajectoryStream.steps()`` yields it as
+it is, ``blocks()`` expands it, and its ``fold()`` gives its block totals.
+
 Two folds measure a length, and they agree only in exact arithmetic.  The
 walker (``sim``) folds block totals left to right: walked + total, block
 after block.  ``basic_cost`` folds the per-segment lengths one by one, in
@@ -26,7 +30,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,21 +131,35 @@ class Block(NamedTuple):
         path = self.path
         return path.points() if isinstance(path, Piece) else path
 
+    def tagged(self) -> Block:
+        """The block tagged a retrace."""
+        return self if self.retrace else self._replace(retrace=True)
+
 
 class TrajectoryStream:
     """Deterministic, restartable sequence of straight moves.
 
-    ``blocks()`` returns a fresh generator each call; regenerating a stream
-    yields bit-identical geometry.  Streams may be infinite: ``prefix`` and
-    ``materialize`` give a Polyline within the MAX_STREAM_SEGMENTS guard.
+    ``steps()`` returns a fresh generator of the factory's items each call:
+    blocks, and ``RoundTrip`` units, each of which stands for its blocks.
+    ``blocks()`` gives the same walk with every unit expanded into its
+    blocks.  Regenerating a stream yields bit-identical geometry.  Streams may
+    be infinite: ``prefix`` and ``materialize`` give a Polyline within the
+    MAX_STREAM_SEGMENTS guard.
     """
 
-    def __init__(self, start, block_factory: Callable[[], Iterator[Block]]):
+    def __init__(self, start, block_factory: Callable[[], Iterator[Step]]):
         self.start = as_point(start)
         self._factory = block_factory
 
-    def blocks(self) -> Iterator[Block]:
+    def steps(self) -> Iterator[Step]:
         return self._factory()
+
+    def blocks(self) -> Iterator[Block]:
+        for item in self._factory():
+            if isinstance(item, RoundTrip):
+                yield from item.blocks()
+            else:
+                yield item
 
     def prefix(self, arc: float) -> Polyline:
         """Materialize the leading ``arc`` of the stream (may split a segment), within the segment budget."""
@@ -182,17 +200,36 @@ def flip_block(block: Block | tuple[np.ndarray | Piece, np.ndarray]) -> Block:
     return Block.of(path.flipped() if isinstance(path, Piece) else path[::-1], block[1][::-1], True)
 
 
-def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
+def prefix_blocks(blocks: Iterable[Step], arc: float) -> List[Step]:
     """The blocks covering exactly the leading ``arc`` of a block sequence.
 
     The final segment is split when the cut lands inside it; the split piece
     stores the exact arc remainder as its length, and keeps the block's
     retrace tag.  A finite sequence shorter than ``arc`` is returned whole.
     No block past the cut is pulled, and only the block cut is summed again.
+    A ``RoundTrip`` the arc covers whole is kept as it is, the arc dropping by
+    its folded totals one at a time, as it drops by its blocks' totals; one
+    the arc ends inside gives the blocks before the cut as one unit, a part of
+    it, and the block cut, which alone is built.
     """
-    out: List[Block] = []
-    remaining = nonnegative_finite("prefix arc", arc)
+    return _prefix(blocks, nonnegative_finite("prefix arc", arc))
+
+
+def _prefix(blocks: Iterable[Step], remaining: float) -> List[Step]:
+    """``prefix_blocks`` past its arc rule; a unit the arc ends inside is cut by a call on its blocks."""
+    out: List[Step] = []
     for block in blocks:
+        if block.__class__ is RoundTrip:
+            left = remaining
+            first = block._run[0]
+            for j, total in enumerate(block.fold().totals, first):
+                if not total < left:  # the cut lands in block j: the blocks before it stay one unit
+                    head = [block._part(first, j)] if j > first else []
+                    return out + head + _prefix(block._part(j, j + 1).blocks(), left)
+                left -= total
+            out.append(block)
+            remaining = left
+            continue
         if block.lengths.size == 0:
             continue
         if block.total < remaining:
@@ -219,36 +256,50 @@ def prefix_blocks(blocks: Iterable[Block], arc: float) -> List[Block]:
     return out
 
 
-def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> Iterator[Block]:
+def _flip(item: Step) -> Step:
+    """The item walked backwards: ``flip_block`` of a block, ``flipped()`` of a round trip."""
+    return item.flipped() if isinstance(item, RoundTrip) else flip_block(item)
+
+
+def phase_trips(streams: Sequence[TrajectoryStream], arcs: Iterable[float]) -> Iterator[Step]:
     """For each arc in turn, walk each stream's leading ``arc`` out and back to its start.
 
     Arcs must not shrink: an arc below the last raises PreconditionError before
-    its trip yields a block.  Each stream's ``blocks()`` is called once per
-    walk; a trip re-cuts the blocks earlier trips pulled and pulls only new
-    ones.  The way back is tagged a retrace, and so is every block the previous
-    trip walked whole.  Such a block stays whole on longer trips, so its tagged
+    its trip yields a block.  Each stream's ``steps()`` is called once per
+    walk; a trip re-cuts the items earlier trips pulled and pulls only new
+    ones.  The way back is tagged a retrace, and so is every item the previous
+    trip walked whole.  Such an item stays whole on longer trips, so its tagged
     copy and its flip are made once, the flip when the way back begins; only
-    each trip's last block is flipped anew.
+    each trip's last block is flipped anew, with the part before the cut of a
+    ``RoundTrip`` that the trip ends inside.  A round trip is one item both
+    ways: its flip is the mirrored run of its walk, tagged, and for a whole
+    round trip that is itself.
     """
-    # Per stream: an unread tee that keeps every block pulled so far (each copy re-reads them), the tagged copies, the flips.
-    state = [(itertools.tee(stream.blocks(), 1)[0], [], []) for stream in streams]
+    # Per stream: an unread tee that keeps every item pulled so far (each copy re-reads them), the tagged copies, the flips.
+    state = [(itertools.tee(stream.steps(), 1)[0], [], []) for stream in streams]
     previous = -math.inf
     for arc in arcs:
         if (arc := nonnegative_finite("prefix arc", arc)) < previous:
             raise PreconditionError(f"phase trip arcs must not shrink, got {arc} after {previous}")
         previous = arc
-        for blocks, tags, flips in state:
-            forward = prefix_blocks(copy.copy(blocks), arc)
+        for items, tags, flips in state:
+            forward = prefix_blocks(items.__copy__(), arc)
             if not forward:  # the stream holds no segment
                 continue
             *body, last = forward  # the last block may be cut, so it is not kept
+            rest = [last]
+            # Nor is the part before the cut of a round trip that the arc ends inside: it is made anew on
+            # each trip, so it is not the stream's own item at its place.
+            if body and isinstance(body[-1], RoundTrip):
+                if body[-1] is not next(itertools.islice(items.__copy__(), len(body) - 1, None), None):
+                    rest.insert(0, body.pop())
             new = body[len(tags) :]
             yield from tags
             yield from new
-            tags.extend(block if block.retrace else block._replace(retrace=True) for block in new)
-            yield last
-            flips.extend(map(flip_block, new))
-            yield flip_block(last)
+            tags.extend(item.tagged() for item in new)
+            yield from rest
+            flips.extend(map(_flip, new))
+            yield from map(_flip, reversed(rest))
             yield from reversed(flips)
 
 
@@ -283,20 +334,22 @@ def _spiral_offset(m):
     return (((m + 1) & 2) - 1) * ((m + 3) >> 2), (1 - (m & 2)) * ((m + 2) >> 2)
 
 
+def _spiral_corner(start: Point2, r: float, m: int) -> tuple[float, float]:
+    """Vertex m of the spiral: start + offset(m) * r, each integer converted to float, then scaled."""
+    ox, oy = _spiral_offset(m)
+    return start.x + float(ox) * r, start.y + float(oy) * r
+
+
 def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.ndarray]:
     """The piece of instructions [lo, hi) and its lengths.  Vertex m is start +
     offset(m) * r, so every piece starts where the last one ended, bit for bit."""
     sx, sy = start.x, start.y
     c_lo, c_hi = (lo + 3) // 4, (hi + 2) // 4  # the rings of its first and last instructions
 
-    def vertex(m: int) -> tuple[float, float]:
-        ox, oy = _spiral_offset(m)
-        return sx + float(ox) * r, sy + float(oy) * r
-
     def build(s0: int, s1: int) -> np.ndarray:
         ox, oy = _spiral_offset(np.arange(lo + s0, lo + s1 + 1, dtype=np.int64))
         pts = np.empty((s1 - s0 + 1, 2))
-        pts[:, 0] = sx + ox * r  # each integer is converted to float, then scaled, as in vertex()
+        pts[:, 0] = sx + ox * r  # each integer is converted to float, then scaled, as in _spiral_corner()
         pts[:, 1] = sy + oy * r
         return pts
 
@@ -312,7 +365,8 @@ def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.
         return (s0, s1) if s0 < s1 else None
 
     scale = max(1.0, max(abs(sx), abs(sy)) + (c_hi + 2) * r)
-    return Piece(hi - lo, vertex(lo), vertex(hi), scale, build, span), _spiral_lengths(lo, hi, r)
+    first, last = _spiral_corner(start, r, lo), _spiral_corner(start, r, hi)
+    return Piece(hi - lo, first, last, scale, build, span), _spiral_lengths(lo, hi, r)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +394,17 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     return out
 
 
+def _sweep_corner(frame: TileFrame, r: float, u: int) -> tuple[float, float]:
+    """Where the sweep stands before column u: the apex for u = 0, else column
+    u - 1's foot, mapped by the operations of ``TileFrame.to_world``."""
+    ax, ay = frame.apex.x, frame.apex.y
+    if u == 0:
+        return ax, ay
+    (xx, xy), (yx, yy) = frame.basis()
+    fx, fy = (float(u - 1) + 0.5) * r, 0.5 * r
+    return ax + fx * xx + fy * yx, ay + fx * xy + fy * yy
+
+
 def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, u_hi: int) -> tuple[Piece, np.ndarray]:
     """The piece of columns [u_lo, u_hi) and its lengths.  Its vertices are the
     head (the previous column's foot, or the apex), then each column's foot,
@@ -349,9 +414,6 @@ def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
     (xx, xy), (yx, yy) = frame.basis()
     ax, ay = frame.apex.x, frame.apex.y
     foot = 0.5 * r
-
-    def world(fx: float, fy: float) -> tuple[float, float]:  # to_world of one frame point, in its operation order
-        return ax + fx * xx + fy * yx, ay + fx * xy + fy * yy
 
     def build(s0: int, s1: int) -> np.ndarray:
         j0, j1 = s0 // 3, -(-s1 // 3)  # the columns whose frame rows hold vertices s0 to s1
@@ -380,9 +442,8 @@ def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
             j1 -= 1
         return (3 * j0, 3 * j1) if j0 < j1 else None
 
-    first = (ax, ay) if u_lo == 0 else world((float(u_lo - 1) + 0.5) * r, foot)
     scale = max(1.0, abs(ax) + abs(ay) + 2.0 * (D + 2.0 * r))
-    piece = Piece(3 * n, first, world((float(u_hi - 1) + 0.5) * r, foot), scale, build, span)
+    piece = Piece(3 * n, _sweep_corner(frame, r, u_lo), _sweep_corner(frame, r, u_hi), scale, build, span)
     return piece, _sweep_lengths(heights, r, first=(u_lo == 0))
 
 
@@ -397,16 +458,33 @@ def _chunked(n: int, piece: Callable[[int, int], tuple[Piece, np.ndarray]]) -> I
         yield Block.of(*piece(lo, min(lo + STREAM_CHUNK, n)))
 
 
-def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable[[int, int], tuple]]:
-    """Piece count and piece maker: spiral instructions when z <= 1, sweep columns otherwise."""
+def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable, Callable, Callable]:
+    """Count and makers of the way out: spiral instructions when z <= 1, sweep columns otherwise.
+
+    ``piece(lo, hi)`` makes the piece of [lo, hi) and its lengths,
+    ``lengths(lo, hi)`` the same lengths without the piece, and ``corner(m)``
+    the point where the piece starting at m starts (m = n: where the last ends),
+    with the bits of the built vertex.
+    """
     z, r, D = check_advice(z, w), positive_finite("vision radius", r), positive_finite("range bound", D)
     k = column_count(D, r)
     p = as_point(start)
     if z <= 1:
-        return 4 * k + 1, lambda lo, hi: _spiral_piece(p, r, lo, hi)
+        return (
+            4 * k + 1,
+            lambda lo, hi: _spiral_piece(p, r, lo, hi),
+            lambda lo, hi: _spiral_lengths(lo, hi, r),
+            lambda m: _spiral_corner(p, r, m),
+        )
     sector = decode_sector(w, p)
     frame = TileFrame(sector.apex, sector.cw_ray_angle, r)
-    return k, lambda lo, hi: _sweep_piece(frame, sector.wedge_angle, D, r, lo, hi)
+    wedge = sector.wedge_angle
+    return (
+        k,
+        lambda lo, hi: _sweep_piece(frame, wedge, D, r, lo, hi),
+        lambda lo, hi: _sweep_lengths(column_heights(wedge, D, r, lo, hi), r, first=(lo == 0)),
+        lambda u: _sweep_corner(frame, r, u),
+    )
 
 
 def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -> TrajectoryStream:
@@ -415,7 +493,7 @@ def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -
     One-way: the stream ends wherever the sweep ends; ``round_trip_blocks``
     walks it out and back.
     """
-    n, piece = _traversal(z, w, D, r, start)
+    n, piece, _, _ = _traversal(z, w, D, r, start)
     return TrajectoryStream(start, lambda: _chunked(n, piece))
 
 
@@ -424,20 +502,136 @@ def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
     return basic_traversal(0, "", D, r, start)
 
 
-def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Iterator[Block]:
-    """The size-z basic traversal out, then walked back over its own pieces.
+class Fold(NamedTuple):
+    """A round trip's block totals in walking order, and its segment count."""
 
-    The way back flips the last piece as it was made and makes the others
-    again with the same ``piece(lo, hi)`` calls, last first, so each way-back
-    block is the exact flip of a way-out block; no piece is stored, and a
-    piece made again is summed only by its flip.
+    totals: tuple[float, ...]
+    segments: int
+
+
+class RoundTrip:
+    """``round_trip_blocks(z, w, D, r, start)`` of one cell, as one unit not yet built.
+
+    Every vertex of the cell lies within ``radius`` = sqrt(2) (D + 2r) of
+    ``start``: every sweep vertex within sqrt(2) (D + r/2), every spiral
+    vertex within sqrt(2) (k + 1) r, where k = ceil(D/r).  ``pieces`` counts
+    its way-out pieces, so the walk has 2 * pieces blocks.  A unit stands for
+    a run of those blocks, all of them unless it is a part that
+    ``prefix_blocks`` cut off; ``first`` and ``last`` are where that run
+    starts and ends, with the bits of the built vertices.  ``blocks()`` makes
+    the run's blocks, every one tagged a retrace when the unit is
+    ``tagged()``, and ``flipped()`` is the run walked backwards, tagged: the
+    mirrored run, which for the whole walk is the walk itself.  ``fold()``
+    gives the run's totals and segment count without making any piece, flip
+    or vertex.  ``lengths`` holds every segment length of the run in walking
+    order; it is made anew on each read, for a reader that counts segments as
+    it counts a block's.
     """
-    n, piece = _traversal(z, w, D, r, start)
-    for block in _chunked(n, piece):  # column_count rejects r > D, so n >= 1
-        yield block
-    yield flip_block(block)
-    for lo in reversed(range(0, n, STREAM_CHUNK)[:-1]):
-        yield flip_block(piece(lo, lo + STREAM_CHUNK))
+
+    __slots__ = ("start", "radius", "pieces", "retrace", "_n", "_piece", "_lengths", "_corner", "_run", "_fold")
+
+    def __init__(self, z: int, w: AdviceString, D: float, r: float, start):
+        D, r = positive_finite("range bound", D), positive_finite("vision radius", r)
+        self._n, self._piece, self._lengths, self._corner = _traversal(z, w, D, r, start)
+        self.start = as_point(start)
+        self.radius = math.sqrt(2.0) * (D + 2.0 * r)
+        self.pieces = -(-self._n // STREAM_CHUNK)
+        self.retrace = False
+        self._run = (0, 2 * self.pieces)
+        self._fold: list = [None]  # the whole walk's (totals, segment counts), made once and shared with every copy
+
+    def _at(self, j: int) -> tuple[float, float]:
+        """Where the walk stands after j of its blocks."""
+        k = j if j <= self.pieces else 2 * self.pieces - j
+        return self._corner(min(k * STREAM_CHUNK, self._n))
+
+    @property
+    def first(self) -> tuple[float, float]:
+        return self._at(self._run[0])
+
+    @property
+    def last(self) -> tuple[float, float]:
+        return self._at(self._run[1])
+
+    def _part(self, lo: int, hi: int) -> RoundTrip:
+        """Blocks [lo, hi) of the walk, as a unit with this one's tag."""
+        part = copy.copy(self)
+        part._run = (lo, hi)
+        return part
+
+    def tagged(self) -> RoundTrip:
+        """The same unit tagged a retrace."""
+        if self.retrace:
+            return self
+        twin = copy.copy(self)
+        twin.retrace = True
+        return twin
+
+    def flipped(self) -> RoundTrip:
+        """The run walked backwards, tagged: walking a block backwards repeats the
+        block at the mirrored place of the walk, which flips the same piece."""
+        lo, hi = self._run
+        twin = self._part(2 * self.pieces - hi, 2 * self.pieces - lo)
+        twin.retrace = True
+        return twin
+
+    def blocks(self) -> Iterator[Block]:
+        """The run's blocks: of the walk out, then back over its own pieces.
+
+        The way back flips the last piece as it was made and makes the others
+        again with the same ``piece(lo, hi)`` calls, last first, so each way-back
+        block is the exact flip of a way-out block; no piece is stored, and a
+        piece made again is summed only by its flip.
+        """
+        n, piece, pieces = self._n, self._piece, self.pieces
+        block = None
+        for j in range(*self._run):
+            if j < pieces:
+                lo = j * STREAM_CHUNK
+                block = Block.of(*piece(lo, min(lo + STREAM_CHUNK, n)), self.retrace)
+            elif j == pieces and block is not None:
+                block = flip_block(block)
+            else:
+                lo = (2 * pieces - 1 - j) * STREAM_CHUNK
+                block = flip_block(piece(lo, min(lo + STREAM_CHUNK, n)))
+            yield block
+
+    def fold(self) -> Fold:
+        """The totals of ``blocks()`` in walking order, and their segment count.
+
+        Each piece's lengths are made once and summed twice with ``np.cumsum``,
+        forwards as ``Block.of`` sums the way out and reversed as ``flip_block``
+        sums the way back, so every total has the bits of its block's.
+        """
+        whole = self._fold[0]
+        if whole is None:
+            n, lengths = self._n, self._lengths
+            out, back, sizes = [], [], []
+            for lo in range(0, n, STREAM_CHUNK):
+                lens = lengths(lo, min(lo + STREAM_CHUNK, n))
+                out.append(float(np.cumsum(lens)[-1]))
+                back.append(float(np.cumsum(lens[::-1])[-1]))
+                sizes.append(lens.size)
+            whole = self._fold[0] = (tuple(out + back[::-1]), tuple(sizes + sizes[::-1]))
+        lo, hi = self._run
+        return Fold(whole[0][lo:hi], sum(whole[1][lo:hi]))
+
+    @property
+    def lengths(self) -> np.ndarray:
+        n, pieces, out = self._n, self.pieces, []
+        for j in range(*self._run):
+            lo = (j if j < pieces else 2 * pieces - 1 - j) * STREAM_CHUNK
+            lens = self._lengths(lo, min(lo + STREAM_CHUNK, n))
+            out.append(lens if j < pieces else lens[::-1])
+        return np.concatenate(out)
+
+
+Step = Union[Block, RoundTrip]
+
+
+def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Iterator[Block]:
+    """The size-z basic traversal out, then walked back over its own pieces: ``RoundTrip.blocks()``."""
+    yield from RoundTrip(z, w, D, r, start).blocks()
 
 
 def basic_cost(z: int, D: float, r: float) -> float:

@@ -227,3 +227,21 @@ def plain_walk(stream, targets, r: float, cap: float) -> list:
             break
         walked, done = total, done + cs.size
     return [o if o is not None else RunOutcome(False, walked, None, done) for o in out]
+
+
+def column_heights_where(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi: int) -> np.ndarray:
+    """``tiling.column_heights`` the plain way: every formula on every column, then picked by ``np.where``."""
+    u = np.arange(u_lo, u_hi, dtype=np.float64)
+    x_lo = u * r
+    x_hi = np.minimum((u + 1.0) * r, radius)
+    rr = radius * radius
+    y_arc = np.sqrt(np.maximum(rr - x_lo * x_lo, 0.0))
+    if wedge_angle >= math.pi / 2.0:
+        y_max = y_arc
+    else:
+        tan_w = math.tan(wedge_angle)
+        x_cross = radius * math.cos(wedge_angle)
+        y_peak = radius * math.sin(wedge_angle)
+        y_max = np.where(x_hi <= x_cross, x_hi * tan_w, np.where(x_lo >= x_cross, y_arc, y_peak))
+    v = np.ceil(y_max / r).astype(np.int64) - 1
+    return np.maximum(v, 0)

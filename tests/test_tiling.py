@@ -16,7 +16,7 @@ from planehunt import (
 )
 from planehunt.tiling import TileFrame, column_heights, sector_columns
 
-from _oracles import oracle_columns, point_in_wedge
+from _oracles import column_heights_where, oracle_columns, point_in_wedge
 
 TAU = math.tau
 
@@ -73,6 +73,28 @@ class TestColumns:
         heights = np.concatenate(list(sector_columns(3, 9000.0, 1.0)))
         assert np.array_equal(heights, column_heights(TAU / 8, 9000.0, 1.0, 0, 9000))
         assert count_tiles(3, 9000.0, 1.0) == int(np.sum(heights + 1))
+
+    def test_ranges_give_the_heights_of_the_formula_on_every_column(self):
+        # Each formula evaluated on its own range of columns gives what evaluating
+        # all three on every column and picking by np.where gives, bit for bit.
+        rng = np.random.default_rng(3000)
+        for _ in range(3000):
+            z = int(rng.integers(2, 12))
+            d = 10.0 ** rng.uniform(-2.0, 6.0)
+            r = d / int(rng.integers(1, 3000)) if rng.random() < 0.2 else d / 10.0 ** rng.uniform(0.0, 4.5)
+            n = column_count(d, r)
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo, n + 1))
+            got = column_heights(TAU / (1 << z), d, r, lo, hi)
+            want = column_heights_where(TAU / (1 << z), d, r, lo, hi)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (z, d, r, lo, hi)
+        # A column edge exactly on the crossover: x_hi == x_cross for u = m - 1, x_lo == x_cross for u = m.
+        for z in range(3, 12):
+            for m in (1, 2, 8, 64):
+                wedge = TAU / (1 << z)
+                r = 100.0 * math.cos(wedge) / m
+                got = column_heights(wedge, 100.0, r, 0, column_count(100.0, r))
+                assert np.array_equal(got, column_heights_where(wedge, 100.0, r, 0, column_count(100.0, r))), (z, m)
 
 
 class TestOracleAgreement:
