@@ -235,7 +235,9 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     ends = np.empty((k, 2, 2))
     ends[:] = (start.x, start.y)
     t_hit = np.zeros(k)
-    found = np.hypot(targets[:, 0] - start.x, targets[:, 1] - start.y) <= r + DETECTION_TOL
+    # A target seen from the start is found at cost 0; a distance that overflows to inf reads as far.
+    with np.errstate(over="ignore"):
+        found = np.hypot(targets[:, 0] - start.x, targets[:, 1] - start.y) <= r + DETECTION_TOL
     active = np.flatnonzero(~found)
     live = targets[active]  # the coordinates of the active targets
     walked = 0.0

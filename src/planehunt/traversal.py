@@ -22,7 +22,12 @@ walker (``sim``) folds block totals left to right: walked + total, block
 after block.  ``basic_cost`` folds the per-segment lengths one by one, in
 stream order, so it matches the materialized polyline length bit for bit
 whenever materialization is feasible; a walked basic traversal can differ
-from it in the last bits.
+from it in the last bits.  They agree for a spiral of power-of-two r whose
+round trip is shorter than 2^53 r: every length is a whole multiple of r,
+so every partial sum is exact, and the walked round trip costs exactly
+``2 * basic_cost``.  A piece of such lengths carries its totals out and
+back, counted in whole multiples of r (``_exact``), and its blocks, flips
+and round-trip folds read them without summing.
 """
 
 from __future__ import annotations
@@ -46,6 +51,22 @@ from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, secto
 MAX_STREAM_SEGMENTS = 10**7
 
 _Span = Optional[tuple[int, int]]
+_Totals = tuple[Optional[float], Optional[float]]
+
+
+def _exact(count: int, r: float) -> Optional[float]:
+    """``count * r`` when lengths that are whole multiples of r and add up to
+    ``count * r`` sum exactly in any order, else None.
+
+    That holds when r is a power of two, ``count`` is below 2^53 and
+    ``count * r`` is finite: every partial sum is then a whole multiple of r
+    below 2^53 r, which binary64 holds exactly, so ``np.cumsum`` of the
+    lengths, forwards or reversed, ends on this value bit for bit.
+    """
+    if count >= 2**53 or math.frexp(r)[0] != 0.5:
+        return None
+    total = float(count) * r
+    return total if total < math.inf else None
 
 
 class Piece:
@@ -56,21 +77,25 @@ class Piece:
     coordinate it builds.  ``build(s0, s1)`` makes the vertices of segments
     [s0, s1) of the piece as it was made, and ``span(qx, qy, reach)`` gives
     the segment range [s0, s1) of it that can come within ``reach`` of
-    (qx, qy), or None.  A flip walks the same rules backwards and shares the
-    one whole build, which ``points`` makes once.
+    (qx, qy), or None.  ``totals`` holds the left-to-right sums of its
+    lengths walked this way and walked back, each known without summing
+    (``_exact``) or None.  A flip walks the same rules backwards, swaps the
+    totals and shares the one whole build, which ``points`` makes once.
     """
 
-    __slots__ = ("m", "first", "last", "scale", "_build", "_span", "_whole", "_back")
+    __slots__ = ("m", "first", "last", "scale", "totals", "_build", "_span", "_whole", "_back")
 
     def __init__(self, m: int, first, last, scale: float, build: Callable[[int, int], np.ndarray],
-                 span: Callable[[float, float, float], _Span], whole: Optional[list] = None, back: bool = False):
-        self.m, self.first, self.last, self.scale = m, first, last, scale
+                 span: Callable[[float, float, float], _Span], totals: _Totals,
+                 whole: Optional[list] = None, back: bool = False):
+        self.m, self.first, self.last, self.scale, self.totals = m, first, last, scale, totals
         self._build, self._span, self._back = build, span, back
         self._whole = [None] if whole is None else whole  # the whole forward build, made once
 
     def flipped(self) -> Piece:
         """The same piece walked backwards, still lazy."""
-        return Piece(self.m, self.last, self.first, self.scale, self._build, self._span, self._whole, not self._back)
+        return Piece(self.m, self.last, self.first, self.scale, self._build, self._span, self.totals[::-1],
+                     self._whole, not self._back)
 
     def points(self) -> np.ndarray:
         """All (m+1, 2) vertices, built once and shared with every flip."""
@@ -111,8 +136,9 @@ class Block(NamedTuple):
 
     ``total`` is ``float(np.cumsum(lengths)[-1])``, the left-to-right sum of
     the lengths, or 0.0 for an empty block.  Every field is required: build a
-    block with ``Block.of``, which sums it once.  A flip sums its own reversed
-    lengths, since the other order can round differently.
+    block with ``Block.of``, which takes the total a piece carries for its
+    walking direction and sums the lengths once otherwise.  A flip has its
+    own total (``flip_block``), since the other order can round differently.
     """
 
     path: np.ndarray | Piece
@@ -122,8 +148,11 @@ class Block(NamedTuple):
 
     @classmethod
     def of(cls, path: np.ndarray | Piece, lengths: np.ndarray, retrace: bool = False) -> Block:
-        """The block of this path and these lengths, its total summed here."""
-        return cls(path, lengths, retrace, float(np.cumsum(lengths)[-1]) if lengths.size else 0.0)
+        """The block of this path and these lengths: its total is the piece's own, or summed here."""
+        total = path.totals[0] if isinstance(path, Piece) else None
+        if total is None:
+            total = float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
+        return cls(path, lengths, retrace, total)
 
     @property
     def points(self) -> np.ndarray:
@@ -193,11 +222,16 @@ def flip_block(block: Block | tuple[np.ndarray | Piece, np.ndarray]) -> Block:
     """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace.
 
     Takes a block or a raw ``(path, lengths)`` pair; a piece's flip stays
-    lazy.  Its total sums the reversed lengths anew: the other order can
-    round differently.
+    lazy and takes the piece's way-back total.  The reversed lengths are
+    summed anew only where the order can matter: a block of at most two
+    lengths keeps its total, since a + b == b + a, and any other block
+    without a known way-back total is summed (``Block.of``).
     """
-    path = block[0]
-    return Block.of(path.flipped() if isinstance(path, Piece) else path[::-1], block[1][::-1], True)
+    path, lengths = block[0], block[1][::-1]
+    path = path.flipped() if isinstance(path, Piece) else path[::-1]
+    if lengths.size <= 2 and isinstance(block, Block):
+        return Block(path, lengths, True, block.total)
+    return Block.of(path, lengths, True)
 
 
 def prefix_blocks(blocks: Iterable[Step], arc: float) -> List[Step]:
@@ -322,6 +356,14 @@ def _spiral_lengths(lo: int, hi: int, r: float) -> np.ndarray:
     return ((i + 2) // 2).astype(np.float64) * r
 
 
+def _spiral_totals(lo: int, hi: int, r: float) -> _Totals:
+    """The totals of instructions [lo, hi), both ways, where ``_exact`` knows
+    them: instruction i counts (i+2)//2 tile sizes, and those of [0, n) add
+    up to floor((n+1)^2 / 4)."""
+    total = _exact((hi + 1) ** 2 // 4 - (lo + 1) ** 2 // 4, r)
+    return total, total
+
+
 def _spiral_offset(m):
     """Displacement from the start after m instructions, in units of r: exact
     integers, for an int or an int64 array.
@@ -366,7 +408,7 @@ def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.
 
     scale = max(1.0, max(abs(sx), abs(sy)) + (c_hi + 2) * r)
     first, last = _spiral_corner(start, r, lo), _spiral_corner(start, r, hi)
-    return Piece(hi - lo, first, last, scale, build, span), _spiral_lengths(lo, hi, r)
+    return Piece(hi - lo, first, last, scale, build, span, _spiral_totals(lo, hi, r)), _spiral_lengths(lo, hi, r)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +434,24 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     if first:
         out[0] = math.hypot(0.5 * r, 0.5 * r)
     return out
+
+
+def _sweep_totals(heights: np.ndarray, D: float, r: float, first: bool) -> _Totals:
+    """The totals of the columns ``heights``, out and back, where ``_exact`` knows them.
+
+    Column j counts 1 + 2 h_j tile sizes.  No height reaches D/r + 1, so
+    their int64 sum cannot wrap while D/r < 2^50.  The opening piece's r/sqrt(2)
+    move is no multiple of r: its way out is left to be summed, and its way
+    back, which adds that move last to an exact sum, rounds once.
+    """
+    if math.frexp(r)[0] != 0.5 or not D / r < 2.0**50:  # before the sum: r of no power of two sums no heights
+        return None, None
+    count = heights.size + 2 * int(heights.sum())
+    if not first:
+        total = _exact(count, r)
+        return total, total
+    rest = _exact(count - 1, r)
+    return None, (None if rest is None else rest + math.hypot(0.5 * r, 0.5 * r))
 
 
 def _sweep_corner(frame: TileFrame, r: float, u: int) -> tuple[float, float]:
@@ -443,8 +503,10 @@ def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
         return (3 * j0, 3 * j1) if j0 < j1 else None
 
     scale = max(1.0, abs(ax) + abs(ay) + 2.0 * (D + 2.0 * r))
-    piece = Piece(3 * n, _sweep_corner(frame, r, u_lo), _sweep_corner(frame, r, u_hi), scale, build, span)
-    return piece, _sweep_lengths(heights, r, first=(u_lo == 0))
+    first = u_lo == 0
+    totals = _sweep_totals(heights, D, r, first)
+    piece = Piece(3 * n, _sweep_corner(frame, r, u_lo), _sweep_corner(frame, r, u_hi), scale, build, span, totals)
+    return piece, _sweep_lengths(heights, r, first)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +520,27 @@ def _chunked(n: int, piece: Callable[[int, int], tuple[Piece, np.ndarray]]) -> I
         yield Block.of(*piece(lo, min(lo + STREAM_CHUNK, n)))
 
 
+def _summed(totals: _Totals, lengths: Callable[[], np.ndarray]) -> tuple[float, float]:
+    """``totals`` with each unknown one summed from ``lengths()``, made once:
+    forwards as ``Block.of`` sums the way out, reversed as ``flip_block``
+    sums the way back."""
+    out, back = totals
+    if out is None or back is None:
+        lens = lengths()
+        if out is None:
+            out = float(np.cumsum(lens)[-1])
+        if back is None:
+            back = float(np.cumsum(lens[::-1])[-1])
+    return out, back
+
+
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable, Callable, Callable]:
     """Count and makers of the way out: spiral instructions when z <= 1, sweep columns otherwise.
 
     ``piece(lo, hi)`` makes the piece of [lo, hi) and its lengths,
-    ``lengths(lo, hi)`` the same lengths without the piece, and ``corner(m)``
-    the point where the piece starting at m starts (m = n: where the last ends),
-    with the bits of the built vertex.
+    ``sums(lo, hi)`` its totals out and back and its segment count without
+    the piece, and ``corner(m)`` the point where the piece starting at m
+    starts (m = n: where the last ends), with the bits of the built vertex.
     """
     z, r, D = check_advice(z, w), positive_finite("vision radius", r), positive_finite("range bound", D)
     k = column_count(D, r)
@@ -473,18 +549,19 @@ def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int,
         return (
             4 * k + 1,
             lambda lo, hi: _spiral_piece(p, r, lo, hi),
-            lambda lo, hi: _spiral_lengths(lo, hi, r),
+            lambda lo, hi: (*_summed(_spiral_totals(lo, hi, r), lambda: _spiral_lengths(lo, hi, r)), hi - lo),
             lambda m: _spiral_corner(p, r, m),
         )
     sector = decode_sector(w, p)
     frame = TileFrame(sector.apex, sector.cw_ray_angle, r)
     wedge = sector.wedge_angle
-    return (
-        k,
-        lambda lo, hi: _sweep_piece(frame, wedge, D, r, lo, hi),
-        lambda lo, hi: _sweep_lengths(column_heights(wedge, D, r, lo, hi), r, first=(lo == 0)),
-        lambda u: _sweep_corner(frame, r, u),
-    )
+
+    def sums(lo: int, hi: int) -> tuple[float, float, int]:
+        heights, first = column_heights(wedge, D, r, lo, hi), lo == 0
+        out, back = _summed(_sweep_totals(heights, D, r, first), lambda: _sweep_lengths(heights, r, first))
+        return out, back, 3 * heights.size
+
+    return k, lambda lo, hi: _sweep_piece(frame, wedge, D, r, lo, hi), sums, lambda u: _sweep_corner(frame, r, u)
 
 
 def basic_traversal(z: int, w: AdviceString, D: float, r: float, start=ORIGIN) -> TrajectoryStream:
@@ -528,11 +605,11 @@ class RoundTrip:
     it counts a block's.
     """
 
-    __slots__ = ("start", "radius", "pieces", "retrace", "_n", "_piece", "_lengths", "_corner", "_run", "_fold")
+    __slots__ = ("start", "radius", "pieces", "retrace", "_n", "_piece", "_sums", "_corner", "_run", "_fold")
 
     def __init__(self, z: int, w: AdviceString, D: float, r: float, start):
         D, r = positive_finite("range bound", D), positive_finite("vision radius", r)
-        self._n, self._piece, self._lengths, self._corner = _traversal(z, w, D, r, start)
+        self._n, self._piece, self._sums, self._corner = _traversal(z, w, D, r, start)
         self.start = as_point(start)
         self.radius = math.sqrt(2.0) * (D + 2.0 * r)
         self.pieces = -(-self._n // STREAM_CHUNK)
@@ -599,19 +676,21 @@ class RoundTrip:
     def fold(self) -> Fold:
         """The totals of ``blocks()`` in walking order, and their segment count.
 
-        Each piece's lengths are made once and summed twice with ``np.cumsum``,
-        forwards as ``Block.of`` sums the way out and reversed as ``flip_block``
-        sums the way back, so every total has the bits of its block's.
+        Each piece's totals are taken as its block and its flip take them: a
+        total the piece carries is made without any lengths array (a spiral
+        piece from its instruction range, a sweep piece from its column
+        heights), and any other is summed with ``np.cumsum`` from the lengths,
+        made once, so every total has the bits of its block's.
         """
         whole = self._fold[0]
         if whole is None:
-            n, lengths = self._n, self._lengths
+            n, sums = self._n, self._sums
             out, back, sizes = [], [], []
             for lo in range(0, n, STREAM_CHUNK):
-                lens = lengths(lo, min(lo + STREAM_CHUNK, n))
-                out.append(float(np.cumsum(lens)[-1]))
-                back.append(float(np.cumsum(lens[::-1])[-1]))
-                sizes.append(lens.size)
+                a, b, m = sums(lo, min(lo + STREAM_CHUNK, n))
+                out.append(a)
+                back.append(b)
+                sizes.append(m)
             whole = self._fold[0] = (tuple(out + back[::-1]), tuple(sizes + sizes[::-1]))
         lo, hi = self._run
         return Fold(whole[0][lo:hi], sum(whole[1][lo:hi]))
@@ -621,7 +700,7 @@ class RoundTrip:
         n, pieces, out = self._n, self.pieces, []
         for j in range(*self._run):
             lo = (j if j < pieces else 2 * pieces - 1 - j) * STREAM_CHUNK
-            lens = self._lengths(lo, min(lo + STREAM_CHUNK, n))
+            lens = self._piece(lo, min(lo + STREAM_CHUNK, n))[1]
             out.append(lens if j < pieces else lens[::-1])
         return np.concatenate(out)
 

@@ -249,6 +249,6 @@ def test_cli(argv, code, prefix, tmp_path):
         assert proc.stderr.count("\n") == 1 and proc.stdout == "" and not out.exists()
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="the walk's distances overflow binary64 far out")
 def test_a_far_finite_treasure_gets_an_answer_or_a_typed_error():
     _outcome(lambda: run(spiral(4.0, 1.0), (1.7e308, -1.7e308), 0.5, 100.0))
+    _outcome(lambda: harness.hunt("small", 2, 8.0, 0.5, 0.5, 2, 10.0, (1e308, 0), (-1.7e308, 1.7e308)))

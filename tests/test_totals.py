@@ -2,10 +2,12 @@
 
 Every block the library builds holds ``total``, the left-to-right sum of its
 lengths (the last entry of their cumsum), set once when the block is made.
-Every field of a block is required; ``Block.of`` sums the total.  The walker
-folds those totals and sums a block's lengths only where a target is seen or
-the cap falls; a stream whose blocks are rebuilt with ``Block.of`` gives the
-same answers, bit for bit.
+Every field of a block is required; ``Block.of`` takes the total a piece
+carries, and sums it otherwise.  A basic-traversal piece of power-of-two r
+carries its totals out and back, counted in whole multiples of r, and they
+must have the bits of the cumsum.  The walker folds those totals and sums a
+block's lengths only where a target is seen or the cap falls; a stream whose
+blocks are rebuilt with ``Block.of`` gives the same answers, bit for bit.
 """
 
 import itertools
@@ -34,6 +36,8 @@ from planehunt import (
     universal,
 )
 from planehunt.strategies import _ray_blocks
+from planehunt.tiling import STREAM_CHUNK
+from planehunt.traversal import RoundTrip, _exact, _spiral_piece, basic_cost, flip_block
 from test_retrace import _walked_blocks
 from test_sim import one_segment_stream
 
@@ -193,15 +197,27 @@ class TestSummedOnlyWhereNeeded:
         assert not capped.found and counting.cumsums == 1
 
     def test_phase_trips_sum_cuts_and_new_flips_only(self, monkeypatch):
-        pieces = list(spiral(1100.0, 0.5).blocks())  # built, and summed, before counting
-        stream = TrajectoryStream((0.0, 0.0), lambda: iter(pieces))
-        counting = _CountingNumpy()
-        monkeypatch.setattr(traversal, "np", counting)
         arcs = [1.0, 10.0, 1e5, 3e6, 5e6, 1e12, 1e12]
-        list(phase_trips([stream], arcs))
+        counting = _CountingNumpy()
+
+        def sums(r):
+            pieces = list(spiral(1100.0, r).blocks())  # built, and summed, before counting
+            stream = TrajectoryStream((0.0, 0.0), lambda: iter(pieces))
+            counting.cumsums = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(traversal, "np", counting)
+                list(phase_trips([stream], arcs))
+            return len(pieces), counting.cumsums
+
         # Per trip one cut and one flip of its last piece; once, the flip of each
-        # of the two pieces later trips walk whole.  Whole trips cut nothing.
-        assert counting.cumsums == 2 * len(arcs) - 2 + 2
+        # of the three pieces later trips walk whole.  Whole trips cut nothing.
+        pieces, summed = sums(0.3)
+        assert pieces == 4 and summed == 2 * len(arcs) - 2 + (pieces - 1)
+        # A power-of-two r: a piece and its flip carry their totals, and so does the flip
+        # of the first trip's cut block, of two lengths.  The five cuts and the other
+        # four cut blocks' flips are summed.
+        pieces, summed = sums(0.5)
+        assert pieces == 3 and summed == 5 + 4
 
     def test_way_back_pieces_are_summed_only_by_their_flips(self, monkeypatch):
         counting = _CountingNumpy()
@@ -211,3 +227,109 @@ class TestSummedOnlyWhereNeeded:
         assert len(blocks) == 2 * 11  # 11 pieces out, their 11 flips back
         # One sum per piece out and one per flip; a rebuilt piece's forward total is never made.
         assert counting.cumsums == 2 * 11
+
+
+def _draws(seed, count):
+    """Derandomized cells of power-of-two r: (z, advice, D, r, start), D a multiple of r or not."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        z = int(rng.choice([0, 1, 2, 3, 5, 8]))
+        r = 2.0 ** int(rng.integers(-12, 7))
+        ratio = int(np.exp(rng.uniform(0.0, math.log(2e5))))  # up to 49 sweep and 196 spiral pieces
+        D = ratio * r if i % 2 else (ratio + float(rng.uniform(0.01, 0.99))) * r
+        start = tuple(float(c) for c in rng.uniform(-2000.0, 2000.0, 2))
+        yield z, "".join(rng.choice(["0", "1"], z)), D, r, start
+
+
+class TestPowerOfTwoPiecesCarryExactTotals:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_totals_match_the_cumsum_both_ways(self, seed):
+        for z, w, D, r, start in _draws(seed, 40):
+            blocks = list(basic_traversal(z, w, D, r, start).blocks())
+            for j, b in enumerate(blocks):
+                out, back = b.path.totals
+                assert back is not None and (out is None) == (z >= 2 and j == 0), (z, D, r, j)
+                assert b.total.hex() == _left_sum(b.lengths).hex()
+                flip = flip_block(b)
+                assert flip.path.totals == (back, out)
+                assert flip.total.hex() == _left_sum(b.lengths[::-1]).hex()
+            trip = RoundTrip(z, w, D, r, start)
+            fold = trip.fold()
+            assert [t.hex() for t in fold.totals] == [_left_sum(b.lengths).hex() for b in trip.blocks()]
+            assert fold.segments == 2 * sum(b.lengths.size for b in blocks)
+
+    def test_a_round_trip_folds_without_lengths(self, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(traversal, "np", counting)
+        spiral_trip = RoundTrip(0, "", 4096.0, 0.25, FAR)  # 17 pieces
+        sweep_trip = RoundTrip(3, "110", 10000.0, 0.5, FAR)  # 5 pieces
+        assert spiral_trip.pieces == 17 and sweep_trip.pieces == 5
+        spiral_trip.fold()
+        assert counting.cumsums == 0
+        sweep_trip.fold()
+        assert counting.cumsums == 1  # the way out of the opening piece, with its r/sqrt(2) move
+
+    def test_r_of_no_power_of_two_is_summed(self, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(traversal, "np", counting)
+        for z, w in ((0, ""), (3, "110")):
+            blocks = list(basic_traversal(z, w, 3000.0, 0.3, FAR).blocks())
+            assert all(b.path.totals == (None, None) for b in blocks)
+            _assert_totals(blocks)
+            counting.cumsums = 0
+            RoundTrip(z, w, 3000.0, 0.3, FAR).fold()
+            assert counting.cumsums == 2 * len(blocks)
+
+    def test_counts_from_two_to_the_53_are_summed(self, monkeypatch):
+        assert _exact(2**53 - 1, 0.5) == (2**53 - 1) * 0.5 and _exact(2**53, 0.5) is None
+        assert _exact(5, 0.3) is None and _exact(5, 3.0) is None
+        assert _exact(1, 2.0**1023) == 2.0**1023 and _exact(3, 2.0**1023) is None  # 3 * 2^1023 overflows
+        assert _exact(3, 5e-324) == 1.5e-323
+        counting = _CountingNumpy()
+        monkeypatch.setattr(traversal, "np", counting)
+        # Three instructions from lo count 3 lo / 2 + 4 tile sizes for an even lo, (3 lo + 7) / 2 for an odd one.
+        for lo, count, known in (((2**54 - 10) // 3, 2**53 - 1, True), ((2**54 - 7) // 3, 2**53, False)):
+            assert sum((i + 2) // 2 for i in range(lo, lo + 3)) == count
+            counting.cumsums = 0
+            block = Block.of(*_spiral_piece(Point2(0.0, 0.0), 1.0, lo, lo + 3))
+            assert (block.path.totals[0] is not None) == known and counting.cumsums == (not known)
+            _assert_totals([block, flip_block(block)])
+
+    def test_sweeps_whose_heights_could_wrap_int64_are_summed(self):
+        D, r = 2.0**56, 1.0  # 4096 heights near 2^56 add up past 2^63
+        frame = traversal.TileFrame(Point2(0.0, 0.0), 0.0, r)
+        piece, lengths = traversal._sweep_piece(frame, math.pi / 2.0, D, r, 4096, 8192)
+        assert piece.totals == (None, None)
+        _assert_totals([Block.of(piece, lengths), flip_block((piece, lengths))])
+
+
+class TestPowerOfTwoSpiralCost:
+    @staticmethod
+    def _folded(k, r):
+        """The spiral's lengths folded left to right, piece after piece."""
+        n, total = 4 * k + 1, 0.0
+        for lo in range(0, n, STREAM_CHUNK):
+            lengths = traversal._spiral_lengths(lo, min(lo + STREAM_CHUNK, n), r)
+            total = float(np.cumsum(np.concatenate(([total], lengths)))[-1])
+        return total
+
+    @pytest.mark.parametrize("k, r", [
+        (1, 1.0), (2, 0.5), (1024, 2.0**-12), (1025, 64.0), (123457, 0.25),
+        ((traversal.MAX_STREAM_SEGMENTS - 1) // 4, 2.0**-3),  # the longest spiral that is folded
+    ])
+    def test_basic_cost_is_the_exact_length(self, k, r):
+        for D in {k * r, max(k - 0.5, 1.0) * r}:  # ceil(D / r) = k
+            assert basic_cost(0, D, r) == float((2 * k + 1) ** 2) * r == self._folded(k, r)
+            assert basic_cost(1, D, r) == basic_cost(0, D, r)
+
+    def test_past_the_guard_it_is_the_closed_form(self):
+        for k in ((traversal.MAX_STREAM_SEGMENTS - 1) // 4 + 1, 10**8, 2**40):
+            width = 2.0 * float(k) + 1.0
+            assert basic_cost(0, k * 0.5, 0.5) == width * width * 0.5
+
+    @pytest.mark.parametrize("D, r", [(1500.0, 1.0), (700.3, 0.125), (20.0, 2.0**-9), (5.0, 2.0)])
+    def test_a_walked_round_trip_costs_twice_the_basic_cost(self, D, r):
+        trip = lambda: iter([RoundTrip(0, "", D, r, FAR)])  # noqa: E731
+        for stream in (TrajectoryStream(FAR, trip), TrajectoryStream(FAR, lambda: round_trip_blocks(0, "", D, r, FAR))):
+            out = run(stream, (FAR[0] + 1e5, FAR[1]), r, 1e12)
+            assert not out.found and out.cost == 2 * basic_cost(0, D, r)
