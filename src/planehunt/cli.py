@@ -155,7 +155,7 @@ def _cmd_render(args) -> int:
         return 1
     w = encode_advice(args.start, args.treasure, args.z)
     prefix = render_prefix(build_stream(args.strategy, args.z, w, D, args.r, args.alpha, args.s, args.start), args.arc)
-    sector = decode_sector(w, args.start) if args.z >= 2 and STRATEGIES[args.strategy][2] else None
+    sector = decode_sector(w, args.start) if args.z >= 2 and "w" in STRATEGIES[args.strategy][2] else None
     render_svg(
         prefix,
         args.out,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -56,21 +57,18 @@ class Lcg64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-# name: (stream builder, ceiling, whether the stream reads the advice); both take keyword arguments.
+# name: (stream builder, ceiling, the names of the builder's parameters: the values its stream reads).
+# The ceiling takes keyword arguments; hunts whose builders read equal values walk one stream.
 STRATEGIES = {
-    "small": (lambda z, w, start, **_: small_vision(z, w, start), lambda z, D, r, **_: small_ceiling(z, D, r), True),
-    "medium": (lambda z, w, alpha, s, start, **_: medium_vision(z, w, alpha, s, start), medium_ceiling, True),
-    "large": (lambda start, **_: large_vision(start), lambda D, r, **_: LARGE_COST_FACTOR * (D - r), False),
+    "small": (small_vision, lambda z, D, r, **_: small_ceiling(z, D, r), ("z", "w", "start")),
+    "medium": (medium_vision, medium_ceiling, ("z", "w", "alpha", "s", "start")),
+    "large": (large_vision, lambda D, r, **_: LARGE_COST_FACTOR * (D - r), ("start",)),
     "universal": (
-        lambda z, w, alpha, s, start, **_: universal(z, w, alpha, s, start),
+        universal,
         lambda z, D, r, alpha, s: UNIVERSAL_FACTOR * bound_for(regime_of(D, r), z, D, r, alpha, s),
-        True,
+        ("z", "w", "alpha", "s", "start"),
     ),
-    "basic": (
-        lambda z, w, D, r, start, **_: basic_traversal(z, w, D, r, start),
-        lambda z, D, r, **_: sweep_cost_bound(z, D, r),
-        True,
-    ),
+    "basic": (basic_traversal, lambda z, D, r, **_: sweep_cost_bound(z, D, r), ("z", "w", "D", "r", "start")),
 }
 
 
@@ -81,8 +79,14 @@ def _strategy(name: str):
     return STRATEGIES[name]
 
 
+def _stream_args(strategy: str, z: int, w: str, D: float, r: float, alpha: float, s: int, start) -> dict:
+    """The keyword arguments of the strategy's stream builder: the values its stream reads."""
+    values = {"z": z, "w": w, "D": D, "r": r, "alpha": alpha, "s": s, "start": start}
+    return {name: values[name] for name in _strategy(strategy)[2]}
+
+
 def build_stream(strategy: str, z: int, w: str, D: float, r: float, alpha: float, s: int, start=ORIGIN) -> TrajectoryStream:
-    return _strategy(strategy)[0](z=z, w=w, D=D, r=r, alpha=alpha, s=s, start=start)
+    return _strategy(strategy)[0](**_stream_args(strategy, z, w, D, r, alpha, s, start))
 
 
 def bound_for(strategy: str, z: int, D: float, r: float, alpha: float, s: int) -> float:
@@ -100,11 +104,19 @@ def _setup(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_
     return (z, D, r, alpha, s), ceiling, cap_mult * max(ceiling, D), lambda w: build_stream(strategy, z, w, D, r, alpha, s, start)
 
 
-def hunt(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start, treasure):
-    """One hunt from ``start`` as the sweep and the CLI run it, a treasure at the start too: ``(advice, ceiling, RunOutcome)``."""
-    (z, *_), ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
+def _plan(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start, treasure):
+    """One hunt up to its walk: ``(key, advice, ceiling, cap, build)``. A treasure at the start takes sector 0's
+    advice; ``build()`` builds the stream, and ``key`` holds the values it reads, so hunts of one key walk one stream."""
+    (z, D, r, alpha, s), ceiling, cap, stream_for = _setup(strategy, z, D, r, alpha, s, cap_mult, start)
     w = sector_advice(0, z) if as_point(start) == as_point(treasure) else encode_advice(start, treasure, z)
-    return w, ceiling, run(stream_for(w), treasure, r, cap)
+    key = tuple(_stream_args(strategy, z, w, D, r, alpha, s, as_point(start)).values())
+    return key, w, ceiling, cap, partial(stream_for, w)
+
+
+def hunt(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, start, treasure):
+    """One hunt from ``start``, set up as a sweep row is, a treasure at the start too: ``(advice, ceiling, RunOutcome)``."""
+    _, w, ceiling, cap, build = _plan(strategy, z, D, r, alpha, s, cap_mult, start, treasure)
+    return w, ceiling, run(build(), treasure, r, cap)
 
 
 def worst_placement(strategy: str, z: int, D: float, r: float, alpha: float, s: int, cap_mult: float, grid_step: float):
@@ -251,26 +263,43 @@ def _random_placement(rng: Lcg64, D: float) -> Point2:
 
 def sweep(config: ExperimentConfig) -> List[SweepRow]:
     """One SweepRow per (z, D, r), in deterministic iteration order; every cell is read and checked before the
-    first runs, and runs on ``(z, D, r, alpha, s)`` as the rules read them."""
+    first runs, and runs on ``(z, D, r, alpha, s)`` as the rules read them.
+
+    Every random placement is drawn, in row order, before the first row runs. Rows whose streams read equal
+    values (``_plan``'s key) share one stream: it is built for the key's first row, and a key of several rows
+    keeps its steps in one tee that each of them re-reads, dropped with the key's last row. Each row still
+    walks alone, in row order, with its own treasure, r and cap, so every cost and error is the row-by-row one.
+    """
     cells = []
     for cell in itertools.product(config.z_values, config.d_values, config.r_values):
         _, D, r, _, _ = read = _setup(config.strategy, *cell, config.alpha, config.s, config.cap_mult)[0]
         if not r <= D:
             raise PreconditionError(f"sweep cell needs r <= D, got D={D} r={r}")
         cells.append(read)
-    rng = Lcg64(config.seed)
-    return [_sweep_cell(config, rng, *cell) for cell in cells]
-
-
-def _sweep_cell(config: ExperimentConfig, rng: Lcg64, z: int, D: float, r: float, alpha: float, s: int) -> SweepRow:
-    setup = (config.strategy, z, D, r, alpha, s, config.cap_mult)
     if config.placement == "adversarial":
-        bound, cap, point, cost = worst_placement(*setup, config.grid_step)
-        found = cost < cap
-    else:
-        point = config.treasure if config.placement == "explicit" else _random_placement(rng, D)
-        _, bound, outcome = hunt(*setup, ORIGIN, point)
-        found, cost = outcome.found, outcome.cost
+        rows = []
+        for z, D, r, alpha, s in cells:
+            bound, cap, point, cost = worst_placement(config.strategy, z, D, r, alpha, s, config.cap_mult, config.grid_step)
+            rows.append(_row(config, z, D, r, alpha, s, point, cost < cap, cost, bound))
+        return rows
+    rng = Lcg64(config.seed)
+    points = [config.treasure if config.placement == "explicit" else _random_placement(rng, D) for _, D, *_ in cells]
+    plans = [_plan(config.strategy, *cell, config.cap_mult, ORIGIN, point) for cell, point in zip(cells, points)]
+    left = Counter(key for key, *_ in plans)  # per key, its rows still to run
+    shared = {}  # per key with rows still to run, its stream
+    rows = []
+    for (key, _, bound, cap, build), (z, D, r, alpha, s), point in zip(plans, cells, points):
+        if key not in shared:
+            shared[key] = build()
+            if left[key] > 1:  # each of its rows re-reads one tee of its steps
+                shared[key] = TrajectoryStream(shared[key].start, itertools.tee(shared[key].steps(), 1)[0].__copy__)
+        left[key] -= 1
+        outcome = run(shared[key] if left[key] else shared.pop(key), point, r, cap)
+        rows.append(_row(config, z, D, r, alpha, s, point, outcome.found, outcome.cost, bound))
+    return rows
+
+
+def _row(config: ExperimentConfig, z: int, D: float, r: float, alpha: float, s: int, point, found, cost, bound) -> SweepRow:
     return SweepRow(
         strategy=config.strategy,
         z=z,

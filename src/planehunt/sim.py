@@ -381,6 +381,14 @@ def _candidate_floor(D: float, grid_step: float, start: Point2) -> int:
     return 4 * int(j.sum())  # quarter turns of the points with i >= 0 and j >= 1; the start is the rest
 
 
+def _sorted_unique(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) array, sorted by x, then y: ``np.unique(points, axis=0)``, by one lexsort."""
+    points = points[np.lexsort((points[:, 1], points[:, 0]))]
+    keep = np.ones(points.shape[0], dtype=bool)
+    keep[1:] = (points[1:] != points[:-1]).any(axis=1)
+    return points[keep]
+
+
 def adversarial_placement(
     strategy_factory: Callable[[str], TrajectoryStream],
     z: int,
@@ -414,7 +422,7 @@ def adversarial_placement(
     )
     dist = np.hypot(cands[:, 0] - start.x, cands[:, 1] - start.y)
     cands = cands[dist > 0.0]
-    cands = np.unique(cands, axis=0)  # sorts lexicographically: the tie-break order
+    cands = _sorted_unique(cands)  # the tie-break order
     if cands.shape[0] > MAX_CANDIDATES:
         raise PreconditionError(f"{cands.shape[0]} candidates exceed the budget {MAX_CANDIDATES}")
 

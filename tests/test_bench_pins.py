@@ -10,7 +10,9 @@ are walked to the end (``BENCH_22.json``).
 """
 
 import importlib.util
+import itertools
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import planehunt
 from planehunt import advice, geom, harness, sim, strategies, tiling, traversal  # noqa: F401  (the workloads' ph.<module>)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TEE = type(itertools.tee(())[0])
 
 # workload: (pass digest, segments per pass, count of each outcome other than found)
 PINS = {
@@ -73,3 +76,39 @@ def test_seed_1_pass_is_pinned(bench, name):
     assert summary.digest == digest
     assert tracer.counts[workload.segment_counter] == segments
     assert summary.failures == Counter(failures)
+
+
+def test_a_sweep_builds_each_stream_once_and_drops_its_steps_after_its_last_row(bench, monkeypatch):
+    """The seed-1 sweep configs: 336 rows, whose universal streams read 40, 40 and 37 distinct (z, advice)
+    pairs, each built once. A key's tee of steps lives from its first row through its last, and no longer."""
+    _, workloads = bench
+    configs = workloads.WORKLOADS["universal_sweep"](planehunt, 1).configs.values()
+    real_build, real_run = harness.build_stream, harness.run
+    builds, tees, reads, alive = [], [], [], []  # per run: the tee it reads (or None), and which tees live
+
+    def build_stream(strategy, z, w, *args):
+        builds.append((z, w))
+        return real_build(strategy, z, w, *args)
+
+    def run(stream, *args):
+        owner = getattr(stream._factory, "__self__", None)  # a stream of several rows re-reads its key's tee
+        if type(owner) is not TEE:
+            reads.append(None)
+        elif (known := [i for i, ref in enumerate(tees) if ref() is owner]):
+            reads.append(known[0])
+        else:
+            reads.append(len(tees))
+            tees.append(weakref.ref(owner))
+        alive.append([ref() is not None for ref in tees])
+        return real_run(stream, *args)
+
+    monkeypatch.setattr(harness, "build_stream", build_stream)
+    monkeypatch.setattr(harness, "run", run)
+    counts = []
+    for config in configs:
+        builds.clear()
+        counts.append((len(harness.sweep(config)), len(builds), len(set(builds))))
+    assert counts == [(108, 40, 40), (108, 40, 40), (120, 37, 37)]
+    last = {tee: row for row, tee in enumerate(reads)}
+    assert alive == [[last[tee] >= row for tee in range(len(live))] for row, live in enumerate(alive)]
+    assert tees and all(ref() is None for ref in tees)

@@ -29,7 +29,7 @@ from planehunt import (
     spiral,
     universal,
 )
-from planehunt.sim import MAX_CANDIDATES, _candidate_floor, disc_grid_candidates, shaded_tile_candidates
+from planehunt.sim import MAX_CANDIDATES, _candidate_floor, _sorted_unique, disc_grid_candidates, shaded_tile_candidates
 
 
 def one_segment_stream(a, b):
@@ -218,6 +218,27 @@ class TestCandidates:
 
     def test_empty_pattern_for_tiny_disc(self):
         assert shaded_tile_candidates(1.0, 1.0).shape[0] == 0
+
+    # The adversary workload's starts for seeds 1-10 (perfbench draws them so), then random ones, one at -0.0.
+    STARTS = [tuple(np.random.default_rng(seed).uniform(-100.0, 100.0, 2)) for seed in range(1, 11)] + [
+        tuple(np.random.default_rng(seed).uniform(-1e3, 1e3, 2)) for seed in range(20, 25)
+    ] + [(-0.0, -0.0), (-0.0, 3.5)]
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_candidate_dedupe_is_np_unique(self, start):
+        p = Point2(*start)
+        cands = np.concatenate([shaded_tile_candidates(10.0, 0.5, p), disc_grid_candidates(10.0, 0.125, p)])
+        cands = cands[np.hypot(cands[:, 0] - p.x, cands[:, 1] - p.y) > 0.0]
+        want = np.unique(cands, axis=0)
+        assert want.shape[0] < cands.shape[0]  # the two sets overlap
+        assert _sorted_unique(cands).tobytes() == want.tobytes()
+
+    def test_dedupe_of_repeats_and_signed_zeros_is_np_unique(self):
+        rng = np.random.default_rng(5)
+        pts = rng.integers(-3, 4, size=(500, 2)).astype(np.float64) * 0.5
+        pts[rng.random(500) < 0.2] *= -1.0  # -0.0 next to 0.0
+        assert np.array_equal(_sorted_unique(pts), np.unique(pts, axis=0))
+        assert _sorted_unique(pts[:0]).shape == (0, 2)
 
     @pytest.mark.parametrize("d, r, start", [(20.0, 1.0, (0.0, 0.0)), (37.3, 0.7, (-81.25, 3.1)), (9.0, 0.3, (1e9 + 0.1, 7.0))])
     def test_shaded_pattern_matches_the_plain_loop(self, d, r, start):
