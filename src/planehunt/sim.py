@@ -22,7 +22,7 @@ from .advice import check_advice, encode_advice, sector_advice, sector_indices
 from .bounds import sweep_cost_bound
 from .errors import PreconditionError, StreamChainError, positive_finite
 from .geom import DETECTION_TOL, Point2, as_point, detection_lengths
-from .traversal import Block, Piece, RoundTrip, TrajectoryStream
+from .traversal import Block, Piece, RoundTrip, TrajectoryStream, rounded, units
 
 # Default cost cap multiplier: caps are mandatory for infinite streams, and a
 # hit at 1e4 times the applicable ceiling is a hard failure, not noise.
@@ -191,6 +191,15 @@ def _near_part(block: Block, active: np.ndarray, live: np.ndarray, r: float):
     return (pts, 0, idx, live[near], reach[near]) if idx.size else None
 
 
+def _starts(block: Block, walked: int, at: np.ndarray) -> np.ndarray:
+    """The arc from the walk's start to the start of each segment ``at`` of the block,
+    ``walked`` units before it, rounded once for each distinct segment."""
+    if at.size == 1 or block.lengths.size == 1:
+        return np.full(at.size, rounded(walked + block.arc(int(at[0]))))
+    seg = np.unique(at)
+    return np.array([rounded(walked + block.arc(s)) for s in seg.tolist()])[np.searchsorted(seg, at)]
+
+
 def _out_of_sight(trip: RoundTrip, live: np.ndarray, r: float) -> bool:
     """Whether every live target lies farther than the trip's ``radius`` plus its
     cull radius from the trip's start, so that no segment of the trip can see
@@ -220,14 +229,18 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     read.  Any other block sends the kernel only what ``_near_part`` finds
     within reach, ``_CAND_SLAB`` targets at a time; a long block with many
     near targets is culled again per run (``_block_hits``).  The live set
-    narrows only where a block detects.  Lengths fold as block totals,
-    ``walked + total``, left to right.  A ``RoundTrip`` step that is tagged,
+    narrows only where a block detects.  The walked arc is an exact int in
+    units (``traversal.units``), block totals added to it and compared with
+    the cap's; a detection costs its segment's start arc, rounded, plus the
+    arc along the segment, and a cost that no detection sets is rounded when
+    it is reported.  A ``RoundTrip`` step that is tagged,
     or that every live target is out of sight of (``_out_of_sight``), folds
     its block totals the same way and counts its segments, building nothing;
     when that fold would pass the cap, or a target may be in sight, the walk
     goes through the trip's blocks.
     """
     cap = positive_finite("cost cap", cap)
+    limit = units(cap)
     k = targets.shape[0]
     start = stream.start
     cost = np.zeros(k)
@@ -240,7 +253,7 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
         found = np.hypot(targets[:, 0] - start.x, targets[:, 1] - start.y) <= r + DETECTION_TOL
     active = np.flatnonzero(~found)
     live = targets[active]  # the coordinates of the active targets
-    walked = 0.0
+    walked = 0
     done = 0
     last = (start.x, start.y)
     steps = rest = stream.steps() if active.size else None
@@ -253,10 +266,8 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
                     raise StreamChainError(f"round trip starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
                 if block.retrace or _out_of_sight(block, live, r):
                     fold = block.fold()
-                    total = walked
-                    for t in fold.totals:
-                        total = total + t
-                    if total <= cap:
+                    total = walked + sum(fold.totals)
+                    if total <= limit:
                         walked, done, last = total, done + fold.segments, block.last
                         continue
                 steps = itertools.chain(block.blocks(), rest)  # walk its blocks, then the rest
@@ -269,16 +280,13 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             if x != last[0] or y != last[1]:
                 raise StreamChainError(f"block starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
             last = end
-            cs = None  # summed only where a detection or the cap needs the running length
             hits = None
             if not block.retrace and (part := _near_part(block, active, live, r)) is not None:
                 pts, base, idx, xy, reach = part
                 hits = _block_hits(pts, xy, r, reach)
             if hits is not None:
                 col, seg, tt = hits
-                cs = np.cumsum(block.lengths)
-                at = base + seg  # the detecting segments' indices in the block
-                c = walked + np.where(at > 0, cs[at - 1], 0.0) + tt
+                c = _starts(block, walked, base + seg) + tt
                 ok = c <= cap
                 sel, seg = idx[col[ok]], seg[ok]
                 cost[sel] = c[ok]
@@ -293,15 +301,13 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
             if not active.size:
                 break
             total = walked + block.total
-            if total > cap:
-                if cs is None:
-                    cs = np.cumsum(block.lengths)
-                done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
-                walked = cap
+            if total > limit:
+                done += block.reach(limit - walked)[0] + 1
+                walked = limit
                 break
             walked = total
             done += block.lengths.size
-    cost[active] = walked
+    cost[active] = rounded(walked)
     segments[active] = done
     return _Walk(cost, found, segments, ends, t_hit)
 

@@ -34,6 +34,7 @@ from .traversal import (
     TrajectoryStream,
     basic_cost,
     phase_trips,
+    units,
 )
 
 # Column scale exponent: successive range hypotheses in the medium-vision
@@ -277,9 +278,8 @@ def medium_vision(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int 
     """Strategy for medium vision radii (1 < r < 0.9 D): budgeted dot filling.
 
     Emits, in fill order, the basic traversal of each filled dot walked out
-    and back.  In exact arithmetic each fill adds twice its one-way cost; the
-    walker's fold of block totals can differ from ``2 * basic_cost``, the
-    per-segment fold of ``FillEvent.cost``, in the last bits.
+    and back; ``FillEvent.cost`` is the exact length each fill walks, twice
+    its one-way ``basic_cost``, rounded once.
     """
     s = positive_int("scale step", s)
     return _round_trips(z, w, start, lambda: (ev.dot.cell(s) for ev in fill_events(z, alpha, s)))
@@ -292,7 +292,7 @@ def large_vision(start=ORIGIN) -> TrajectoryStream:
     North) out to 2**j and back, costing exactly 24 * 2**j.
     """
     p = as_point(start)
-    units = [direction_of(a) for a in RAY_ANGLES]
+    heads = [direction_of(a) for a in RAY_ANGLES]
 
     def gen() -> Iterator[Block]:
         j = 1
@@ -300,10 +300,10 @@ def large_vision(start=ORIGIN) -> TrajectoryStream:
             d = 2.0**j
             pts = np.empty((2 * RAY_COUNT + 1, 2))
             pts[0] = (p.x, p.y)
-            for i, (ux, uy) in enumerate(units):
+            for i, (ux, uy) in enumerate(heads):
                 pts[2 * i + 1] = (p.x + d * ux, p.y + d * uy)
                 pts[2 * i + 2] = (p.x, p.y)
-            yield Block.of(pts, np.full(2 * RAY_COUNT, d))
+            yield Block(pts, np.full(2 * RAY_COUNT, d), False, 2 * RAY_COUNT * units(d))  # Block.of's exact sum
             j += 1
 
     return TrajectoryStream(p, gen)
@@ -313,10 +313,9 @@ def universal(z: int, w: AdviceString, alpha: float = DEFAULT_ALPHA, s: int = DE
     """Regime-oblivious strategy: small, medium, and large streams round-robin.
 
     Phase p walks 2**p out and back along each component stream (from its
-    beginning; ``phase_trips`` walks each one once), costing 6 * 2**p in exact
-    arithmetic (the walker's left fold of block totals may differ in the last
-    bits); a treasure any single component would find at cost x is found at
-    cost at most 24 x.
+    beginning; ``phase_trips`` walks each one once), costing exactly
+    6 * 2**p; a treasure any single component would find at cost x is found
+    at cost at most 24 x.
     """
     z = check_advice(z, w)
     p = as_point(start)

@@ -17,21 +17,20 @@ A cell walked out and back can be one ``RoundTrip`` step, which stands for
 its blocks without building them: ``TrajectoryStream.steps()`` yields it as
 it is, ``blocks()`` expands it, and its ``fold()`` gives its block totals.
 
-Two folds measure a length, and they agree only in exact arithmetic.  The
-walker (``sim``) folds block totals left to right: walked + total, block
-after block.  ``basic_cost`` folds the per-segment lengths one by one, in
-stream order, so it matches the materialized polyline length bit for bit
-whenever materialization is feasible; a walked basic traversal can differ
-from it in the last bits.  They agree for a spiral of power-of-two r whose
-round trip is shorter than 2^53 r: every length is a whole multiple of r,
-so every partial sum is exact, and the walked round trip costs exactly
-``2 * basic_cost``.  A piece of such lengths carries its totals out and
-back, counted in whole multiples of r (``_exact``), and its blocks, flips
-and round-trip folds read them without summing.
+Lengths add exactly.  Every finite binary64 is a whole number of units of
+2^-1074 (``units``), so a block's total and every arc within it are exact
+ints in those units, and they add alike in any order and over any block
+partition.  A basic traversal walks whole tile sizes r: a piece counts them
+from its instruction range or its column heights, plus the sweep's opening
+move of r/sqrt(2) as stored, and carries count * units(r) without summing
+its lengths.  A cost is rounded once, when it is reported (``rounded``), so
+``basic_cost`` is the same count rounded, and a walked round trip costs
+exactly ``2 * basic_cost``.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
@@ -46,27 +45,27 @@ from .geom import ORIGIN, Point2, Polyline, as_point
 from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
 
 # The segments ``prefix`` and ``materialize`` pull before the block that crosses
-# it (``prefix`` keeps that block when it cuts it short).  Spiral costs fold the
-# exact instruction lengths up to that many instructions, then (2k+1)^2 * r.
+# it (``prefix`` keeps that block when it cuts it short).
 MAX_STREAM_SEGMENTS = 10**7
 
 _Span = Optional[tuple[int, int]]
-_Totals = tuple[Optional[float], Optional[float]]
 
 
-def _exact(count: int, r: float) -> Optional[float]:
-    """``count * r`` when lengths that are whole multiples of r and add up to
-    ``count * r`` sum exactly in any order, else None.
+def units(x: float) -> int:
+    """The finite float x as an exact whole number of units of 2^-1074, the smallest binary64 step."""
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2^1074
+    return n << (1075 - d.bit_length())
 
-    That holds when r is a power of two, ``count`` is below 2^53 and
-    ``count * r`` is finite: every partial sum is then a whole multiple of r
-    below 2^53 r, which binary64 holds exactly, so ``np.cumsum`` of the
-    lengths, forwards or reversed, ends on this value bit for bit.
-    """
-    if count >= 2**53 or math.frexp(r)[0] != 0.5:
-        return None
-    total = float(count) * r
-    return total if total < math.inf else None
+
+_ONE = units(1.0)
+
+
+def rounded(n: int) -> float:
+    """The float nearest n units (int division rounds correctly, once); inf past the largest float."""
+    try:
+        return n / _ONE
+    except OverflowError:  # lengths are never negative
+        return math.inf
 
 
 class Piece:
@@ -75,26 +74,26 @@ class Piece:
     ``first`` and ``last`` are its end points as floats, with the bits of the
     built vertices, and ``scale`` (at least 1) bounds the magnitude of every
     coordinate it builds.  ``build(s0, s1)`` makes the vertices of segments
-    [s0, s1) of the piece as it was made, and ``span(qx, qy, reach)`` gives
-    the segment range [s0, s1) of it that can come within ``reach`` of
-    (qx, qy), or None.  ``totals`` holds the left-to-right sums of its
-    lengths walked this way and walked back, each known without summing
-    (``_exact``) or None.  A flip walks the same rules backwards, swaps the
-    totals and shares the one whole build, which ``points`` makes once.
+    [s0, s1) of the piece as it was made, ``span(qx, qy, reach)`` gives the
+    segment range [s0, s1) of it that can come within ``reach`` of (qx, qy),
+    or None, and ``arc(s)`` the exact length of its first s segments, in
+    units; ``total`` is ``arc(m)``.  A flip walks the same rules backwards,
+    keeps the total and shares the one whole build, which ``points`` makes
+    once.
     """
 
-    __slots__ = ("m", "first", "last", "scale", "totals", "_build", "_span", "_whole", "_back")
+    __slots__ = ("m", "first", "last", "scale", "total", "_build", "_span", "_arc", "_whole", "_back")
 
-    def __init__(self, m: int, first, last, scale: float, build: Callable[[int, int], np.ndarray],
-                 span: Callable[[float, float, float], _Span], totals: _Totals,
+    def __init__(self, m: int, first, last, scale: float, total: int, build: Callable[[int, int], np.ndarray],
+                 span: Callable[[float, float, float], _Span], arc: Callable[[int], int],
                  whole: Optional[list] = None, back: bool = False):
-        self.m, self.first, self.last, self.scale, self.totals = m, first, last, scale, totals
-        self._build, self._span, self._back = build, span, back
+        self.m, self.first, self.last, self.scale, self.total = m, first, last, scale, total
+        self._build, self._span, self._arc, self._back = build, span, arc, back
         self._whole = [None] if whole is None else whole  # the whole forward build, made once
 
     def flipped(self) -> Piece:
         """The same piece walked backwards, still lazy."""
-        return Piece(self.m, self.last, self.first, self.scale, self._build, self._span, self.totals[::-1],
+        return Piece(self.m, self.last, self.first, self.scale, self.total, self._build, self._span, self._arc,
                      self._whole, not self._back)
 
     def points(self) -> np.ndarray:
@@ -119,6 +118,26 @@ class Piece:
             return span
         return self.m - span[1], self.m - span[0]
 
+    def arc(self, s: int) -> int:
+        """The exact length of its first s segments, walked its way, in units."""
+        return self.total - self._arc(self.m - s) if self._back else self._arc(s)
+
+    def cut(self, k: int, end: np.ndarray, total: int) -> Piece:
+        """Its first k segments, walked its way, the last of them ending at ``end`` and all of
+        them ``total`` long: built from this piece's whole build, and in reach of a target
+        only where their bounding box is."""
+        pts = self.points()[: k + 1].copy()
+        pts[-1] = end
+        arc = self.arc
+
+        def span(qx: float, qy: float, reach: float) -> _Span:
+            (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()  # floats: no numpy overflow
+            return (0, k) if math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0)) <= reach else None
+
+        last = (float(end[0]), float(end[1]))
+        return Piece(k, self.first, last, self.scale, total, lambda s0, s1: pts[s0 : s1 + 1], span,
+                     lambda s: total if s == k else arc(s), [pts])
+
 
 class Block(NamedTuple):
     """A run of chained segments: its vertex path (m+1 vertices) and stored lengths (m,).
@@ -134,24 +153,22 @@ class Block(NamedTuple):
     ``phase_trips`` also sets it on the blocks a trip re-walks, and
     ``prefix_blocks`` keeps it; user-built streams leave it ``False``.
 
-    ``total`` is ``float(np.cumsum(lengths)[-1])``, the left-to-right sum of
-    the lengths, or 0.0 for an empty block.  Every field is required: build a
-    block with ``Block.of``, which takes the total a piece carries for its
-    walking direction and sums the lengths once otherwise.  A flip has its
-    own total (``flip_block``), since the other order can round differently.
+    ``total`` is the block's exact length, an int in units of 2^-1074: a
+    piece's own count, or the exact sum of the stored lengths of any other
+    path.  Every field is required: build a block with ``Block.of``.  A flip
+    has the same total.  ``arc(s)`` is the exact length of the first s
+    segments, the same way.
     """
 
     path: np.ndarray | Piece
     lengths: np.ndarray
     retrace: bool
-    total: float
+    total: int
 
     @classmethod
     def of(cls, path: np.ndarray | Piece, lengths: np.ndarray, retrace: bool = False) -> Block:
-        """The block of this path and these lengths: its total is the piece's own, or summed here."""
-        total = path.totals[0] if isinstance(path, Piece) else None
-        if total is None:
-            total = float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
+        """The block of this path and these lengths: its total is the piece's own, or the lengths' exact sum."""
+        total = path.total if isinstance(path, Piece) else sum(map(units, lengths.tolist()))
         return cls(path, lengths, retrace, total)
 
     @property
@@ -163,6 +180,26 @@ class Block(NamedTuple):
     def tagged(self) -> Block:
         """The block tagged a retrace."""
         return self if self.retrace else self._replace(retrace=True)
+
+    def arc(self, s: int) -> int:
+        """The exact length of the first s segments: a piece's count, else the stored lengths' exact sum.
+        Either way each stored length is its segment's exact arc, rounded."""
+        path = self.path
+        return path.arc(s) if isinstance(path, Piece) else sum(map(units, self.lengths[:s].tolist()))
+
+    def reach(self, x: int) -> tuple[int, int, int]:
+        """The segment s in which the block's walk reaches x units, x <= total (the
+        least s with arc(s + 1) >= x), and the exact arcs at its two ends."""
+        path = self.path
+        if isinstance(path, Piece):
+            s = bisect.bisect_left(range(1, path.m + 1), x, key=path.arc)
+            return s, path.arc(s), path.arc(s + 1)
+        before = 0
+        for s, length in enumerate(self.lengths.tolist()):
+            after = before + units(length)
+            if after >= x:
+                return s, before, after
+            before = after
 
 
 class TrajectoryStream:
@@ -218,38 +255,35 @@ def blocks_to_polyline(blocks: Iterable[Block], start) -> Polyline:
     return Polyline(verts, lengths)
 
 
-def flip_block(block: Block | tuple[np.ndarray | Piece, np.ndarray]) -> Block:
+def flip_block(block: Block | tuple[Piece, np.ndarray]) -> Block:
     """The same moves walked backwards (bit-identical vertices, reversed order), tagged a retrace.
 
-    Takes a block or a raw ``(path, lengths)`` pair; a piece's flip stays
-    lazy and takes the piece's way-back total.  The reversed lengths are
-    summed anew only where the order can matter: a block of at most two
-    lengths keeps its total, since a + b == b + a, and any other block
-    without a known way-back total is summed (``Block.of``).
+    Takes a block or a raw ``(piece, lengths)`` pair; a piece's flip stays
+    lazy.  The flip has the block's total: exact lengths add alike both ways.
     """
     path, lengths = block[0], block[1][::-1]
-    path = path.flipped() if isinstance(path, Piece) else path[::-1]
-    if lengths.size <= 2 and isinstance(block, Block):
-        return Block(path, lengths, True, block.total)
-    return Block.of(path, lengths, True)
+    if isinstance(path, Piece):
+        return Block(path.flipped(), lengths, True, path.total)
+    return Block(path[::-1], lengths, True, block.total)
 
 
 def prefix_blocks(blocks: Iterable[Step], arc: float) -> List[Step]:
     """The blocks covering exactly the leading ``arc`` of a block sequence.
 
     The final segment is split when the cut lands inside it; the split piece
-    stores the exact arc remainder as its length, and keeps the block's
-    retrace tag.  A finite sequence shorter than ``arc`` is returned whole.
-    No block past the cut is pulled, and only the block cut is summed again.
-    A ``RoundTrip`` the arc covers whole is kept as it is, the arc dropping by
-    its folded totals one at a time, as it drops by its blocks' totals; one
-    the arc ends inside gives the blocks before the cut as one unit, a part of
-    it, and the block cut, which alone is built.
+    stores the arc remainder, rounded, as its length, and keeps the block's
+    retrace tag.  The arc is cut on exact ints: where a piece is cut, the
+    blocks' totals add up to ``arc`` exactly.  A finite sequence shorter than
+    ``arc`` is returned whole.  No block past the cut is pulled, and a piece
+    cut stays a piece (``Piece.cut``).  A ``RoundTrip`` the arc covers whole
+    is kept as it is, the arc dropping by its folded totals one at a time, as
+    it drops by its blocks' totals; one the arc ends inside gives the blocks
+    before the cut as one unit, a part of it, and the block cut.
     """
-    return _prefix(blocks, nonnegative_finite("prefix arc", arc))
+    return _prefix(blocks, units(nonnegative_finite("prefix arc", arc)))
 
 
-def _prefix(blocks: Iterable[Step], remaining: float) -> List[Step]:
+def _prefix(blocks: Iterable[Step], remaining: int) -> List[Step]:
     """``prefix_blocks`` past its arc rule; a unit the arc ends inside is cut by a call on its blocks."""
     out: List[Step] = []
     for block in blocks:
@@ -270,24 +304,30 @@ def _prefix(blocks: Iterable[Step], remaining: float) -> List[Step]:
             out.append(block)
             remaining -= block.total
             continue
-        # The cut block's total is its cut lengths' cumsum, read off this one.
-        cs = np.cumsum(block.lengths)
-        idx = int(np.searchsorted(cs, remaining, side="left"))
-        whole = block.points
-        if cs[idx] == remaining:
-            out.append(Block(whole[: idx + 2], block.lengths[: idx + 1], block.retrace, float(cs[idx])))
-        else:
-            before = float(cs[idx - 1]) if idx else 0.0
-            t = min(remaining - before, float(block.lengths[idx]))
-            frac = t / float(block.lengths[idx])
-            a = whole[idx]
-            b = whole[idx + 1]
-            split = a + frac * (b - a)
-            pts = np.concatenate([whole[: idx + 1], split[None, :]])
-            lens = np.concatenate([block.lengths[:idx], [t]])
-            out.append(Block(pts, lens, block.retrace, before + t if idx else t))
+        out.append(_cut(block, remaining))
         return out
     return out
+
+
+def _cut(block: Block, x: int) -> Block:
+    """The leading x units of the block (x <= total), its last segment split where x ends inside it.
+
+    The split segment stores the remainder rounded, which is at most the whole
+    segment's stored length.  A piece's cut is a piece x long exactly; an
+    array's is the exact sum of what it stores.
+    """
+    idx, before, after = block.reach(x)
+    whole, lengths = block.points, block.lengths[: idx + 1]
+    a, b = whole[idx], whole[idx + 1]
+    end = b
+    if after != x:
+        t = rounded(x - before)
+        end = a + t / float(lengths[idx]) * (b - a)
+        lengths = np.concatenate([lengths[:idx], [t]])
+        after = before + units(t)
+    if isinstance(block.path, Piece):
+        return Block(block.path.cut(idx + 1, end, x), lengths, block.retrace, x)
+    return Block(np.concatenate([whole[: idx + 1], end[None, :]]), lengths, block.retrace, after)
 
 
 def _flip(item: Step) -> Step:
@@ -356,12 +396,9 @@ def _spiral_lengths(lo: int, hi: int, r: float) -> np.ndarray:
     return ((i + 2) // 2).astype(np.float64) * r
 
 
-def _spiral_totals(lo: int, hi: int, r: float) -> _Totals:
-    """The totals of instructions [lo, hi), both ways, where ``_exact`` knows
-    them: instruction i counts (i+2)//2 tile sizes, and those of [0, n) add
-    up to floor((n+1)^2 / 4)."""
-    total = _exact((hi + 1) ** 2 // 4 - (lo + 1) ** 2 // 4, r)
-    return total, total
+def _spiral_count(n: int) -> int:
+    """The tile sizes of spiral instructions [0, n): instruction i counts (i+2)//2 of them."""
+    return (n + 1) ** 2 // 4
 
 
 def _spiral_offset(m):
@@ -406,9 +443,15 @@ def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.
         s0, s1 = max(lo, 4 * a - 3) - lo, min(hi, 4 * b + 1) - lo  # ring c holds instructions 4c - 3 to 4c
         return (s0, s1) if s0 < s1 else None
 
+    size, done = units(r), _spiral_count(lo)
+
+    def arc(s: int) -> int:
+        return (_spiral_count(lo + s) - done) * size
+
     scale = max(1.0, max(abs(sx), abs(sy)) + (c_hi + 2) * r)
     first, last = _spiral_corner(start, r, lo), _spiral_corner(start, r, hi)
-    return Piece(hi - lo, first, last, scale, build, span, _spiral_totals(lo, hi, r)), _spiral_lengths(lo, hi, r)
+    piece = Piece(hi - lo, first, last, scale, arc(hi - lo), build, span, arc)
+    return piece, _spiral_lengths(lo, hi, r)
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +479,31 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     return out
 
 
-def _sweep_totals(heights: np.ndarray, D: float, r: float, first: bool) -> _Totals:
-    """The totals of the columns ``heights``, out and back, where ``_exact`` knows them.
+def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[int, Callable[[int], int]]:
+    """The exact length, in units, of the sweep columns ``heights``, the opening
+    piece's when ``first``, and ``arc(s)``, that of their first s segments.
 
-    Column j counts 1 + 2 h_j tile sizes.  No height reaches D/r + 1, so
-    their int64 sum cannot wrap while D/r < 2^50.  The opening piece's r/sqrt(2)
-    move is no multiple of r: its way out is left to be summed, and its way
-    back, which adds that move last to an exact sum, rounds once.
+    Column j steps one tile size, rises h_j and comes down h_j; the opening
+    piece's first step is the move of r/sqrt(2) from the apex, as stored.
+    ``arc`` adds up the tile sizes by each column's end once, on its first
+    call.  The heights add in int64 while their sum stays below 2^62 (no
+    height reaches D/r + 2), and as Python ints otherwise.
     """
-    if math.frexp(r)[0] != 0.5 or not D / r < 2.0**50:  # before the sum: r of no power of two sums no heights
-        return None, None
-    count = heights.size + 2 * int(heights.sum())
-    if not first:
-        total = _exact(count, r)
-        return total, total
-    rest = _exact(count - 1, r)
-    return None, (None if rest is None else rest + math.hypot(0.5 * r, 0.5 * r))
+    size = units(r)
+    opening = units(math.hypot(0.5 * r, 0.5 * r)) - size if first else 0
+    wide = heights.size * (D / r + 2.0) >= 2.0**62
+    climbed = sum(heights.tolist()) if wide else int(heights.sum())
+    ends = []  # the tile sizes by each column's end
+
+    def arc(s: int) -> int:
+        if not ends:
+            ends.append(list(itertools.accumulate(2 * h + 1 for h in heights.tolist())) if wide
+                        else np.cumsum(2 * heights + 1))
+        j, k = divmod(s, 3)
+        count = (int(ends[0][j - 1]) if j else 0) + (k and 1 + (k - 1) * int(heights[j]))
+        return count * size + (opening if s else 0)
+
+    return (heights.size + 2 * climbed) * size + opening, arc
 
 
 def _sweep_corner(frame: TileFrame, r: float, u: int) -> tuple[float, float]:
@@ -502,11 +554,11 @@ def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
             j1 -= 1
         return (3 * j0, 3 * j1) if j0 < j1 else None
 
+    total, arc = _sweep_units(heights, D, r, u_lo == 0)
     scale = max(1.0, abs(ax) + abs(ay) + 2.0 * (D + 2.0 * r))
-    first = u_lo == 0
-    totals = _sweep_totals(heights, D, r, first)
-    piece = Piece(3 * n, _sweep_corner(frame, r, u_lo), _sweep_corner(frame, r, u_hi), scale, build, span, totals)
-    return piece, _sweep_lengths(heights, r, first)
+    first_corner, last_corner = _sweep_corner(frame, r, u_lo), _sweep_corner(frame, r, u_hi)
+    piece = Piece(3 * n, first_corner, last_corner, scale, total, build, span, arc)
+    return piece, _sweep_lengths(heights, r, u_lo == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +572,12 @@ def _chunked(n: int, piece: Callable[[int, int], tuple[Piece, np.ndarray]]) -> I
         yield Block.of(*piece(lo, min(lo + STREAM_CHUNK, n)))
 
 
-def _summed(totals: _Totals, lengths: Callable[[], np.ndarray]) -> tuple[float, float]:
-    """``totals`` with each unknown one summed from ``lengths()``, made once:
-    forwards as ``Block.of`` sums the way out, reversed as ``flip_block``
-    sums the way back."""
-    out, back = totals
-    if out is None or back is None:
-        lens = lengths()
-        if out is None:
-            out = float(np.cumsum(lens)[-1])
-        if back is None:
-            back = float(np.cumsum(lens[::-1])[-1])
-    return out, back
-
-
 def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int, Callable, Callable, Callable]:
     """Count and makers of the way out: spiral instructions when z <= 1, sweep columns otherwise.
 
     ``piece(lo, hi)`` makes the piece of [lo, hi) and its lengths,
-    ``sums(lo, hi)`` its totals out and back and its segment count without
-    the piece, and ``corner(m)`` the point where the piece starting at m
+    ``sums(lo, hi)`` its total and its segment count without the piece, and
+    ``corner(m)`` the point where the piece starting at m
     starts (m = n: where the last ends), with the bits of the built vertex.
     """
     z, r, D = check_advice(z, w), positive_finite("vision radius", r), positive_finite("range bound", D)
@@ -549,17 +587,16 @@ def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int,
         return (
             4 * k + 1,
             lambda lo, hi: _spiral_piece(p, r, lo, hi),
-            lambda lo, hi: (*_summed(_spiral_totals(lo, hi, r), lambda: _spiral_lengths(lo, hi, r)), hi - lo),
+            lambda lo, hi: ((_spiral_count(hi) - _spiral_count(lo)) * units(r), hi - lo),
             lambda m: _spiral_corner(p, r, m),
         )
     sector = decode_sector(w, p)
     frame = TileFrame(sector.apex, sector.cw_ray_angle, r)
     wedge = sector.wedge_angle
 
-    def sums(lo: int, hi: int) -> tuple[float, float, int]:
-        heights, first = column_heights(wedge, D, r, lo, hi), lo == 0
-        out, back = _summed(_sweep_totals(heights, D, r, first), lambda: _sweep_lengths(heights, r, first))
-        return out, back, 3 * heights.size
+    def sums(lo: int, hi: int) -> tuple[int, int]:
+        heights = column_heights(wedge, D, r, lo, hi)
+        return _sweep_units(heights, D, r, lo == 0)[0], 3 * heights.size
 
     return k, lambda lo, hi: _sweep_piece(frame, wedge, D, r, lo, hi), sums, lambda u: _sweep_corner(frame, r, u)
 
@@ -580,9 +617,9 @@ def spiral(D: float, r: float, start=ORIGIN) -> TrajectoryStream:
 
 
 class Fold(NamedTuple):
-    """A round trip's block totals in walking order, and its segment count."""
+    """A round trip's block totals (exact ints) in walking order, and its segment count."""
 
-    totals: tuple[float, ...]
+    totals: tuple[int, ...]
     segments: int
 
 
@@ -657,8 +694,7 @@ class RoundTrip:
 
         The way back flips the last piece as it was made and makes the others
         again with the same ``piece(lo, hi)`` calls, last first, so each way-back
-        block is the exact flip of a way-out block; no piece is stored, and a
-        piece made again is summed only by its flip.
+        block is the exact flip of a way-out block; no piece is stored.
         """
         n, piece, pieces = self._n, self._piece, self.pieces
         block = None
@@ -676,22 +712,16 @@ class RoundTrip:
     def fold(self) -> Fold:
         """The totals of ``blocks()`` in walking order, and their segment count.
 
-        Each piece's totals are taken as its block and its flip take them: a
-        total the piece carries is made without any lengths array (a spiral
-        piece from its instruction range, a sweep piece from its column
-        heights), and any other is summed with ``np.cumsum`` from the lengths,
-        made once, so every total has the bits of its block's.
+        Each piece's total is counted as its block's is, from its instruction
+        range or its column heights, without making any piece, lengths array
+        or vertex; its flip on the way back has the same total.
         """
         whole = self._fold[0]
         if whole is None:
             n, sums = self._n, self._sums
-            out, back, sizes = [], [], []
-            for lo in range(0, n, STREAM_CHUNK):
-                a, b, m = sums(lo, min(lo + STREAM_CHUNK, n))
-                out.append(a)
-                back.append(b)
-                sizes.append(m)
-            whole = self._fold[0] = (tuple(out + back[::-1]), tuple(sizes + sizes[::-1]))
+            out = [sums(lo, min(lo + STREAM_CHUNK, n)) for lo in range(0, n, STREAM_CHUNK)]
+            out += out[::-1]
+            whole = self._fold[0] = (tuple(t for t, _ in out), tuple(m for _, m in out))
         lo, hi = self._run
         return Fold(whole[0][lo:hi], sum(whole[1][lo:hi]))
 
@@ -714,24 +744,14 @@ def round_trip_blocks(z: int, w: AdviceString, D: float, r: float, start) -> Ite
 
 
 def basic_cost(z: int, D: float, r: float) -> float:
-    """Exact one-way length of ``basic_traversal(z, ., D, r)``.
+    """Exact one-way length of ``basic_traversal(z, ., D, r)``, rounded once.
 
-    Folds the stream's per-segment lengths in STREAM_CHUNK pieces, in stream
-    order, without building vertices, so it equals the materialized polyline
-    length bit for bit.  Spirals past MAX_STREAM_SEGMENTS instructions
-    take the closed form; sweeps with more than MAX_COLUMNS columns raise.
+    The spiral counts (2k+1)^2 tile sizes, for k = ceil(D/r); a sweep counts
+    its columns' moves (``_sweep_units``) from their heights, with its opening
+    move.  No vertex or length is built, and sweeps with more than
+    MAX_COLUMNS columns raise.
     """
-    z, r = check_advice(z), positive_finite("vision radius", r)
+    z, r, D = check_advice(z), positive_finite("vision radius", r), positive_finite("range bound", D)
     if z <= 1:
-        k = column_count(D, r)
-        n = 4 * k + 1
-        if n > MAX_STREAM_SEGMENTS:
-            width = 2.0 * float(k) + 1.0
-            return width * width * r
-        pieces = (_spiral_lengths(lo, min(lo + STREAM_CHUNK, n), r) for lo in range(0, n, STREAM_CHUNK))
-    else:
-        pieces = (_sweep_lengths(h, r, first=(i == 0)) for i, h in enumerate(sector_columns(z, D, r)))
-    total = 0.0
-    for lengths in pieces:  # cumsum adds in order, so the piece size cannot change the sum
-        total = float(np.cumsum(np.concatenate(([total], lengths)))[-1])
-    return total
+        return rounded(_spiral_count(4 * column_count(D, r) + 1) * units(r))
+    return rounded(sum(_sweep_units(h, D, r, i == 0)[0] for i, h in enumerate(sector_columns(z, D, r))))

@@ -19,7 +19,7 @@ import numpy as np
 from planehunt.errors import PreconditionError
 from planehunt.geom import DETECTION_TOL, Point2, detection_lengths
 from planehunt.sim import RunOutcome
-from planehunt.traversal import flip_block, prefix_blocks
+from planehunt.traversal import flip_block, prefix_blocks, rounded, units
 
 # Targets per kernel call in the plain walk; bounds its (segments, targets) arrays.
 _PLAIN_SLAB = 256
@@ -192,7 +192,10 @@ def plain_walk(stream, targets, r: float, cap: float) -> list:
     """One ``RunOutcome`` per target of the (k, 2) ``targets``, from a walk of
     ``stream`` that sends every block, tagged ``retrace`` or not, to the
     detection kernel with every target not yet seen: no reach culling and no
-    tag skipping.  Costs and detection points use the walker's arithmetic.
+    tag skipping.  Costs and detection points use the walker's arithmetic:
+    the walked arc adds exact block totals in units, a detection costs its
+    segment's start arc, rounded, plus the arc along it, and a cap crossing
+    is found by trying each segment in turn.
     """
     targets = np.asarray(targets, dtype=np.float64)
     start = stream.start
@@ -200,33 +203,33 @@ def plain_walk(stream, targets, r: float, cap: float) -> list:
     for i, (qx, qy) in enumerate(targets):
         if math.hypot(qx - start.x, qy - start.y) <= r + DETECTION_TOL:
             out[i] = RunOutcome(True, 0.0, Point2(start.x, start.y), 0)
-    walked, done = 0.0, 0
+    walked, done, limit = 0, 0, units(cap)
     for block in stream.blocks():
         unseen = np.array([i for i, o in enumerate(out) if o is None], dtype=np.int64)
         if not unseen.size:
             break
         pts = block.points
-        cs = np.cumsum(block.lengths)
         for lo in range(0, unseen.size, _PLAIN_SLAB):
             idx = unseen[lo : lo + _PLAIN_SLAB]
             t = detection_lengths(pts, targets[idx], r)
             hit = ~np.isnan(t)
             for col in np.flatnonzero(hit.any(axis=0)):
                 seg = int(np.argmax(hit[:, col]))
-                c = walked + (float(cs[seg - 1]) if seg > 0 else 0.0) + float(t[seg, col])
+                c = rounded(walked + block.arc(seg)) + float(t[seg, col])
                 if c <= cap:
                     (ax, ay), (bx, by) = pts[seg], pts[seg + 1]
                     geo = math.hypot(bx - ax, by - ay)
                     frac = float(t[seg, col]) / geo if geo > 0.0 else 0.0
                     point = Point2(float(ax + frac * (bx - ax)), float(ay + frac * (by - ay)))
                     out[idx[col]] = RunOutcome(True, c, point, done + seg + 1)
-        total = walked + float(cs[-1]) if cs.size else walked
-        if total > cap:
-            done += int(np.searchsorted(cs, cap - walked, side="left")) + 1
-            walked = cap
+        m = block.lengths.size
+        if walked + block.total > limit:
+            done += next(s for s in range(m) if walked + block.arc(s + 1) >= limit) + 1
+            walked = limit
             break
-        walked, done = total, done + cs.size
-    return [o if o is not None else RunOutcome(False, walked, None, done) for o in out]
+        walked, done = walked + block.total, done + m
+    cost = rounded(walked)
+    return [o if o is not None else RunOutcome(False, cost, None, done) for o in out]
 
 
 def column_heights_where(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from planehunt.strategies import _dot_row, branch_count, first_dot_column
 from _oracles import oracle_columns
 from test_geom import sample_isosceles_predicate
 from test_tiling import tile_columns
+from test_traversal import assert_calculator_matches
 
 TAU = math.tau
 
@@ -82,9 +83,7 @@ def test_criterion_2_sweep_cost_ceiling_and_exact_calculator():
         worst = max(worst, cost / bound)
         if cost > bound:
             _finish("2 (sweep-cost ceiling)", False, f"violated at z={z} D={d} r={r}", t0, 60)
-        poly = ph.basic_traversal(z, "0" * z, d, r).materialize()
-        if poly.length != cost:
-            _finish("2 (sweep-cost ceiling)", False, f"calculator mismatch at z={z} D={d} r={r}", t0, 60)
+        assert_calculator_matches(cost, z, "0" * z, d, r)
         exact += 1
     _finish(
         "2 (sweep-cost ceiling)",

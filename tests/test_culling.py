@@ -34,7 +34,7 @@ from planehunt import (
     universal,
 )
 from planehunt.geom import DETECTION_TOL, detection_lengths
-from planehunt.traversal import Piece
+from planehunt.traversal import Piece, rounded
 from test_retrace import _STRATEGY_STREAMS, _walked_blocks
 
 
@@ -142,7 +142,7 @@ def _assert_culls_soundly(calls, block, targets, r, step=1):
     hit = ~np.isnan(detection_lengths(block.points, targets, r))
     first = np.where(hit.any(axis=0), hit.argmax(axis=0), m - 1)  # the last segment each target needs
     stream = TrajectoryStream(tuple(start), lambda: iter([block]))
-    cap = 2.0 * block.total + 1.0
+    cap = 2.0 * rounded(block.total) + 1.0
     near = _near_runs(block.points, targets, r)
     withheld = tested = runs = 0
     for cols in [np.arange(targets.shape[0])] + [[j] for j in range(0, targets.shape[0], step)]:

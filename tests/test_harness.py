@@ -45,6 +45,7 @@ from planehunt.cli import build_parser, main
 from planehunt.bounds import SMALL_ENVELOPE_FACTOR, branch_count
 from planehunt.harness import CSV_HEADER
 from planehunt.tiling import TileFrame
+from planehunt.traversal import units
 
 GOOD_CONFIG = """
 # three advice sizes against four ranges
@@ -469,9 +470,18 @@ class TestRenderPull:
                                                                    100500, crossing + 50)]
         return mids + [float(ends[10**5 - 1])]
 
+    @staticmethod
+    def _exact_end(z, n):
+        """The exact arc, in units, from the start of that stream to the end of its segment n."""
+        walked = 0
+        for block in build_stream("small", z, encode_advice((0.0, 0.0), (1.0, 1.0), z), 2.0, 0.5, 0.5, 20).blocks():
+            if n <= block.lengths.size:
+                return walked + block.arc(n)
+            walked, n = walked + block.total, n - block.lengths.size
+
     def test_figures_near_the_guard_keep_their_bytes_and_refusals(self, tmp_path):
         """Pinned before the pull was bounded by the render guard: sha256 over each figure's bytes, or its
-        refusal class."""
+        refusal class.  Repinned when prefixes came to be cut on exact arcs: only the last arc's outcomes moved."""
         out = tmp_path / "x.svg"
         digest, outcomes = hashlib.sha256(), []
         for z in (0, 2, 3, 5):
@@ -486,9 +496,13 @@ class TestRenderPull:
                 except BudgetExceededError:
                     digest.update(b"BudgetExceededError")
                     outcomes.append("refused")
-        last = {0: "svg", 2: "refused", 3: "refused", 5: "svg"}  # the end of segment 100000 folds to 100001 for z 2, 3
+        # The last arc, the float sum of the stored lengths to the end of segment 100000, lies past that end's
+        # exact arc for z = 5 only, so there the prefix takes a piece of segment 100001.
+        last = {0: "svg", 2: "svg", 3: "svg", 5: "refused"}
         assert outcomes == [outcome for z in (0, 2, 3, 5) for outcome in ["svg"] * 4 + ["refused"] * 4 + [last[z]]]
-        assert digest.hexdigest() == "73ed9d844e9ee1b6a320b46ebd22047f2e77dd8ea3efa8f75e6583fb22b12a2b"
+        for z in (0, 2, 3, 5):
+            assert (units(self._near_guard_arcs(z)[-1]) > self._exact_end(z, 10**5)) == (last[z] == "refused")
+        assert digest.hexdigest() == "cefdf041af852749a2e48e4d09e37b770bbb90fe250f8af8bb2c1a2327c8bec4"
 
     def test_the_pull_stops_at_the_render_guard(self):
         """At most MAX_RENDER_SEGMENTS segments are pulled before the last block, and a prefix whose last

@@ -19,7 +19,7 @@ from _oracles import plain_walk
 from planehunt import TileFrame, TrajectoryStream, basic_traversal, encode_advice, round_trip_blocks, run
 from planehunt.advice import decode_sector
 from planehunt.geom import detection_lengths
-from planehunt.traversal import Piece, flip_block
+from planehunt.traversal import Piece, flip_block, units
 
 # (name, z, D, r, start): spirals of several pieces and sweeps of several columns per piece.
 CASES = [
@@ -185,4 +185,4 @@ def test_flip_block_keeps_a_piece_lazy():
     flipped = flip_block(block)
     assert isinstance(flipped.path, Piece) and flipped.retrace
     assert flipped.path._whole is block.path._whole and block.path._whole == [None]
-    assert flipped.total == float(np.cumsum(block.lengths[::-1])[-1])
+    assert flipped.total == block.total == (4096 + 1) ** 2 // 4 * units(0.1)  # instructions [0, 4096), counted

@@ -33,6 +33,7 @@ from planehunt import (
 )
 from planehunt.errors import as_real, nonnegative_finite
 from planehunt.geom import as_point
+from planehunt.traversal import units
 
 TYPED = (PreconditionError, BudgetExceededError, DegenerateInputError)
 
@@ -159,7 +160,7 @@ class TestArcReading:
     def test_phase_trip_arcs_are_read_before_they_are_compared(self):
         stream = spiral(4.0, 1.0)
         trips = list(phase_trips([stream], ["2", 3.0]))
-        assert trips and sum(block.total for block in trips) == 2.0 * (2.0 + 3.0)
+        assert trips and sum(block.total for block in trips) == units(2.0 * (2.0 + 3.0))
         with pytest.raises(PreconditionError, match="^phase trip arcs must not shrink, got 1.0 after 2.0$"):
             list(phase_trips([stream], ["2", "1"]))
 

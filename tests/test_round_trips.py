@@ -86,7 +86,7 @@ def test_fold_is_the_blocks_totals(cell):
     blocks = list(round_trip_blocks(z, w, D, r, start))
     assert trip.pieces == pieces and len(blocks) == 2 * pieces
     fold = trip.fold()
-    assert [t.hex() for t in fold.totals] == [b.total.hex() for b in blocks]
+    assert list(fold.totals) == [b.total for b in blocks]
     assert fold.segments == sum(b.lengths.size for b in blocks)
     assert trip.lengths.tobytes() == np.concatenate([b.lengths for b in blocks]).tobytes()
     tagged = trip.tagged()
@@ -114,7 +114,7 @@ def test_blocks_are_round_trip_blocks_and_the_flip_is_the_tagged_unit():
     assert all(b.retrace for b in tagged)
     for a, b in zip(tagged, flipped):
         assert a.points.tobytes() == b.points.tobytes()
-        assert a.lengths.tobytes() == b.lengths.tobytes() and a.total.hex() == b.total.hex()
+        assert a.lengths.tobytes() == b.lengths.tobytes() and a.total == b.total
 
 
 @pytest.mark.parametrize("cell", [CELLS[2], CELLS[8]], ids=[CELL_IDS[2], CELL_IDS[8]])
@@ -136,7 +136,7 @@ def test_every_part_is_its_run_of_blocks(cell):
             flips = [traversal.flip_block(b) for b in reversed(run)]
             assert all(b.retrace for b in back) and len(back) == len(flips)
             for a, b in zip(back, flips):
-                assert a.points.tobytes() == b.points.tobytes() and a.total.hex() == b.total.hex()
+                assert a.points.tobytes() == b.points.tobytes() and a.total == b.total
             assert part.lengths.tobytes() == np.concatenate([b.lengths for b in run]).tobytes()
 
 
@@ -159,14 +159,15 @@ def test_prefix_cuts_a_unit_where_it_cuts_its_blocks(arc):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.points.tobytes() == b.points.tobytes()
-        assert a.lengths.tobytes() == b.lengths.tobytes() and a.total.hex() == b.total.hex() and a.retrace == b.retrace
-    assert (prefix_blocks([trip], arc) == [trip]) == (arc > sum(trip.fold().totals))
+        assert a.lengths.tobytes() == b.lengths.tobytes() and a.total == b.total and a.retrace == b.retrace
+    assert (prefix_blocks([trip], arc) == [trip]) == (traversal.units(arc) > sum(trip.fold().totals))
 
 
 def test_an_arc_ending_on_a_unit_end_ends_the_prefix_there():
     trip = RoundTrip(0, "", 64.0, 2.0**-6, (0.0, 0.0))  # every length a multiple of 2^-6: the sums are exact
     after = Block.of(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0]))
-    arc = sum(trip.fold().totals)
+    arc = traversal.rounded(sum(trip.fold().totals))
+    assert traversal.units(arc) == sum(trip.fold().totals)
     got = [b for item in prefix_blocks([trip, after], arc) for b in (item.blocks() if isinstance(item, RoundTrip) else [item])]
     want = prefix_blocks([*trip.blocks(), after], arc)
     assert len(got) == len(want) == 2 * trip.pieces
@@ -181,7 +182,7 @@ def test_phase_trips_over_units_walk_the_blocks_of_phase_trips_over_blocks():
     n = 0
     for a, b in itertools.zip_longest(units, plain):
         assert a.points.tobytes() == b.points.tobytes()
-        assert a.lengths.tobytes() == b.lengths.tobytes() and a.total.hex() == b.total.hex()
+        assert a.lengths.tobytes() == b.lengths.tobytes() and a.total == b.total
         n += 1
     assert n > 100
     # Each unit is walked whole and untagged once, on the first trip that walks it whole; every flip and later
@@ -214,11 +215,11 @@ def test_walking_steps_is_walking_blocks(monkeypatch, name, make, treasure, r, c
 def _cap_inside_first_fold(stream, q, r, tagged):
     """A cap halfway through the first unit of ``stream`` that the walker would
     fold for the target ``q``, the first tagged one or the first far untagged one."""
-    walked = 0.0
+    walked = 0
     for step in stream.steps():
         if isinstance(step, RoundTrip):
             if step.retrace == tagged and (tagged or sim._out_of_sight(step, np.array([q]), r)):
-                return walked + sum(step.fold().totals) / 2.0
+                return traversal.rounded(walked + sum(step.fold().totals) // 2)
             walked += sum(step.fold().totals)
         else:
             walked += step.total

@@ -17,6 +17,7 @@ from planehunt import (
     Point2,
     PreconditionError,
     basic_cost,
+    basic_traversal,
     dots_of_column,
     encode_advice,
     fill_events,
@@ -32,6 +33,7 @@ from planehunt import (
     universal,
 )
 from planehunt.strategies import Dot, _dot_row, branch_count, first_dot_column
+from planehunt.traversal import rounded
 
 A_THIRD = 1.0 / 3.0
 
@@ -149,7 +151,9 @@ class TestSchedule:
     def test_first_sixty_fills_pinned(self):
         """The repr hash of the first 60 fills at s = 20, the scale step whose
         ranges overflow within 60 fills, over a grid of (z, alpha); every
-        order cut short ends in BudgetExceededError."""
+        order cut short ends in BudgetExceededError.  Repinned when ``basic_cost``
+        came to be rounded once from its exact count: four sweep fill costs moved
+        by one ulp, and no dot, budget or phase moved."""
         digest = hashlib.sha256()
         cut = 0
         for z, alpha in product((0, 1, 2, 3, 6), (1 / 2, 1 / 3, 1.0, 1 / 4)):
@@ -158,7 +162,7 @@ class TestSchedule:
                     digest.update(repr(ev).encode())
             except BudgetExceededError:
                 cut += 1
-        assert digest.hexdigest() == "fcb76a5be3fab993168bd7b2d27afe88255a7b03cbc3672043e2275a4592a691"
+        assert digest.hexdigest() == "284a9ab572a287e9c15e98a7713b03428efb2687f6e4ad02c84f8c169177e5f9"
         assert cut == 14
 
     def test_corner_cell_resolution_equal_to_range(self):
@@ -209,10 +213,19 @@ class TestSmallVision:
         assert np.array_equal(prefix.vertices, first.vertices)
 
     def test_first_cell_is_an_out_and_back(self):
+        # The cell's exact length, twice the basic traversal's, is no float: its
+        # opening move of r/sqrt(2) is not a multiple of r.  The walk is back at
+        # the start once its block totals add up to it, and not before.
         z, w = 3, "101"
+        one_way = sum(b.total for b in basic_traversal(z, w, 2.0, 0.25).blocks())
+        assert rounded(one_way) == basic_cost(z, 2.0, 0.25)
+        walked, blocks = 0, hypothesis_sweep(z, w).blocks()
+        while walked < 2 * one_way:
+            block = next(blocks)
+            walked += block.total
+        assert walked == 2 * one_way and tuple(block.points[-1]) == (0.0, 0.0)
         cell = 2.0 * basic_cost(z, 2.0, 0.25)
         prefix = hypothesis_sweep(z, w).prefix(cell)
-        assert tuple(prefix.vertices[-1]) == (0.0, 0.0)
         assert prefix.length == pytest.approx(cell, rel=1e-12)
 
     def test_phase_costs_double(self):

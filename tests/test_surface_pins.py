@@ -23,7 +23,9 @@ SWEEPS = {
         "universal,0,8,3.5,0.5,3,11,3.198182189969486,true,0,2065594197197.9961,0\n"
         "universal,2,4,0.5,0.5,3,11,3.3871858661983154,true,23.206542988838375,1107296256,2.0957844716887018e-08\n"
         "universal,2,4,3.5,0.5,3,11,1.9653068350923442,true,0,285768716873.14282,0\n"
-        "universal,2,8,0.5,0.5,3,11,5.7381841806309541,true,2189.8371970648977,5033164800,4.3508156082330104e-07\n"
+        # Repinned when costs came to be rounded once from exact sums: this z = 2 hunt walks sweeps, whose
+        # r/sqrt(2) opening move the former float fold of block totals rounded at each addition.
+        "universal,2,8,0.5,0.5,3,11,5.7381841806309541,true,2189.8371970648982,5033164800,4.3508156082330109e-07\n"
         "universal,2,8,3.5,0.5,3,11,4.1730940226863149,true,4.7784510476608828,987892876920.78076,"
         "4.8370133637921423e-12\n",
     ),
