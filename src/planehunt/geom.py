@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -98,14 +98,16 @@ class Polyline:
 
     Builders that know segment lengths exactly (axis-aligned moves, analytic
     truncations) may supply them; otherwise lengths default to Euclidean
-    vertex distances.  ``length`` is ``float(np.cumsum(seg_lengths)[-1])``, or
-    0.0 for an empty chain; it must agree with the coordinate-derived total to
-    1e-9 relative tolerance, which construction verifies.
+    vertex distances.  ``length`` is the builder's own, when it knows the
+    exact total rounded once (``traversal.blocks_to_polyline``), else
+    ``float(np.cumsum(seg_lengths)[-1])``, or 0.0 for an empty chain; it must
+    agree with the coordinate-derived total to 1e-9 relative tolerance, which
+    construction verifies.
     """
 
     __slots__ = ("vertices", "seg_lengths", "length")
 
-    def __init__(self, vertices, seg_lengths=None):
+    def __init__(self, vertices, seg_lengths=None, length: Optional[float] = None):
         verts = np.asarray(vertices, dtype=np.float64)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 1:
             raise PreconditionError("polyline needs an (n, 2) vertex array with n >= 1")
@@ -122,7 +124,8 @@ class Polyline:
         if lengths.size:
             if (lengths < 0.0).any():
                 raise PreconditionError("segment lengths must be nonnegative")
-            total, geo_total = float(np.cumsum(lengths)[-1]), float(np.cumsum(geo)[-1])
+            geo_total = float(np.cumsum(geo)[-1])
+            total = float(np.cumsum(lengths)[-1]) if length is None else length
             if abs(total - geo_total) > 1e-9 * max(1.0, geo_total):
                 raise PreconditionError(f"cached length {total!r} disagrees with geometry {geo_total!r}")
         self.vertices = verts

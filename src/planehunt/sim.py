@@ -235,9 +235,13 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
     arc along the segment, and a cost that no detection sets is rounded when
     it is reported.  A ``RoundTrip`` step that is tagged,
     or that every live target is out of sight of (``_out_of_sight``), folds
-    its block totals the same way and counts its segments, building nothing;
-    when that fold would pass the cap, or a target may be in sight, the walk
-    goes through the trip's blocks.
+    its block totals the same way and counts its segments, building nothing.
+    An untagged one on the way out (a basic traversal's) with one live target
+    in sight is ``split`` about it: the blocks before those that can come
+    within reach of it fold, those blocks are walked as any others, and the
+    blocks after them fold, unless the target is found first.  A fold that
+    would pass the cap walks its blocks instead, and so does a unit with
+    several live targets in sight, or one in sight of a round trip.
     """
     cap = positive_finite("cost cap", cap)
     limit = units(cap)
@@ -264,14 +268,26 @@ def _walk(stream: TrajectoryStream, targets: np.ndarray, r: float, cap: float) -
                 x, y = block.first
                 if x != last[0] or y != last[1]:
                     raise StreamChainError(f"round trip starts at ({x}, {y}) but previous segment ended at ({last[0]}, {last[1]})")
-                if block.retrace or _out_of_sight(block, live, r):
-                    fold = block.fold()
-                    total = walked + sum(fold.totals)
-                    if total <= limit:
-                        walked, done, last = total, done + fold.segments, block.last
-                        continue
-                steps = itertools.chain(block.blocks(), rest)  # walk its blocks, then the rest
-                break
+                head, ahead = block, []  # the run to fold, and what to walk after it, before the rest
+                if not (block.retrace or _out_of_sight(block, live, r)):
+                    if active.size > 1 or not block.one_way:
+                        head, ahead = None, [block.blocks()]
+                    else:
+                        qx, qy = float(live[0, 0]), float(live[0, 1])
+                        head, near, tail = block.split(qx, qy, lambda scale: _cull_radius(r, max(scale, abs(qx), abs(qy))))
+                        ahead = [near.blocks()] if near is not None else []
+                        if tail is not None:
+                            ahead.append((tail,))
+                if head is not None:
+                    total, count = head.count()
+                    if walked + total > limit:
+                        ahead.insert(0, head.blocks())
+                    else:
+                        walked, done, last = walked + total, done + count, head.last
+                if ahead:
+                    steps = itertools.chain(*ahead, rest)  # walk them, then the rest
+                    break
+                continue
             path = block.path
             if isinstance(path, Piece):
                 (x, y), end = path.first, path.last

@@ -11,6 +11,11 @@ digests are those of ``BENCH_26.json``: since the walked arc is an exact int
 rounded once, costs moved in their last bits (sweeps' r/sqrt(2) opening move
 in every workload, any non-dyadic r in ``basic_hunts``), and no segment count,
 found flag or reported detection point moved.
+
+The traced pass reads the expanded ``blocks()`` of every stream, so it does
+not walk the folds of ``steps()``: far round trips, and the far spans of a
+basic traversal's way out.  The untraced pass does, and gives the same
+digests; its ``basic_hunts`` pass makes one piece per hunt.
 """
 
 import importlib.util
@@ -80,6 +85,39 @@ def test_seed_1_pass_is_pinned(bench, name):
     assert summary.digest == digest
     assert tracer.counts[workload.segment_counter] == segments
     assert summary.failures == Counter(failures)
+
+
+@pytest.mark.parametrize("name", list(PINS))
+def test_untraced_seed_1_pass_is_pinned(bench, name):
+    """The timed passes walk ``steps()``, which fold far round trips and far spans of basic
+    traversals; the traced pass above reads the expanded ``blocks()``.  Both give the pins."""
+    _, workloads = bench
+    digest, _, failures = PINS[name]
+    workload = workloads.WORKLOADS[name](planehunt, 1)
+    summary = workload.summarize(workload.run_pass(None))
+    assert summary.problems == [] and summary.digest == digest
+    assert summary.failures == Counter(failures)
+
+
+def test_an_untraced_basic_pass_builds_only_the_pieces_its_targets_can_see(bench, monkeypatch):
+    """One piece per hunt is made (3,225 before far spans folded), and the kernel sees what it saw."""
+    _, workloads = bench
+    made = Counter()
+    for kind in ("spiral", "sweep"):
+        maker = getattr(traversal, f"_{kind}_piece")
+        monkeypatch.setattr(traversal, f"_{kind}_piece", lambda *args, kind=kind, maker=maker: made.update([kind]) or maker(*args))
+    kernel = Counter()
+    detect = sim.detection_lengths
+
+    def counting(pts, *args):
+        kernel.update(calls=1, segments=pts.shape[0] - 1)
+        return detect(pts, *args)
+
+    monkeypatch.setattr(sim, "detection_lengths", counting)
+    ops = workloads.WORKLOADS["basic_hunts"](planehunt, 1).run_pass(None)
+    assert made == Counter(spiral=81, sweep=219)
+    assert kernel == Counter(calls=300, segments=2943)
+    assert sum(op.segments for op in ops) == PINS["basic_hunts"][1]
 
 
 def test_a_sweep_builds_each_stream_once_and_drops_its_steps_after_its_last_row(bench, monkeypatch):

@@ -184,17 +184,16 @@ class TestBasicTraversalDispatch:
 
 def assert_calculator_matches(cost, z, w, d, r):
     """``basic_cost`` against the materialized traversal.  It is the exact sum of
-    the blocks' totals, rounded once, bit for bit.  ``Polyline.length`` sums the
-    stored lengths, each rounded, left to right: it equals the cost where every
-    partial sum is exact (a spiral of power-of-two r), and lies within the
-    fold's rounding bound, 2^-52 of the cost per segment, everywhere."""
+    the blocks' totals, rounded once, bit for bit, and so is the materialized
+    ``Polyline.length``; the stored lengths, each rounded, summed left to right
+    lie within the fold's rounding bound, 2^-52 of the cost per segment."""
     stream = basic_traversal(z, w, d, r)
     blocks = list(stream.blocks())
     assert cost == rounded(sum(b.total for b in blocks)), (z, d, r)
     poly = blocks_to_polyline(blocks, stream.start)
-    if z <= 1 and math.frexp(r)[0] == 0.5:
-        assert cost == poly.length, (z, d, r)
-    assert abs(poly.length - cost) <= poly.segment_count * 2.0**-52 * cost, (z, d, r)
+    assert cost == poly.length == stream.materialize().length, (z, d, r)
+    folded = float(np.cumsum(poly.seg_lengths)[-1])
+    assert abs(folded - cost) <= poly.segment_count * 2.0**-52 * cost, (z, d, r)
     return poly
 
 
@@ -214,7 +213,7 @@ class TestCostCalculator:
     def test_cost_is_advice_value_independent(self):
         lengths = {assert_calculator_matches(basic_cost(3, 7.5, 0.4), 3, format(j, "03b"), 7.5, 0.4).length
                    for j in range(8)}
-        assert len(lengths) == 1
+        assert lengths == {basic_cost(3, 7.5, 0.4)} == {115.48284271247462}  # the stored lengths sum to ...464
 
     def test_sweep_bound_holds(self):
         rng = np.random.default_rng(43)
