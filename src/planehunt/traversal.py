@@ -50,6 +50,14 @@ from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, secto
 # it (``prefix`` keeps that block when it cuts it short).
 MAX_STREAM_SEGMENTS = 10**7
 
+# A piece of at most this many segments is built whole when it is cut, so every
+# later cut, flip and walk of it reads that one build; cut lazily, a small piece
+# pays a range build on each trip that ends in it.  Measured per pass of the
+# benchmark: with no bound, universal sweeps (~19-segment blocks) ran about 10%
+# slower; at 64 they made 486 `TileFrame.to_world` calls, at 128 352 (346 with
+# no lazy cut); at 256 small-vision hunts map 9,804 points, at 128 4,463.
+_CUT_WHOLE = 128
+
 _Span = Optional[tuple[int, int]]
 
 
@@ -81,28 +89,28 @@ class Piece:
     or None, and ``arc(s)`` the exact length of its first s segments, in
     units; ``total`` is ``arc(m)``.  A flip walks the same rules backwards,
     keeps the total and shares the one whole build, which ``points`` makes
-    once.
+    once, by ``source()`` when one is given (a cut's reads its parent's).
     """
 
-    __slots__ = ("m", "first", "last", "scale", "total", "_build", "_span", "_arc", "_whole", "_back")
+    __slots__ = ("m", "first", "last", "scale", "total", "_build", "_span", "_arc", "_whole", "_back", "_source")
 
     def __init__(self, m: int, first, last, scale: float, total: int, build: Callable[[int, int], np.ndarray],
                  span: Callable[[float, float, float], _Span], arc: Callable[[int], int],
-                 whole: Optional[list] = None, back: bool = False):
+                 whole: Optional[list] = None, back: bool = False, source: Optional[Callable[[], np.ndarray]] = None):
         self.m, self.first, self.last, self.scale, self.total = m, first, last, scale, total
-        self._build, self._span, self._arc, self._back = build, span, arc, back
+        self._build, self._span, self._arc, self._back, self._source = build, span, arc, back, source
         self._whole = [None] if whole is None else whole  # the whole forward build, made once
 
     def flipped(self) -> Piece:
         """The same piece walked backwards, still lazy."""
         return Piece(self.m, self.last, self.first, self.scale, self.total, self._build, self._span, self._arc,
-                     self._whole, not self._back)
+                     self._whole, not self._back, self._source)
 
     def points(self) -> np.ndarray:
         """All (m+1, 2) vertices, built once and shared with every flip."""
         whole = self._whole[0]
         if whole is None:
-            whole = self._whole[0] = self._build(0, self.m)
+            whole = self._whole[0] = self._build(0, self.m) if self._source is None else self._source()
         return whole[::-1] if self._back else whole
 
     def vertices(self, s0: int, s1: int) -> np.ndarray:
@@ -126,19 +134,42 @@ class Piece:
 
     def cut(self, k: int, end: np.ndarray, total: int) -> Piece:
         """Its first k segments, walked its way, the last of them ending at ``end`` and all of
-        them ``total`` long: built from this piece's whole build, and in reach of a target
-        only where their bounding box is."""
-        pts = self.points()[: k + 1].copy()
-        pts[-1] = end
-        arc = self.arc
+        them ``total`` long.
+
+        A piece built whole is cut from that build, and the cut is in reach of a
+        target only where its bounding box is.  Any other cut stays lazy: it builds
+        its rows with this piece's ``vertices``, ``end`` as its last, and its whole
+        build from this piece's shared ``points()``; its ``near`` is this piece's,
+        clipped to its k segments (the segment cut short lies on the one it was
+        cut from).
+        """
+        last, parent_arc = (float(end[0]), float(end[1])), self.arc
+
+        def arc(s: int) -> int:
+            return total if s == k else parent_arc(s)
+
+        def ended(pts: np.ndarray) -> np.ndarray:
+            pts = pts.copy()
+            pts[-1] = end
+            return pts
+
+        if self._whole[0] is not None:
+            pts = ended(self.points()[: k + 1])
+
+            def box(qx: float, qy: float, reach: float) -> _Span:
+                (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()  # floats: no numpy overflow
+                return (0, k) if math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0)) <= reach else None
+
+            return Piece(k, self.first, last, self.scale, total, lambda s0, s1: pts[s0 : s1 + 1], box, arc, [pts])
+        vertices, points, near = self.vertices, self.points, self.near
 
         def span(qx: float, qy: float, reach: float) -> _Span:
-            (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()  # floats: no numpy overflow
-            return (0, k) if math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0)) <= reach else None
+            s = near(qx, qy, reach)
+            return None if s is None or s[0] >= k else (s[0], min(s[1], k))
 
-        last = (float(end[0]), float(end[1]))
-        return Piece(k, self.first, last, self.scale, total, lambda s0, s1: pts[s0 : s1 + 1], span,
-                     lambda s: total if s == k else arc(s), [pts])
+        return Piece(k, self.first, last, self.scale, total,
+                     lambda s0, s1: ended(vertices(s0, s1)) if s1 == k else vertices(s0, s1), span, arc,
+                     source=lambda: ended(points()[: k + 1]))
 
 
 class Block(NamedTuple):
@@ -321,21 +352,27 @@ def _cut(block: Block, x: int) -> Block:
     """The leading x units of the block (x <= total), its last segment split where x ends inside it.
 
     The split segment stores the remainder rounded, which is at most the whole
-    segment's stored length.  A piece's cut is a piece x long exactly; an
-    array's is the exact sum of what it stores.
+    segment's stored length.  Only the two vertices of that segment are read.
+    A piece's cut is a lazy piece x long exactly (``Piece.cut``); a piece of
+    at most ``_CUT_WHOLE`` segments is built whole first, so its cuts, flips
+    and later walks all read that one build.  An array's cut is the exact sum
+    of what it stores.
     """
     idx, before, after = block.reach(x)
-    whole, lengths = block.points, block.lengths[: idx + 1]
-    a, b = whole[idx], whole[idx + 1]
+    path, lengths = block.path, block.lengths[: idx + 1]
+    lazy = isinstance(path, Piece)
+    if lazy and path.m <= _CUT_WHOLE:
+        path.points()
+    a, b = path.vertices(idx, idx + 1) if lazy else path[idx : idx + 2]
     end = b
     if after != x:
         t = rounded(x - before)
         end = a + t / float(lengths[idx]) * (b - a)
         lengths = np.concatenate([lengths[:idx], [t]])
         after = before + units(t)
-    if isinstance(block.path, Piece):
-        return Block(block.path.cut(idx + 1, end, x), lengths, block.retrace, x)
-    return Block(np.concatenate([whole[: idx + 1], end[None, :]]), lengths, block.retrace, after)
+    if lazy:
+        return Block(path.cut(idx + 1, end, x), lengths, block.retrace, x)
+    return Block(np.concatenate([path[: idx + 1], end[None, :]]), lengths, block.retrace, after)
 
 
 def _flip(item: Step) -> Step:
@@ -460,6 +497,12 @@ def _spiral_span(start: Point2, r: float, lo: int, hi: int, qx: float, qy: float
     return (s0, s1) if s0 < s1 else None
 
 
+def _spiral_gap(start: Point2, r: float, i: int, qx: float, qy: float) -> float:
+    """The distance from (qx, qy) to instruction i, the axis segment from vertex i to vertex i + 1, in floats."""
+    (x0, y0), (x1, y1) = _spiral_corner(start, r, i), _spiral_corner(start, r, i + 1)
+    return math.hypot(max(min(x0, x1) - qx, qx - max(x0, x1), 0.0), max(min(y0, y1) - qy, qy - max(y0, y1), 0.0))
+
+
 def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.ndarray]:
     """The piece of instructions [lo, hi) and its lengths.  Vertex m is start +
     offset(m) * r, so every piece starts where the last one ended, bit for bit."""
@@ -477,8 +520,19 @@ def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.
     def arc(s: int) -> int:
         return (_spiral_count(lo + s) - done) * size
 
+    def span(qx: float, qy: float, reach: float) -> _Span:
+        rings = _spiral_span(start, r, lo, hi, qx, qy, reach)
+        if rings is None:
+            return None
+        s0, s1 = rings
+        # Less the instructions at either end whose own axis segment lies out of reach.
+        while s0 < s1 and _spiral_gap(start, r, lo + s0, qx, qy) > reach:
+            s0 += 1
+        while s0 < s1 and _spiral_gap(start, r, lo + s1 - 1, qx, qy) > reach:
+            s1 -= 1
+        return (s0, s1) if s0 < s1 else None
+
     first, last = _spiral_corner(start, r, lo), _spiral_corner(start, r, hi)
-    span = lambda qx, qy, reach: _spiral_span(start, r, lo, hi, qx, qy, reach)  # noqa: E731
     piece = Piece(hi - lo, first, last, _spiral_scale(start, r, hi), arc(hi - lo), build, span, arc)
     return piece, _spiral_lengths(lo, hi, r)
 

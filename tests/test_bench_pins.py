@@ -100,7 +100,9 @@ def test_untraced_seed_1_pass_is_pinned(bench, name):
 
 
 def test_an_untraced_basic_pass_builds_only_the_pieces_its_targets_can_see(bench, monkeypatch):
-    """One piece per hunt is made (3,225 before far spans folded), and the kernel sees what it saw."""
+    """One piece per hunt is made (3,225 before far spans folded).  The kernel is called once per hunt;
+    it tested 2,943 segments before the spiral rule left out end instructions whose own segment lies
+    out of reach."""
     _, workloads = bench
     made = Counter()
     for kind in ("spiral", "sweep"):
@@ -116,8 +118,31 @@ def test_an_untraced_basic_pass_builds_only_the_pieces_its_targets_can_see(bench
     monkeypatch.setattr(sim, "detection_lengths", counting)
     ops = workloads.WORKLOADS["basic_hunts"](planehunt, 1).run_pass(None)
     assert made == Counter(spiral=81, sweep=219)
-    assert kernel == Counter(calls=300, segments=2943)
+    assert kernel == Counter(calls=300, segments=2376)
     assert sum(op.segments for op in ops) == PINS["basic_hunts"][1]
+
+
+def test_an_untraced_small_pass_builds_only_what_its_target_can_see(bench, monkeypatch):
+    """Phase trips cut their last piece lazily: the rows a one-target walk reads, not the whole piece.
+    Before cuts stayed lazy, a pass mapped 341,708 points through ``TileFrame.to_world`` and the kernel
+    tested 7,571 segments."""
+    _, workloads = bench
+    work = Counter()
+    to_world, detect = tiling.TileFrame.to_world, sim.detection_lengths
+
+    def mapping(frame, f):
+        work.update(points=len(f))
+        return to_world(frame, f)
+
+    def counting(pts, *args):
+        work.update(segments=pts.shape[0] - 1)
+        return detect(pts, *args)
+
+    monkeypatch.setattr(tiling.TileFrame, "to_world", mapping)
+    monkeypatch.setattr(sim, "detection_lengths", counting)
+    workloads.WORKLOADS["small_hunts"](planehunt, 1).run_pass(None)
+    assert work["points"] < 5_000
+    assert 0 < work["segments"] <= 7_571
 
 
 def test_a_sweep_builds_each_stream_once_and_drops_its_steps_after_its_last_row(bench, monkeypatch):

@@ -8,6 +8,9 @@ and the height steps between columns, for non-dyadic r, starts out to 1e6 and
 flipped pieces), that ``vertices(s0, s1)`` gives the rows of the whole build
 bit for bit, that a piece's end points are its first and last vertex, and
 that a walk over flipped pieces with their tags cleared equals the plain walk.
+A piece cut by ``prefix_blocks`` before it is built whole stays lazy: its rows,
+its whole build and its ``near`` are checked against the cut of the built
+piece, and phase trips that cut long pieces walk as the plain walk.
 """
 
 import math
@@ -16,10 +19,11 @@ import numpy as np
 import pytest
 
 from _oracles import plain_walk
-from planehunt import TileFrame, TrajectoryStream, basic_traversal, encode_advice, round_trip_blocks, run
+from planehunt import TileFrame, TrajectoryStream, basic_traversal, encode_advice, phase_trips, round_trip_blocks, run
 from planehunt.advice import decode_sector
 from planehunt.geom import detection_lengths
-from planehunt.traversal import Piece, flip_block, units
+from planehunt.tiling import STREAM_CHUNK
+from planehunt.traversal import _CUT_WHOLE, Piece, _prefix, flip_block, prefix_blocks, rounded, units
 
 # (name, z, D, r, start): spirals of several pieces and sweeps of several columns per piece.
 CASES = [
@@ -186,3 +190,117 @@ def test_flip_block_keeps_a_piece_lazy():
     assert isinstance(flipped.path, Piece) and flipped.retrace
     assert flipped.path._whole is block.path._whole and block.path._whole == [None]
     assert flipped.total == block.total == (4096 + 1) ** 2 // 4 * units(0.1)  # instructions [0, 4096), counted
+
+
+def _cut_arcs(piece, rng):
+    """Arcs that end inside the piece, as floats through ``prefix_blocks``, and
+    at segment ends, as exact ints through ``_prefix`` (the cutter past the arc rule)."""
+    m, total = piece.m, piece.total
+    ends = [1, 2, m // 2, m - 1, m] + rng.integers(1, m, 4).tolist()
+    floats = [rounded(piece.arc(1)) / 3.0] + rng.uniform(0.0, rounded(total), 6).tolist()
+    floats += [rounded(piece.arc(s)) for s in ends[:4]]
+    return [(prefix_blocks, a) for a in floats] + [(_prefix, piece.arc(s)) for s in ends]
+
+
+def _cuts(z, D, r, start, rng):
+    """(lazy cut, cut of the same piece built whole, the piece's lazy block, its forward
+    block, the index of its first instruction or column): every piece of the stream, and
+    each flipped, cut at ``_cut_arcs``."""
+    lazy, built = _pieces(z, D, r, start), _pieces(z, D, r, start)
+    out = []
+    for i in range(len(lazy)):
+        for flip in (False, True):
+            a, b = (flip_block(x) if flip else x for x in (lazy[i], built[i]))
+            b.points  # the whole build: today's cut
+            for cut, arc in _cut_arcs(a.path, rng):
+                (la,), (bu,) = cut([a], arc), cut([b], arc)
+                out.append((la, bu, a, built[i], i * STREAM_CHUNK))
+    return out
+
+
+@pytest.mark.parametrize("name, z, D, r, start", CASES, ids=IDS)
+def test_lazy_cuts_are_rows_of_the_whole_build_cut(name, z, D, r, start):
+    """A cut of a piece not yet built builds none of it: its ranges, forwards and
+    flipped, and then its whole build, have the bits of the cut of the built piece,
+    and the whole build is read from the piece's one shared build."""
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    cuts = _cuts(z, D, r, start, rng)
+    for lazy, built, block, _, _ in cuts:
+        assert isinstance(lazy.path, Piece)
+        if block.path.m <= _CUT_WHOLE:  # built whole when cut: today's cut
+            assert lazy.points.tobytes() == built.points.tobytes()
+            continue
+        k = lazy.path.m
+        assert (k, lazy.total, lazy.retrace) == (built.path.m, built.total, built.retrace)
+        assert lazy.lengths.tobytes() == built.lengths.tobytes()
+        assert (lazy.path.first, lazy.path.last) == (built.path.first, built.path.last)
+        rows = built.points
+        for s0, s1 in [(0, k), (0, 1), (k - 1, k)] + [tuple(sorted(rng.choice(k + 1, 2, replace=False))) for _ in range(6)]:
+            if s0 < s1:
+                assert lazy.path.vertices(s0, s1).tobytes() == rows[s0 : s1 + 1].tobytes()
+                assert lazy.path.flipped().vertices(s0, s1).tobytes() == rows[::-1][s0 : s1 + 1].tobytes()
+        assert [lazy.path.arc(s) for s in range(0, k + 1, max(1, k // 7))] == [
+            built.path.arc(s) for s in range(0, k + 1, max(1, k // 7))]
+        assert block.path._whole == [None]  # a range of a cut builds only its rows
+    for lazy, built, block, _, _ in cuts:
+        assert lazy.points.tobytes() == built.points.tobytes()
+        if block.path.m <= _CUT_WHOLE:
+            continue
+        assert block.path._whole[0] is not None  # read from the piece's shared whole build
+        assert lazy.path.flipped().points().tobytes() == built.points[::-1].tobytes()
+
+
+@pytest.mark.parametrize("name, z, D, r, start", CASES, ids=IDS)
+def test_near_of_a_lazy_cut_keeps_every_detecting_segment(name, z, D, r, start):
+    """The near rule of a cut, lazy or cut from the whole build, forwards or
+    flipped, keeps every segment of the cut on which the kernel sees a target:
+    targets about the piece's rule edges, and about the cut's own end."""
+    rng = np.random.default_rng(sum(map(ord, name)) + 2)
+    hits = 0
+    cuts = _cuts(z, D, r, start, rng)
+    for lazy, built, _, forward, lo in cuts[:: len(cuts) // 20]:
+        piece = built.path
+        targets = _edge_targets(z, D, r, start, forward.path, forward.lengths, lo, rng, 45)
+        ang = rng.uniform(0.0, math.tau, 15)
+        around = np.array(piece.last) + r * rng.uniform(0.5, 1.5, (15, 1)) * np.column_stack((np.cos(ang), np.sin(ang)))
+        targets = np.concatenate([targets, around])
+        seen = ~np.isnan(detection_lengths(built.points, targets, r))
+        for j, q in enumerate(targets.tolist()):
+            segs = np.flatnonzero(seen[:, j])
+            hits += bool(segs.size)
+            back = piece.m - 1 - segs
+            for p, at in ((lazy.path, segs), (piece, segs), (lazy.path.flipped(), back), (piece.flipped(), back)):
+                span = p.near(q[0], q[1], _reach(p, q, r))
+                if span is None:
+                    assert not at.size, (name, q)
+                else:
+                    assert 0 <= span[0] < span[1] <= p.m
+                    assert ((span[0] <= at) & (at < span[1])).all(), (name, q, span, at)
+    assert hits > 50
+
+
+@pytest.mark.parametrize("name, z, D, r, start", CASES, ids=IDS)
+def test_phase_trips_that_cut_long_pieces_walk_as_the_plain_walk(name, z, D, r, start, monkeypatch):
+    """Doubling trips that end inside pieces of thousands of segments cut them
+    lazily, and ``run`` on the trips finds what the plain walk finds, which
+    builds every block whole."""
+    w = _advice(z, start)
+    first = next(iter(basic_traversal(z, w, D, r, start).blocks()))
+    total = rounded(first.total)
+    arcs = [total * 0.7**i for i in range(9, 0, -1)]  # every trip ends inside the first piece
+    stream = TrajectoryStream(start, lambda: phase_trips([basic_traversal(z, w, D, r, start)], arcs))
+    lazy = []
+    cut = Piece.cut
+    monkeypatch.setattr(Piece, "cut", lambda self, *a: lazy.append((self.m, self._whole[0] is None)) or cut(self, *a))
+    blocks = list(stream.blocks())
+    assert len(lazy) == len(arcs) and all(m > 1000 and unbuilt for m, unbuilt in lazy)
+    pts = np.concatenate([b.points for b in blocks])
+    rng = np.random.default_rng(sum(map(ord, name)) + 3)
+    ends = [stream.start] + [tuple(pts[i]) for i in rng.integers(1, pts.shape[0], 10)]
+    ang = rng.uniform(0.0, math.tau, len(ends))
+    targets = [(x + 1.01 * r * math.cos(a), y + 1.01 * r * math.sin(a)) for (x, y), a in zip(ends, ang)]
+    targets.append((start[0] + 3 * D, start[1]))  # never seen: the walk runs out
+    monkeypatch.setattr(Piece, "cut", cut)
+    for q in targets:
+        out = run(stream, q, r, 1e12)
+        assert out == plain_walk(stream, [q], r, 1e12)[0], (name, q)
