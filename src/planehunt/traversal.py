@@ -50,14 +50,6 @@ from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, secto
 # it (``prefix`` keeps that block when it cuts it short).
 MAX_STREAM_SEGMENTS = 10**7
 
-# A piece of at most this many segments is built whole when it is cut, so every
-# later cut, flip and walk of it reads that one build; cut lazily, a small piece
-# pays a range build on each trip that ends in it.  Measured per pass of the
-# benchmark: with no bound, universal sweeps (~19-segment blocks) ran about 10%
-# slower; at 64 they made 486 `TileFrame.to_world` calls, at 128 352 (346 with
-# no lazy cut); at 256 small-vision hunts map 9,804 points, at 128 4,463.
-_CUT_WHOLE = 128
-
 _Span = Optional[tuple[int, int]]
 
 
@@ -78,33 +70,49 @@ def rounded(n: int) -> float:
         return math.inf
 
 
+def _box_gap(a: tuple[float, float], b: tuple[float, float], qx: float, qy: float) -> float:
+    """The distance from (qx, qy) to the bounding box of the segment from a to b, in floats."""
+    (x0, y0), (x1, y1) = a, b
+    if x0 > x1:
+        x0, x1 = x1, x0
+    if y0 > y1:
+        y0, y1 = y1, y0
+    dx = x0 - qx if qx < x0 else qx - x1 if qx > x1 else 0.0
+    dy = y0 - qy if qy < y0 else qy - y1 if qy > y1 else 0.0
+    return math.hypot(dx, dy)
+
+
 class Piece:
     """The vertices of one basic-traversal piece of ``m`` segments, built only when asked.
 
     ``first`` and ``last`` are its end points as floats, with the bits of the
     built vertices, and ``scale`` (at least 1) bounds the magnitude of every
     coordinate it builds.  ``build(s0, s1)`` makes the vertices of segments
-    [s0, s1) of the piece as it was made, ``span(qx, qy, reach)`` gives the
-    segment range [s0, s1) of it that can come within ``reach`` of (qx, qy),
-    or None, and ``arc(s)`` the exact length of its first s segments, in
-    units; ``total`` is ``arc(m)``.  A flip walks the same rules backwards,
-    keeps the total and shares the one whole build, which ``points`` makes
-    once, by ``source()`` when one is given (a cut's reads its parent's).
+    [s0, s1) of the piece as it was made, ``corner(s)`` its vertex s alone,
+    as floats with the same bits, ``span(qx, qy, reach)`` gives the segment
+    range [s0, s1) of it that can come within ``reach`` of (qx, qy), or None,
+    and ``arc(s)`` the exact length of its first s segments, in units;
+    ``total`` is ``arc(m)``.  A flip walks the same rules backwards, keeps the
+    total and shares the one whole build, which ``points`` makes once, by
+    ``source()`` when one is given (a cut's reads its piece's).
     """
 
-    __slots__ = ("m", "first", "last", "scale", "total", "_build", "_span", "_arc", "_whole", "_back", "_source")
+    __slots__ = ("m", "first", "last", "scale", "total", "_build", "_span", "_arc", "_corner", "_whole", "_back",
+                 "_source")
 
     def __init__(self, m: int, first, last, scale: float, total: int, build: Callable[[int, int], np.ndarray],
                  span: Callable[[float, float, float], _Span], arc: Callable[[int], int],
-                 whole: Optional[list] = None, back: bool = False, source: Optional[Callable[[], np.ndarray]] = None):
+                 corner: Callable[[int], tuple[float, float]], whole: Optional[list] = None, back: bool = False,
+                 source: Optional[Callable[[], np.ndarray]] = None):
         self.m, self.first, self.last, self.scale, self.total = m, first, last, scale, total
-        self._build, self._span, self._arc, self._back, self._source = build, span, arc, back, source
+        self._build, self._span, self._arc, self._corner = build, span, arc, corner
+        self._back, self._source = back, source
         self._whole = [None] if whole is None else whole  # the whole forward build, made once
 
     def flipped(self) -> Piece:
         """The same piece walked backwards, still lazy."""
         return Piece(self.m, self.last, self.first, self.scale, self.total, self._build, self._span, self._arc,
-                     self._whole, not self._back, self._source)
+                     self._corner, self._whole, not self._back, self._source)
 
     def points(self) -> np.ndarray:
         """All (m+1, 2) vertices, built once and shared with every flip."""
@@ -121,6 +129,10 @@ class Piece:
         pts = self._build(s0, s1) if whole is None else whole[s0 : s1 + 1]
         return pts[::-1] if self._back else pts
 
+    def vertex(self, s: int) -> tuple[float, float]:
+        """Vertex s, walked its way, as floats: row s of ``points()``, bit for bit, built alone."""
+        return self._corner(self.m - s if self._back else s)
+
     def near(self, qx: float, qy: float, reach: float) -> _Span:
         """The segment range [s0, s1) that can come within ``reach`` of (qx, qy), or None."""
         span = self._span(qx, qy, reach)
@@ -132,44 +144,44 @@ class Piece:
         """The exact length of its first s segments, walked its way, in units."""
         return self.total - self._arc(self.m - s) if self._back else self._arc(s)
 
-    def cut(self, k: int, end: np.ndarray, total: int) -> Piece:
+    def cut(self, k: int, end: tuple[float, float], total: int) -> Piece:
         """Its first k segments, walked its way, the last of them ending at ``end`` and all of
-        them ``total`` long.
+        them ``total`` long, still lazy.
 
-        A piece built whole is cut from that build, and the cut is in reach of a
-        target only where its bounding box is.  Any other cut stays lazy: it builds
-        its rows with this piece's ``vertices``, ``end`` as its last, and its whole
-        build from this piece's shared ``points()``; its ``near`` is this piece's,
-        clipped to its k segments (the segment cut short lies on the one it was
-        cut from).
+        The cut builds its rows with this piece's ``vertices``, ``end`` as its
+        last, and its whole build from this piece's shared ``points()``.  Its
+        ``near`` is this piece's, clipped to its k segments (the segment cut
+        short lies on the one it was cut from), less the segments at either
+        end whose own bounding box lies out of reach: the piece's rule cannot
+        know where the cut ends.
         """
-        last, parent_arc = (float(end[0]), float(end[1])), self.arc
+        last = (float(end[0]), float(end[1]))
+        arc, vertices, vertex, points, near = self.arc, self.vertices, self.vertex, self.points, self.near
 
-        def arc(s: int) -> int:
-            return total if s == k else parent_arc(s)
+        def corner(s: int) -> tuple[float, float]:
+            return last if s == k else vertex(s)
 
         def ended(pts: np.ndarray) -> np.ndarray:
             pts = pts.copy()
-            pts[-1] = end
+            pts[-1] = last
             return pts
-
-        if self._whole[0] is not None:
-            pts = ended(self.points()[: k + 1])
-
-            def box(qx: float, qy: float, reach: float) -> _Span:
-                (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()  # floats: no numpy overflow
-                return (0, k) if math.hypot(max(x0 - qx, qx - x1, 0.0), max(y0 - qy, qy - y1, 0.0)) <= reach else None
-
-            return Piece(k, self.first, last, self.scale, total, lambda s0, s1: pts[s0 : s1 + 1], box, arc, [pts])
-        vertices, points, near = self.vertices, self.points, self.near
 
         def span(qx: float, qy: float, reach: float) -> _Span:
             s = near(qx, qy, reach)
-            return None if s is None or s[0] >= k else (s[0], min(s[1], k))
+            if s is None or s[0] >= k:
+                return None
+            s0, s1 = s[0], min(s[1], k)
+            a = corner(s0)  # neighbouring segments share a vertex
+            while s0 < s1 and _box_gap(a, b := corner(s0 + 1), qx, qy) > reach:
+                s0, a = s0 + 1, b
+            b = corner(s1)
+            while s0 < s1 and _box_gap(a := corner(s1 - 1), b, qx, qy) > reach:
+                s1, b = s1 - 1, a
+            return (s0, s1) if s0 < s1 else None
 
         return Piece(k, self.first, last, self.scale, total,
-                     lambda s0, s1: ended(vertices(s0, s1)) if s1 == k else vertices(s0, s1), span, arc,
-                     source=lambda: ended(points()[: k + 1]))
+                     lambda s0, s1: ended(vertices(s0, s1)) if s1 == k else vertices(s0, s1), span,
+                     lambda s: total if s == k else arc(s), corner, source=lambda: ended(points()[: k + 1]))
 
 
 class Block(NamedTuple):
@@ -352,27 +364,24 @@ def _cut(block: Block, x: int) -> Block:
     """The leading x units of the block (x <= total), its last segment split where x ends inside it.
 
     The split segment stores the remainder rounded, which is at most the whole
-    segment's stored length.  Only the two vertices of that segment are read.
-    A piece's cut is a lazy piece x long exactly (``Piece.cut``); a piece of
-    at most ``_CUT_WHOLE`` segments is built whole first, so its cuts, flips
-    and later walks all read that one build.  An array's cut is the exact sum
-    of what it stores.
+    segment's stored length.  Only the two vertices of that segment are read,
+    as floats.  A piece's cut is a lazy piece x long exactly (``Piece.cut``);
+    an array's is the exact sum of what it stores.
     """
     idx, before, after = block.reach(x)
     path, lengths = block.path, block.lengths[: idx + 1]
     lazy = isinstance(path, Piece)
-    if lazy and path.m <= _CUT_WHOLE:
-        path.points()
-    a, b = path.vertices(idx, idx + 1) if lazy else path[idx : idx + 2]
-    end = b
+    (ax, ay), (bx, by) = (path.vertex(idx), path.vertex(idx + 1)) if lazy else path[idx : idx + 2].tolist()
+    end = bx, by
     if after != x:
         t = rounded(x - before)
-        end = a + t / float(lengths[idx]) * (b - a)
+        f = t / float(lengths[idx])
+        end = ax + f * (bx - ax), ay + f * (by - ay)
         lengths = np.concatenate([lengths[:idx], [t]])
         after = before + units(t)
     if lazy:
         return Block(path.cut(idx + 1, end, x), lengths, block.retrace, x)
-    return Block(np.concatenate([path[: idx + 1], end[None, :]]), lengths, block.retrace, after)
+    return Block(np.concatenate([path[: idx + 1], [end]]), lengths, block.retrace, after)
 
 
 def _flip(item: Step) -> Step:
@@ -497,12 +506,6 @@ def _spiral_span(start: Point2, r: float, lo: int, hi: int, qx: float, qy: float
     return (s0, s1) if s0 < s1 else None
 
 
-def _spiral_gap(start: Point2, r: float, i: int, qx: float, qy: float) -> float:
-    """The distance from (qx, qy) to instruction i, the axis segment from vertex i to vertex i + 1, in floats."""
-    (x0, y0), (x1, y1) = _spiral_corner(start, r, i), _spiral_corner(start, r, i + 1)
-    return math.hypot(max(min(x0, x1) - qx, qx - max(x0, x1), 0.0), max(min(y0, y1) - qy, qy - max(y0, y1), 0.0))
-
-
 def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.ndarray]:
     """The piece of instructions [lo, hi) and its lengths.  Vertex m is start +
     offset(m) * r, so every piece starts where the last one ended, bit for bit."""
@@ -520,20 +523,12 @@ def _spiral_piece(start: Point2, r: float, lo: int, hi: int) -> tuple[Piece, np.
     def arc(s: int) -> int:
         return (_spiral_count(lo + s) - done) * size
 
-    def span(qx: float, qy: float, reach: float) -> _Span:
-        rings = _spiral_span(start, r, lo, hi, qx, qy, reach)
-        if rings is None:
-            return None
-        s0, s1 = rings
-        # Less the instructions at either end whose own axis segment lies out of reach.
-        while s0 < s1 and _spiral_gap(start, r, lo + s0, qx, qy) > reach:
-            s0 += 1
-        while s0 < s1 and _spiral_gap(start, r, lo + s1 - 1, qx, qy) > reach:
-            s1 -= 1
-        return (s0, s1) if s0 < s1 else None
+    def corner(s: int) -> tuple[float, float]:
+        return _spiral_corner(start, r, lo + s)
 
-    first, last = _spiral_corner(start, r, lo), _spiral_corner(start, r, hi)
-    piece = Piece(hi - lo, first, last, _spiral_scale(start, r, hi), arc(hi - lo), build, span, arc)
+    span = lambda qx, qy, reach: _spiral_span(start, r, lo, hi, qx, qy, reach)  # noqa: E731
+    piece = Piece(hi - lo, corner(0), corner(hi - lo), _spiral_scale(start, r, hi), arc(hi - lo), build, span, arc,
+                  corner)
     return piece, _spiral_lengths(lo, hi, r)
 
 
@@ -589,15 +584,17 @@ def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[
     return (heights.size + 2 * climbed) * size + opening, arc
 
 
-def _sweep_corner(frame: TileFrame, r: float, u: int) -> tuple[float, float]:
-    """Where the sweep stands before column u: the apex for u = 0, else column
-    u - 1's foot, mapped by the operations of ``TileFrame.to_world``."""
-    ax, ay = frame.apex.x, frame.apex.y
-    if u == 0:
-        return ax, ay
+def _sweep_point(frame: TileFrame, fx: float, fy: float) -> tuple[float, float]:
+    """The frame point (fx, fy) in the world, mapped by the operations of ``TileFrame.to_world``."""
     (xx, xy), (yx, yy) = frame.basis()
-    fx, fy = (float(u - 1) + 0.5) * r, 0.5 * r
-    return ax + fx * xx + fy * yx, ay + fx * xy + fy * yy
+    return frame.apex.x + fx * xx + fy * yx, frame.apex.y + fx * xy + fy * yy
+
+
+def _sweep_corner(frame: TileFrame, r: float, u: int) -> tuple[float, float]:
+    """Where the sweep stands before column u: the apex for u = 0, else column u - 1's foot."""
+    if u == 0:
+        return frame.apex.x, frame.apex.y
+    return _sweep_point(frame, (float(u - 1) + 0.5) * r, 0.5 * r)
 
 
 def _sweep_scale(frame: TileFrame, D: float, r: float) -> float:
@@ -658,9 +655,14 @@ def _sweep_piece(frame: TileFrame, wedge: float, D: float, r: float, u_lo: int, 
             j1 -= 1
         return (3 * j0, 3 * j1) if j0 < j1 else None
 
+    def corner(s: int) -> tuple[float, float]:
+        j, k = divmod(s, 3)
+        if k == 2:  # column j's top
+            return _sweep_point(frame, (float(u_lo + j) + 0.5) * r, (float(heights[j]) + 0.5) * r)
+        return _sweep_corner(frame, r, u_lo + j + (k == 1))  # the head of column j, or its first foot
+
     total, arc = _sweep_units(heights, D, r, u_lo == 0)
-    first_corner, last_corner = _sweep_corner(frame, r, u_lo), _sweep_corner(frame, r, u_hi)
-    piece = Piece(3 * n, first_corner, last_corner, _sweep_scale(frame, D, r), total, build, span, arc)
+    piece = Piece(3 * n, corner(0), corner(3 * n), _sweep_scale(frame, D, r), total, build, span, arc, corner)
     return piece, _sweep_lengths(heights, r, u_lo == 0)
 
 

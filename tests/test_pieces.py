@@ -8,9 +8,9 @@ and the height steps between columns, for non-dyadic r, starts out to 1e6 and
 flipped pieces), that ``vertices(s0, s1)`` gives the rows of the whole build
 bit for bit, that a piece's end points are its first and last vertex, and
 that a walk over flipped pieces with their tags cleared equals the plain walk.
-A piece cut by ``prefix_blocks`` before it is built whole stays lazy: its rows,
-its whole build and its ``near`` are checked against the cut of the built
-piece, and phase trips that cut long pieces walk as the plain walk.
+A piece cut by ``prefix_blocks`` stays lazy: its rows and its whole build are
+checked against rows cut from the whole build, its ``near`` against the
+kernel, and phase trips that cut long pieces walk as the plain walk.
 """
 
 import math
@@ -23,7 +23,7 @@ from planehunt import TileFrame, TrajectoryStream, basic_traversal, encode_advic
 from planehunt.advice import decode_sector
 from planehunt.geom import detection_lengths
 from planehunt.tiling import STREAM_CHUNK
-from planehunt.traversal import _CUT_WHOLE, Piece, _prefix, flip_block, prefix_blocks, rounded, units
+from planehunt.traversal import Piece, _prefix, flip_block, prefix_blocks, rounded, units
 
 # (name, z, D, r, start): spirals of several pieces and sweeps of several columns per piece.
 CASES = [
@@ -132,8 +132,8 @@ def test_near_keeps_every_detecting_segment(name, z, D, r, start):
 
 @pytest.mark.parametrize("name, z, D, r, start", CASES, ids=IDS)
 def test_vertices_are_rows_of_the_whole_build(name, z, D, r, start):
-    """A range built alone, before or after the whole piece, forwards or
-    flipped, has the bits of the same rows of the whole build."""
+    """A range or a vertex built alone, before or after the whole piece,
+    forwards or flipped, has the bits of the same rows of the whole build."""
     rng = np.random.default_rng(7)
     for alone, block in zip(_pieces(z, D, r, start), _pieces(z, D, r, start)):
         whole = block.points
@@ -144,7 +144,10 @@ def test_vertices_are_rows_of_the_whole_build(name, z, D, r, start):
         for s0, s1 in ranges:
             assert piece.vertices(s0, s1).tobytes() == whole[s0 : s1 + 1].tobytes()
             assert piece.flipped().vertices(s0, s1).tobytes() == whole[::-1][s0 : s1 + 1].tobytes()
-        assert piece._whole == [None]  # ranges built alone leave the memo empty
+        for s in range(m + 1):
+            assert np.array(piece.vertex(s)).tobytes() == whole[s].tobytes()
+            assert np.array(piece.flipped().vertex(m - s)).tobytes() == whole[s].tobytes()
+        assert piece._whole == [None]  # ranges and vertices built alone leave the memo empty
         assert piece.points().tobytes() == whole.tobytes()
         assert piece.flipped().points().base is piece.points()  # one whole build, shared with the flip
 
@@ -202,39 +205,54 @@ def _cut_arcs(piece, rng):
     return [(prefix_blocks, a) for a in floats] + [(_prefix, piece.arc(s)) for s in ends]
 
 
+def _whole_cut(block, x):
+    """The rows of the block's leading x units, cut from its whole build: its
+    rows to the segment x ends in, that segment's end moved where x ends, in
+    numpy on the built rows."""
+    if x >= block.total:
+        return block.points
+    idx, before, after = block.reach(x)
+    pts = block.points[: idx + 2].copy()
+    if after != x:
+        a, b = pts[idx], pts[idx + 1]
+        pts[idx + 1] = a + rounded(x - before) / float(block.lengths[idx]) * (b - a)
+    return pts
+
+
 def _cuts(z, D, r, start, rng):
-    """(lazy cut, cut of the same piece built whole, the piece's lazy block, its forward
-    block, the index of its first instruction or column): every piece of the stream, and
-    each flipped, cut at ``_cut_arcs``."""
+    """(cut of a piece not built, cut of the same piece built whole, the rows of
+    ``_whole_cut``, the piece's lazy block, its forward block, the index of its
+    first instruction or column): every piece of the stream, and each flipped,
+    cut at ``_cut_arcs``."""
     lazy, built = _pieces(z, D, r, start), _pieces(z, D, r, start)
     out = []
     for i in range(len(lazy)):
         for flip in (False, True):
             a, b = (flip_block(x) if flip else x for x in (lazy[i], built[i]))
-            b.points  # the whole build: today's cut
+            b.points
             for cut, arc in _cut_arcs(a.path, rng):
                 (la,), (bu,) = cut([a], arc), cut([b], arc)
-                out.append((la, bu, a, built[i], i * STREAM_CHUNK))
+                rows = _whole_cut(b, units(arc) if cut is prefix_blocks else arc)
+                out.append((la, bu, rows, a, built[i], i * STREAM_CHUNK))
     return out
 
 
 @pytest.mark.parametrize("name, z, D, r, start", CASES, ids=IDS)
 def test_lazy_cuts_are_rows_of_the_whole_build_cut(name, z, D, r, start):
-    """A cut of a piece not yet built builds none of it: its ranges, forwards and
-    flipped, and then its whole build, have the bits of the cut of the built piece,
-    and the whole build is read from the piece's one shared build."""
+    """A cut of a piece not yet built builds none of it: its ranges and vertices,
+    forwards and flipped, and then its whole build, have the bits of the rows cut
+    from the whole build, as has the cut of the built piece, and the whole build
+    is read from the piece's one shared build."""
     rng = np.random.default_rng(sum(map(ord, name)) + 1)
     cuts = _cuts(z, D, r, start, rng)
-    for lazy, built, block, _, _ in cuts:
-        assert isinstance(lazy.path, Piece)
-        if block.path.m <= _CUT_WHOLE:  # built whole when cut: today's cut
-            assert lazy.points.tobytes() == built.points.tobytes()
-            continue
+    for lazy, built, rows, block, _, _ in cuts:
+        assert isinstance(lazy.path, Piece) and isinstance(built.path, Piece)
+        assert built.points.tobytes() == rows.tobytes()
         k = lazy.path.m
         assert (k, lazy.total, lazy.retrace) == (built.path.m, built.total, built.retrace)
         assert lazy.lengths.tobytes() == built.lengths.tobytes()
         assert (lazy.path.first, lazy.path.last) == (built.path.first, built.path.last)
-        rows = built.points
+        assert np.array([lazy.path.vertex(s) for s in (0, k - 1, k)]).tobytes() == rows[[0, k - 1, k]].tobytes()
         for s0, s1 in [(0, k), (0, 1), (k - 1, k)] + [tuple(sorted(rng.choice(k + 1, 2, replace=False))) for _ in range(6)]:
             if s0 < s1:
                 assert lazy.path.vertices(s0, s1).tobytes() == rows[s0 : s1 + 1].tobytes()
@@ -242,23 +260,23 @@ def test_lazy_cuts_are_rows_of_the_whole_build_cut(name, z, D, r, start):
         assert [lazy.path.arc(s) for s in range(0, k + 1, max(1, k // 7))] == [
             built.path.arc(s) for s in range(0, k + 1, max(1, k // 7))]
         assert block.path._whole == [None]  # a range of a cut builds only its rows
-    for lazy, built, block, _, _ in cuts:
-        assert lazy.points.tobytes() == built.points.tobytes()
-        if block.path.m <= _CUT_WHOLE:
-            continue
+    for lazy, _, rows, block, _, _ in cuts:
+        assert lazy.points.tobytes() == rows.tobytes()
         assert block.path._whole[0] is not None  # read from the piece's shared whole build
-        assert lazy.path.flipped().points().tobytes() == built.points[::-1].tobytes()
+        assert lazy.path.flipped().points().tobytes() == rows[::-1].tobytes()
 
 
 @pytest.mark.parametrize("name, z, D, r, start", CASES, ids=IDS)
 def test_near_of_a_lazy_cut_keeps_every_detecting_segment(name, z, D, r, start):
-    """The near rule of a cut, lazy or cut from the whole build, forwards or
-    flipped, keeps every segment of the cut on which the kernel sees a target:
-    targets about the piece's rule edges, and about the cut's own end."""
+    """The near rule of a cut, of a piece built or not, forwards or flipped,
+    keeps every segment of the cut on which the kernel sees a target: targets
+    about the piece's rule edges, and about the cut's own end.  The segments
+    at either end of its range lie within reach by their own bounding boxes,
+    so a cut whose whole box lies out of reach gives None."""
     rng = np.random.default_rng(sum(map(ord, name)) + 2)
     hits = 0
     cuts = _cuts(z, D, r, start, rng)
-    for lazy, built, _, forward, lo in cuts[:: len(cuts) // 20]:
+    for lazy, built, _, block, forward, lo in cuts[:: len(cuts) // 20]:
         piece = built.path
         targets = _edge_targets(z, D, r, start, forward.path, forward.lengths, lo, rng, 45)
         ang = rng.uniform(0.0, math.tau, 15)
@@ -276,6 +294,10 @@ def test_near_of_a_lazy_cut_keeps_every_detecting_segment(name, z, D, r, start):
                 else:
                     assert 0 <= span[0] < span[1] <= p.m
                     assert ((span[0] <= at) & (at < span[1])).all(), (name, q, span, at)
+                    for s in (span[0], span[1] - 1) if lazy is not block else ():  # an arc past the piece: no cut
+                        (x0, y0), (x1, y1) = np.sort(p.vertices(s, s + 1), axis=0).tolist()
+                        gap = math.hypot(max(x0 - q[0], q[0] - x1, 0.0), max(y0 - q[1], q[1] - y1, 0.0))
+                        assert gap <= _reach(p, q, r), (name, q, span, s)
     assert hits > 50
 
 
