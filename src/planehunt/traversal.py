@@ -44,7 +44,7 @@ from .advice import AdviceString, check_advice, decode_sector
 from .errors import BudgetExceededError, PreconditionError, nonnegative_finite, positive_finite
 from .bounds import sweep_cost_bound  # noqa: F401  (callers reach it as traversal.sweep_cost_bound)
 from .geom import ORIGIN, Point2, Polyline, as_point
-from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, sector_columns
+from .tiling import STREAM_CHUNK, TileFrame, column_count, column_heights, height_sum, wedge_columns
 
 # The segments ``prefix`` and ``materialize`` pull before the block that crosses
 # it (``prefix`` keeps that block when it cuts it short).
@@ -557,18 +557,28 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     return out
 
 
+def _tiles(count: int, r: float, opening: bool) -> int:
+    """``count`` tile sizes in units, the first of them the sweep's opening move
+    of r/sqrt(2) from the apex, as stored, when ``opening``."""
+    return count * units(r) + (units(math.hypot(0.5 * r, 0.5 * r)) - units(r) if opening else 0)
+
+
+def _sweep_span(wedge: float, D: float, r: float, lo: int, hi: int) -> int:
+    """The exact length, in units, of sweep columns [lo, hi), from their heights'
+    sum (``height_sum``): column u steps one tile size, rises h_u and comes down
+    h_u, and column 0's step is the opening move."""
+    return _tiles(hi - lo + 2 * height_sum(wedge, D, r, lo, hi), r, lo == 0)
+
+
 def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[int, Callable[[int], int]]:
     """The exact length, in units, of the sweep columns ``heights``, the opening
-    piece's when ``first``, and ``arc(s)``, that of their first s segments.
+    piece's when ``first``, and ``arc(s)``, that of their first s segments, as
+    ``_sweep_span`` counts them.
 
-    Column j steps one tile size, rises h_j and comes down h_j; the opening
-    piece's first step is the move of r/sqrt(2) from the apex, as stored.
     ``arc`` adds up the tile sizes by each column's end once, on its first
     call.  The heights add in int64 while their sum stays below 2^62 (no
     height reaches D/r + 2), and as Python ints otherwise.
     """
-    size = units(r)
-    opening = units(math.hypot(0.5 * r, 0.5 * r)) - size if first else 0
     wide = heights.size * (D / r + 2.0) >= 2.0**62
     climbed = sum(heights.tolist()) if wide else int(heights.sum())
     ends = []  # the tile sizes by each column's end
@@ -579,9 +589,9 @@ def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[
                         else np.cumsum(2 * heights + 1))
         j, k = divmod(s, 3)
         count = (int(ends[0][j - 1]) if j else 0) + (k and 1 + (k - 1) * int(heights[j]))
-        return count * size + (opening if s else 0)
+        return _tiles(count, r, first and s > 0)
 
-    return (heights.size + 2 * climbed) * size + opening, arc
+    return _tiles(heights.size + 2 * climbed, r, first), arc
 
 
 def _sweep_point(frame: TileFrame, fx: float, fy: float) -> tuple[float, float]:
@@ -675,11 +685,11 @@ def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int,
     """Count and makers of the way out: spiral instructions when z <= 1, sweep columns otherwise.
 
     ``piece(lo, hi)`` makes the piece of [lo, hi) and its lengths,
-    ``sums(lo, hi)`` the total and segment count of the pieces of [lo, hi)
-    (lo a piece's start) without making any, ``corner(m)`` the point where the
-    piece starting at m starts (m = n: where the last ends), with the bits of
-    the built vertex, and ``near(qx, qy, cull)`` the range [i0, i1) of the
-    whole way out that can come within reach of (qx, qy), or None.  ``cull``
+    ``sums(lo, hi)`` the total and segment count of [lo, hi) without making
+    any piece (a sweep's from one ``height_sum`` call), ``corner(m)`` the
+    point where the piece starting at m starts (m = n: where the last ends),
+    with the bits of the built vertex, and ``near(qx, qy, cull)`` the range
+    [i0, i1) of the whole way out that can come within reach of (qx, qy), or None.  ``cull``
     maps a scale to that reach; ``near`` asks it at the largest scale among
     the pieces, so the range holds every segment that any piece's own
     ``near`` keeps.
@@ -701,12 +711,7 @@ def _traversal(z: int, w: AdviceString, D: float, r: float, start) -> tuple[int,
     wedge = sector.wedge_angle
 
     def sums(lo: int, hi: int) -> tuple[int, int]:
-        total = count = 0
-        for u in range(lo, hi, STREAM_CHUNK):  # one column_heights call per piece: bounded arrays
-            heights = column_heights(wedge, D, r, u, min(u + STREAM_CHUNK, hi))
-            total += _sweep_units(heights, D, r, u == 0)[0]
-            count += 3 * heights.size
-        return total, count
+        return _sweep_span(wedge, D, r, lo, hi), 3 * (hi - lo)
 
     def near(qx: float, qy: float, cull: Callable[[float], float]) -> _Span:
         cols = _sweep_columns(frame, r, 0, k, qx, qy, cull(_sweep_scale(frame, D, r)))
@@ -878,7 +883,7 @@ class RoundTrip:
         """The run's exact length, in units, and its segment count: ``fold()``
         added up.  A run on the way out whose fold is not made yet is counted
         without making it: a spiral run in O(1), a sweep run from one
-        ``column_heights`` call per piece."""
+        ``height_sum`` over its columns."""
         lo, hi = self._run
         if self._fold[0] is None and self.one_way:
             return self._sums(lo * STREAM_CHUNK, min(hi * STREAM_CHUNK, self._n))
@@ -907,11 +912,11 @@ def basic_cost(z: int, D: float, r: float) -> float:
     """Exact one-way length of ``basic_traversal(z, ., D, r)``, rounded once.
 
     The spiral counts (2k+1)^2 tile sizes, for k = ceil(D/r); a sweep counts
-    its columns' moves (``_sweep_units``) from their heights, with its opening
-    move.  No vertex or length is built, and sweeps with more than
-    MAX_COLUMNS columns raise.
+    its columns as a far span of its walk does (``_sweep_span``).  No vertex
+    or length is built, and sweeps with more than MAX_COLUMNS columns raise.
     """
     z, r, D = check_advice(z), positive_finite("vision radius", r), positive_finite("range bound", D)
     if z <= 1:
         return rounded(_spiral_count(4 * column_count(D, r) + 1) * units(r))
-    return rounded(sum(_sweep_units(h, D, r, i == 0)[0] for i, h in enumerate(sector_columns(z, D, r))))
+    wedge, D, r, n = wedge_columns(z, D, r)
+    return rounded(_sweep_span(wedge, D, r, 0, n))

@@ -120,6 +120,26 @@ def test_an_untraced_basic_pass_builds_only_the_pieces_its_targets_can_see(bench
     assert sum(op.segments for op in ops) == PINS["basic_hunts"][1]
 
 
+@pytest.mark.parametrize("name, calls, columns", [("basic_hunts", 566, 2_296_788), ("small_hunts", 374, 280_433)])
+def test_an_untraced_pass_counts_rising_columns_without_building_them(bench, monkeypatch, name, calls, columns):
+    """Far sweep spans and folded round trips add their heights with ``tiling.height_sum``, which builds
+    no column of a long rising range it certifies; the pass still gives its pins."""
+    _, workloads = bench
+    work = Counter()
+    real = tiling.column_heights
+
+    def counting(wedge, D, r, lo, hi):
+        work.update(calls=1, columns=hi - lo)
+        return real(wedge, D, r, lo, hi)
+
+    for module in (tiling, traversal):
+        monkeypatch.setattr(module, "column_heights", counting)
+    workload = workloads.WORKLOADS[name](planehunt, 1)
+    summary = workload.summarize(workload.run_pass(None))
+    assert summary.digest == PINS[name][0]
+    assert 0 < work["calls"] <= calls and 0 < work["columns"] <= columns
+
+
 def test_an_untraced_small_pass_builds_only_what_its_target_can_see(bench, monkeypatch):
     """Phase trips cut their last piece lazily: a pass maps through ``TileFrame.to_world`` only the rows
     a one-target walk reads, not whole pieces."""

@@ -10,11 +10,13 @@ from planehunt import (
     BudgetExceededError,
     Point2,
     PreconditionError,
+    basic_cost,
     column_count,
     count_tiles,
     tile_count_bound,
+    tiling,
 )
-from planehunt.tiling import TileFrame, column_heights, sector_columns
+from planehunt.tiling import STREAM_CHUNK, TileFrame, column_heights, height_sum, sector_columns
 
 from _oracles import column_heights_where, oracle_columns, point_in_wedge
 
@@ -95,6 +97,86 @@ class TestColumns:
                 r = 100.0 * math.cos(wedge) / m
                 got = column_heights(wedge, 100.0, r, 0, column_count(100.0, r))
                 assert np.array_equal(got, column_heights_where(wedge, 100.0, r, 0, column_count(100.0, r))), (z, m)
+
+
+def chunked_sum(wedge: float, d: float, r: float, lo: int, hi: int) -> int:
+    """The heights of columns [lo, hi) added up from STREAM_CHUNK arrays, as Python ints."""
+    return sum(sum(column_heights(wedge, d, r, u, min(u + STREAM_CHUNK, hi)).tolist()) for u in range(lo, hi, STREAM_CHUNK))
+
+
+@pytest.fixture
+def height_calls(monkeypatch):
+    """The number of ``column_heights`` calls ``height_sum`` makes, through tiling's module global."""
+    calls = []
+    real = tiling.column_heights
+    monkeypatch.setattr(tiling, "column_heights", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestHeightSum:
+    def test_it_adds_the_heights_of_every_column_on_a_fuzz_set(self):
+        rng = np.random.default_rng(2900)
+        for _ in range(400):
+            z = int(rng.integers(2, 41))
+            wedge = TAU / (1 << z)
+            d = 10.0 ** rng.uniform(-2.0, 6.0)
+            columns = int(10.0 ** rng.uniform(0.0, 5.5))
+            r = d / columns if rng.random() < 0.5 else d / columns * rng.uniform(0.7, 1.3)
+            if rng.random() < 0.3:  # a dyadic tile size
+                r = 2.0 ** math.floor(math.log2(r))
+            r = min(r, d)
+            n = column_count(d, r)
+            cross = min(n, int(d * math.cos(wedge) / r))  # the first column past the crossover, near enough
+            lo = int(rng.integers(0, max(1, cross)))  # a range that starts while the wedge rises
+            hi = int(rng.integers(min(n, cross + 1), n + 1)) if rng.random() < 0.7 else n  # and often ends past it
+            assert height_sum(wedge, d, r, lo, hi) == chunked_sum(wedge, d, r, lo, hi), (z, d, r, lo, hi)
+
+    def test_it_adds_ranges_on_either_side_of_the_crossover(self):
+        for z in (3, 5, 9):
+            wedge = TAU / (1 << z)
+            cross = column_count(1000.0 * math.cos(wedge), 0.01)
+            for lo, hi in ((0, cross - 3), (cross - 5000, cross + 5000), (cross + 1, 100_000), (0, 100_000)):
+                assert height_sum(wedge, 1000.0, 0.01, lo, hi) == chunked_sum(wedge, 1000.0, 0.01, lo, hi), (z, lo, hi)
+
+    def test_a_long_rising_range_builds_no_column(self, height_calls):
+        wedge = TAU / 32
+        assert height_sum(wedge, 10_000.0, 0.05, 0, 150_000) == chunked_sum(wedge, 10_000.0, 0.05, 0, 150_000)
+        assert height_calls == []
+        # Past the crossover, the circle's columns are built in STREAM_CHUNK arrays.
+        assert height_sum(wedge, 10_000.0, 0.05, 150_000, 200_000) == chunked_sum(wedge, 10_000.0, 0.05, 150_000, 200_000)
+        assert [hi - lo for *_, lo, hi in height_calls[1:-1]] == [STREAM_CHUNK] * (len(height_calls) - 2)
+
+    def test_an_eighth_turn_is_always_refused(self, height_calls):
+        # tan(pi/4) rounds to 1 - 2^-53: each (u+1) tan lies just below a whole number,
+        # where rounding decides the ceiling, so every rising column is built.
+        wedge = TAU / 8
+        for d, r in ((1000.0, 0.01), (1000.0, 1.0 / 64.0), (3.0e5, 7.0)):
+            n = column_count(d, r)
+            height_calls.clear()
+            assert height_sum(wedge, d, r, 0, n) == chunked_sum(wedge, d, r, 0, n), (d, r)
+            assert sum(hi - lo for *_, lo, hi in height_calls) == n
+
+    def test_a_tiny_scale_sector_is_built(self, height_calls):
+        # r tan(phi) below 2^-1000: rounding may lose relative precision there.
+        wedge = TAU / 32
+        n = column_count(1e-300, 1e-305)
+        assert height_sum(wedge, 1e-300, 1e-305, 0, n) == chunked_sum(wedge, 1e-300, 1e-305, 0, n)
+        assert sum(hi - lo for *_, lo, hi in height_calls) == n
+
+    @pytest.mark.parametrize("z", [2, 3, 6])
+    def test_a_large_radius_counts_as_its_scaled_copy(self, z):
+        # Past 2^500 the columns are read scaled by 2^-600, so radius^2 stays finite
+        # (under the suite's error::RuntimeWarning filter) and every height holds.
+        d, r = 1000.0, 0.37
+        tiles, cost = count_tiles(z, d, r), basic_cost(z, d, r)
+        for k in (400, 501, 600, 700, 990):
+            assert count_tiles(z, math.ldexp(d, k), math.ldexp(r, k)) == tiles, k
+            assert basic_cost(z, math.ldexp(d, k), math.ldexp(r, k)) == math.ldexp(cost, k), k
+
+    def test_huge_sectors_count_their_tiles(self):
+        # radius^2 overflowed here: the quarter disc counted 0 tiles and the sweep cost inf.
+        assert count_tiles(2, 1e300, 1e296) == pytest.approx(math.pi / 4.0 * 1e8, rel=1e-3)
+        assert basic_cost(6, 1e300, 1e295) == pytest.approx(basic_cost(6, 1e5, 1.0) * 1e295, rel=1e-6)
 
 
 class TestOracleAgreement:
