@@ -170,7 +170,7 @@ def _rising_sum(tan_w: float, lo: int, hi: int) -> int | None:
 
 
 def height_sum(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi: int) -> int:
-    """``int(column_heights(wedge_angle, radius, r, u_lo, u_hi).sum())``, bit for bit, as a Python int.
+    """``int(column_heights(wedge_angle, radius, r, u_lo, u_hi).sum())``, as a Python int.
 
     A range of at least STREAM_CHUNK columns adds its rising columns (right
     edge at or before the crossover) with ``_rising_sum`` and builds none of
@@ -185,7 +185,9 @@ def height_sum(wedge_angle: float, radius: float, r: float, u_lo: int, u_hi: int
         x_cross = radius * math.cos(wedge_angle)
         if r * tan_w > 2.0**-1000:  # every rounded value of a rising height is normal
 
-            def rising(u: int) -> bool:  # column u's right edge lies at or before the crossover
+            def rising(u: int) -> bool:
+                # Column u's right edge lies at or before the crossover, so no min with the
+                # radius moves it (x_cross < radius unless cos(phi) rounds to 1).
                 return float(u + 1) * r <= x_cross
 
             rise = max(int(min(x_cross / r, u_hi)), u_lo)  # then fixed up by at most a column or two

@@ -557,17 +557,17 @@ def _sweep_lengths(heights: np.ndarray, r: float, first: bool) -> np.ndarray:
     return out
 
 
-def _tiles(count: int, r: float, opening: bool) -> int:
-    """``count`` tile sizes in units, the first of them the sweep's opening move
-    of r/sqrt(2) from the apex, as stored, when ``opening``."""
-    return count * units(r) + (units(math.hypot(0.5 * r, 0.5 * r)) - units(r) if opening else 0)
+def _opening(r: float) -> int:
+    """What the sweep's opening move, r/sqrt(2) from the apex as stored, adds to
+    the one tile size its column counts for that step, in units."""
+    return units(math.hypot(0.5 * r, 0.5 * r)) - units(r)
 
 
 def _sweep_span(wedge: float, D: float, r: float, lo: int, hi: int) -> int:
     """The exact length, in units, of sweep columns [lo, hi), from their heights'
     sum (``height_sum``): column u steps one tile size, rises h_u and comes down
     h_u, and column 0's step is the opening move."""
-    return _tiles(hi - lo + 2 * height_sum(wedge, D, r, lo, hi), r, lo == 0)
+    return (hi - lo + 2 * height_sum(wedge, D, r, lo, hi)) * units(r) + (_opening(r) if lo == 0 else 0)
 
 
 def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[int, Callable[[int], int]]:
@@ -579,6 +579,8 @@ def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[
     call.  The heights add in int64 while their sum stays below 2^62 (no
     height reaches D/r + 2), and as Python ints otherwise.
     """
+    size = units(r)
+    opening = _opening(r) if first else 0
     wide = heights.size * (D / r + 2.0) >= 2.0**62
     climbed = sum(heights.tolist()) if wide else int(heights.sum())
     ends = []  # the tile sizes by each column's end
@@ -589,9 +591,9 @@ def _sweep_units(heights: np.ndarray, D: float, r: float, first: bool) -> tuple[
                         else np.cumsum(2 * heights + 1))
         j, k = divmod(s, 3)
         count = (int(ends[0][j - 1]) if j else 0) + (k and 1 + (k - 1) * int(heights[j]))
-        return _tiles(count, r, first and s > 0)
+        return count * size + (opening if s else 0)
 
-    return _tiles(heights.size + 2 * climbed, r, first), arc
+    return (heights.size + 2 * climbed) * size + opening, arc
 
 
 def _sweep_point(frame: TileFrame, fx: float, fy: float) -> tuple[float, float]:
