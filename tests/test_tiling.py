@@ -106,7 +106,7 @@ def chunked_sum(wedge: float, d: float, r: float, lo: int, hi: int) -> int:
 
 @pytest.fixture
 def height_calls(monkeypatch):
-    """The number of ``column_heights`` calls ``height_sum`` makes, through tiling's module global."""
+    """The arguments of each ``column_heights`` call that ``height_sum`` makes through tiling's module global."""
     calls = []
     real = tiling.column_heights
     monkeypatch.setattr(tiling, "column_heights", lambda *args: calls.append(args) or real(*args))
@@ -174,7 +174,7 @@ class TestHeightSum:
             assert basic_cost(z, math.ldexp(d, k), math.ldexp(r, k)) == math.ldexp(cost, k), k
 
     def test_huge_sectors_count_their_tiles(self):
-        # radius^2 overflowed here: the quarter disc counted 0 tiles and the sweep cost inf.
+        # radius^2 overflows a float here; read unscaled, the quarter disc counts 0 tiles and the sweep costs inf.
         assert count_tiles(2, 1e300, 1e296) == pytest.approx(math.pi / 4.0 * 1e8, rel=1e-3)
         assert basic_cost(6, 1e300, 1e295) == pytest.approx(basic_cost(6, 1e5, 1.0) * 1e295, rel=1e-6)
 
